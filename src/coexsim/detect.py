@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+import zipfile
 
 import numpy as np
 
@@ -107,19 +108,28 @@ class ClassifierModel:
         path = str(path)
         if not Path(path).exists():
             raise FileNotFoundError(path)
-        data = np.load(path)
-        version = int(data["format_version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise InvalidParamsError(f"unsupported model format version {version}")
-        layer_sizes = tuple(int(v) for v in data["layer_sizes"])
-        n_layers = len(layer_sizes) - 1
-        return cls(
-            layer_sizes=layer_sizes,
-            weights=[data[f"W{i}"] for i in range(n_layers)],
-            biases=[data[f"b{i}"] for i in range(n_layers)],
-            feat_mean=data["feat_mean"],
-            feat_std=data["feat_std"],
-        )
+        try:
+            data = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise InvalidParamsError(f"{path} is not an npz model file") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise InvalidParamsError(f"{path} is not an npz model file")
+        with data:
+            try:
+                version = int(data["format_version"])
+                if version != MODEL_FORMAT_VERSION:
+                    raise InvalidParamsError(f"unsupported model format version {version}")
+                layer_sizes = tuple(int(v) for v in data["layer_sizes"])
+                n_layers = len(layer_sizes) - 1
+                return cls(
+                    layer_sizes=layer_sizes,
+                    weights=[data[f"W{i}"] for i in range(n_layers)],
+                    biases=[data[f"b{i}"] for i in range(n_layers)],
+                    feat_mean=data["feat_mean"],
+                    feat_std=data["feat_std"],
+                )
+            except KeyError as exc:
+                raise InvalidParamsError(f"model file {path} lacks an array: {exc}") from exc
 
 
 @dataclass(frozen=True)

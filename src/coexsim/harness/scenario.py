@@ -123,9 +123,13 @@ class ScenarioConfig:
             if prev is not None and w.t_on_s < prev:
                 raise InvalidConfigError("radar windows must be ordered and disjoint")
             prev = w.t_off_s
-        for t_start, _ in self.sinr_schedule:
-            if not 0.0 <= t_start <= self.duration_s:
-                raise InvalidConfigError("sinr schedule entry outside duration")
+        if not self.sinr_schedule:
+            raise InvalidConfigError("sinr_schedule must not be empty")
+        starts = [t_start for t_start, _ in self.sinr_schedule]
+        if any(not 0.0 <= t_start <= self.duration_s for t_start in starts):
+            raise InvalidConfigError("sinr schedule entry outside duration")
+        if starts != sorted(starts):
+            raise InvalidConfigError("sinr_schedule start times must be sorted")
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParamsError, TooShortInputError
 from .fileio import write_sidecar, read_sidecar
@@ -66,9 +67,6 @@ class Spectrogram:
     def freqs_hz(self) -> np.ndarray:
         return self.f_start_hz + np.arange(self.n_freq_bins) * self.freq_resolution_hz
 
-    def times_s(self) -> np.ndarray:
-        return self.t_start_s + np.arange(self.n_time_bins) * self.time_resolution_s
-
 
 def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectrogram:
     """Magnitude-squared STFT in dB, DC-centered rows, clamped at the floor."""
@@ -77,11 +75,9 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
     if n < fft_size:
         raise TooShortInputError(f"need at least {fft_size} samples, got {n}")
     hop = config.hop_size
-    n_cols = 1 + (n - fft_size) // hop
     w = config.window_values()
 
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_cols)[:, None]
-    frames = iq.samples[idx] * w[None, :]
+    frames = sliding_window_view(iq.samples, fft_size)[::hop] * w
     power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / fft_size
     power = np.fft.fftshift(power, axes=1).T  # [freq, time], row 0 = -fs/2
 

@@ -222,6 +222,18 @@ class TestSerialization:
         with pytest.raises(FileNotFoundError):
             ClassifierModel.load(tmp_path / "nope.npz")
 
+    def test_npz_without_model_arrays(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, weights=np.ones(3))
+        with pytest.raises(InvalidParamsError, match="lacks an array"):
+            ClassifierModel.load(path)
+
+    def test_file_that_is_not_npz(self, tmp_path):
+        path = tmp_path / "notes.npz"
+        path.write_text("not a model\n")
+        with pytest.raises(InvalidParamsError, match="not an npz model file"):
+            ClassifierModel.load(path)
+
     def test_record_features_order(self):
         rec = KpmRecord(0.01, 3.5, 2.5, 15, 777, 20.0)
         assert np.array_equal(record_features(rec), [3.5, 2.5, 15.0, 777.0])

@@ -198,6 +198,16 @@ class TestScenario:
         with pytest.raises(InvalidConfigError):
             sc.validate()
 
+    def test_empty_sinr_schedule_rejected(self):
+        sc = ScenarioConfig(duration_s=0.2, sinr_schedule=[])
+        with pytest.raises(InvalidConfigError, match="sinr_schedule"):
+            sc.validate()
+
+    def test_unsorted_sinr_schedule_rejected(self):
+        sc = ScenarioConfig(duration_s=0.2, sinr_schedule=[(0.1, 4.0), (0.0, 8.0)])
+        with pytest.raises(InvalidConfigError, match="sinr_schedule"):
+            sc.validate()
+
 
 class TestYamlConfig:
     def test_round_trip(self, tmp_path):
@@ -252,6 +262,15 @@ class TestCli:
                          "--out", str(tmp_path / "m.npz"))
         assert r.returncode == 2
         assert r.stderr.startswith("error: MissingDataError:")
+
+    def test_error_line_on_malformed_model(self, tmp_path):
+        model_path = tmp_path / "m.npz"
+        np.savez(model_path, weights=np.ones(3))
+        r = self.run_cli("eval-detector", "--model", str(model_path),
+                         "--data", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: InvalidParamsError:")
+        assert len(r.stderr.strip().splitlines()) == 1
 
     def test_scenario_and_latency_report(self, tmp_path):
         data = tmp_path / "kpm"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from coexsim.errors import InvalidParamsError
 from coexsim.localize import (
@@ -7,7 +9,9 @@ from coexsim.localize import (
     RADAR,
     FreqTimeBox,
     LocalizerConfig,
+    _dilate_square,
     _extract_components,
+    _row_quantile_and_median,
     evaluate_localizer,
     iou,
     localize,
@@ -137,6 +141,45 @@ class TestLocalize:
         out, _, _ = make_composite(8.0, seed=8)
         for b in localize(stft_spectrogram(out, MODE2_CFG)):
             assert 0.0 <= b.confidence <= 1.0
+
+
+class TestExactRewrites:
+    """The fast row statistics and dilation equal the numpy/scipy calls bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), merge_gap_bins=st.integers(1, 6),
+           rows=st.integers(1, 30), cols=st.integers(1, 30),
+           density=st.floats(0.0, 0.3))
+    def test_separable_dilation_equals_binary_dilation(self, seed, merge_gap_bins,
+                                                        rows, cols, density):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((rows, cols)) < density
+        # blobs on every border, where the zero border value matters
+        mask[0, rng.integers(cols)] = mask[-1, rng.integers(cols)] = True
+        mask[rng.integers(rows), 0] = mask[rng.integers(rows), -1] = True
+        radius = max(1, int(np.ceil(merge_gap_bins / 2)))
+        square = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+        expected = ndimage.binary_dilation(mask, structure=square)
+        for layout in (mask, np.asfortranarray(mask)):
+            got = _dilate_square(layout, radius)
+            assert got.dtype == bool
+            assert np.array_equal(got, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           width=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 597]),
+           pct=st.sampled_from([20.0, 50.0, 25, 12.5, 0.5, 99.5])
+           | st.floats(0.001, 99.999),
+           ties=st.booleans())
+    def test_one_partition_equals_percentile_and_median(self, seed, width, pct, ties):
+        rng = np.random.default_rng(seed)
+        lin = 10.0 ** (rng.normal(-9.0, 1.5, (7, width)))
+        if ties:
+            lin = np.round(lin, 10)
+        for layout in (lin, np.asfortranarray(lin)):
+            quantile, median = _row_quantile_and_median(layout, pct)
+            assert quantile.tobytes() == np.percentile(lin, pct, axis=1).tobytes()
+            assert median.tobytes() == np.median(lin, axis=1).tobytes()
 
 
 class TestRecallSweep:

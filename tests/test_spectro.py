@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.errors import InvalidParamsError, TooShortInputError
 from coexsim.signals import IqBuffer, gen_awgn
@@ -92,6 +93,36 @@ class TestStft:
             StftConfig(fft_size=1024, hop=2048)
         with pytest.raises(InvalidParamsError):
             StftConfig(window="blackman")
+
+
+def gathered_stft_db(samples, config):
+    """Reference STFT that gathers frames through a fancy index."""
+    fft_size, hop = config.fft_size, config.hop_size
+    n_cols = 1 + (len(samples) - fft_size) // hop
+    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_cols)[:, None]
+    frames = samples[idx] * config.window_values()[None, :]
+    power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / fft_size
+    power = np.fft.fftshift(power, axes=1).T
+    return 10.0 * np.log10(np.maximum(power, 10.0 ** (config.power_floor_db / 10.0)))
+
+
+class TestStridedFraming:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log2_fft=st.integers(1, 8),
+           extra=st.integers(0, 700), hop_frac=st.floats(0.0, 1.0),
+           window=st.sampled_from(["hann", "rectangular"]))
+    def test_strided_frames_equal_index_gather(self, seed, log2_fft, extra,
+                                               hop_frac, window):
+        fft_size = 2 ** log2_fft
+        hop = max(1, round(hop_frac * fft_size))
+        rng = np.random.default_rng(seed)
+        n = fft_size + extra
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cfg = StftConfig(fft_size=fft_size, hop=hop, window=window)
+        spec = stft_spectrogram(IqBuffer(samples, FS), cfg)
+        expected = gathered_stft_db(samples, cfg)
+        assert spec.power_db.shape == expected.shape
+        assert spec.power_db.tobytes() == expected.tobytes()
 
 
 class TestImageScaling:
