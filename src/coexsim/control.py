@@ -117,7 +117,6 @@ class ModeState:
     mode: Mode = Mode.MODE1
     blanked_prbs: frozenset[int] = frozenset()
     last_detection: bool = False
-    last_radar_extent: tuple[float, float] | None = None
 
 
 def mode_step(state: ModeState, detection, localization: list[FreqTimeBox] | None,
@@ -148,13 +147,11 @@ def mode_step(state: ModeState, detection, localization: list[FreqTimeBox] | Non
         prbs = frozenset(map_extent_to_prbs(extent, link, guard_prbs))
         if prbs != state.blanked_prbs:
             commands.append(Command(CMD_BLANK, prbs))
-        return replace(state, blanked_prbs=prbs, last_detection=detected,
-                       last_radar_extent=extent), commands
+        return replace(state, blanked_prbs=prbs, last_detection=detected), commands
     if not detected:
         commands.append(Command(CMD_UNBLANK_ALL))
         commands.append(Command(CMD_STOP_IQ))
-        return ModeState(mode=Mode.MODE1, blanked_prbs=frozenset(),
-                         last_detection=False, last_radar_extent=None), commands
+        return ModeState(), commands
     # detector says present but no boxes: keep the current blank set, retry
     return replace(state, last_detection=True), commands
 
@@ -197,13 +194,11 @@ class LatencyLedger:
         n = self.counts[stage]
         return self.totals_s[stage] / n if n else 0.0
 
-    def mode1_total_s(self, per_window: bool = True) -> float:
-        fn = self.mean_s if per_window else lambda s: self.totals_s[s]
-        return sum(fn(s) for s in MODE1_STAGES)
+    def mode1_total_s(self) -> float:
+        return sum(self.mean_s(s) for s in MODE1_STAGES)
 
-    def mode2_total_s(self, per_window: bool = True) -> float:
-        fn = self.mean_s if per_window else lambda s: self.totals_s[s]
-        return sum(fn(s) for s in MODE2_STAGES)
+    def mode2_total_s(self) -> float:
+        return sum(self.mean_s(s) for s in MODE2_STAGES)
 
     def report(self) -> str:
         """Text table pairing the detection path with the evacuation path."""

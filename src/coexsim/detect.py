@@ -11,7 +11,7 @@ Windows stack the latest N records oldest-first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 import zipfile
 

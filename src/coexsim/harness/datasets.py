@@ -19,7 +19,7 @@ import csv
 
 import numpy as np
 
-from ..errors import InvalidParamsError, MissingDataError
+from ..errors import MissingDataError
 from ..localize import LocalizerConfig, radar_truth_boxes, write_box_records, read_box_records
 from ..ranlink import (
     KpmRecord,

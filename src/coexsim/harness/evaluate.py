@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 import csv
 
 import numpy as np
 
-from ..detect import ClassifierModel, KpmWindow, infer
+from ..detect import ClassifierModel, infer
 from ..errors import MissingDataError
 from ..localize import RADAR, LocalizerConfig, evaluate_localizer, localize
 from .datasets import load_kpm_windows, load_spectrogram_items
@@ -36,13 +35,6 @@ def eval_detector(model: ClassifierModel, dataset_dir, n_stack: int
                                     float(np.mean(preds[sel] == labels[sel])),
                                     int(sel.sum())))
     return rows
-
-
-def detector_accuracy(model: ClassifierModel, windows: list[KpmWindow],
-                      labels) -> float:
-    labels = np.asarray(labels)
-    preds = np.array([int(infer(model, w).radar_present) for w in windows])
-    return float(np.mean(preds == labels))
 
 
 @dataclass(frozen=True)

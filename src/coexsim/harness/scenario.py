@@ -1,11 +1,11 @@
 """Closed-loop scenario engine.
 
 Simulation time advances in fixed telemetry periods; each window the uplink
-emits one KPM record onto an in-process telemetry bus, the controller
-consumes it (plus an I/Q window when it has escalated), and the commands it
-emits reconfigure the link for the *next* window (one-window control
-delay).  Wall-clock durations of the compute stages are accumulated in the
-latency ledger; they never influence simulation time.
+emits one KPM record, the controller consumes it (plus an I/Q window when it
+has escalated), and the commands it emits reconfigure the link for the
+*next* window (one-window control delay).  Wall-clock durations of the
+compute stages are accumulated in the latency ledger; they never influence
+simulation time.
 
 Policies: ``baseline`` applies no control at all, ``blanking`` applies PRB
 blanking only (MCS pinned at max), ``full`` adds BLER-driven AIMD MCS
@@ -15,7 +15,7 @@ adaptation on top.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 import time
 
@@ -25,9 +25,7 @@ import yaml
 from ..control import (
     CMD_BLANK,
     CMD_SET_MCS,
-    CMD_STOP_IQ,
     CMD_UNBLANK_ALL,
-    Command,
     Mode,
     STAGE_CONTROL_DISPATCH,
     STAGE_KPM_INFERENCE_POLICY,
@@ -82,13 +80,6 @@ class RadarWindow:
     params: RadarParams
 
 
-@dataclass(frozen=True)
-class TelemetryMessage:
-    kind: str            # "KPM" or "IQ_WINDOW"
-    timestamp_s: float
-    payload: object
-
-
 @dataclass
 class ScenarioConfig:
     duration_s: float = 2.0
@@ -130,6 +121,10 @@ class ScenarioConfig:
             raise InvalidConfigError("sinr schedule entry outside duration")
         if starts != sorted(starts):
             raise InvalidConfigError("sinr_schedule start times must be sorted")
+        load = self.offered_load_range_mbps
+        if len(load) != 2 or not 0.0 <= load[0] <= load[1]:
+            raise InvalidConfigError(
+                "offered_load_range_mbps must be (low, high) with 0 <= low <= high")
 
 
 @dataclass
@@ -181,7 +176,6 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
         blanking=(config.policy in (POLICY_BLANKING, POLICY_FULL)),
     )
     ledger = controller.ledger
-    bus: deque[TelemetryMessage] = deque()
 
     mask = np.ones(link.n_prbs, dtype=bool)
     mcs = MCS_MAX
@@ -215,15 +209,13 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
         kpm = uplink.step(mcs, mask, profile, offered, seed=int(rng.integers(2 ** 63)))
         records.append(kpm)
         labels.append(int(radar_win is not None))
-        bus.append(TelemetryMessage("KPM", kpm.t_s, kpm))
 
         if config.policy == POLICY_BASELINE:
             continue
 
         # xApp side: ingest telemetry, infer, decide
         t_start = time.perf_counter()
-        msg = bus.popleft()
-        recent.append(record_features(msg.payload))
+        recent.append(record_features(kpm))
         ledger.record_stage(STAGE_TELEMETRY_INGEST, time.perf_counter() - t_start)
 
         iq_active = controller.mode_state.mode == Mode.MODE2
@@ -248,8 +240,7 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
             composite, _ = mix_at_sinr(radar_iq, cell_iq, powers,
                                        seed=int(rng.integers(2 ** 63)),
                                        measure_achieved=False)
-            bus.append(TelemetryMessage("IQ_WINDOW", kpm.t_s, composite))
-            sgram = stft_spectrogram(bus.popleft().payload, config.stft)
+            sgram = stft_spectrogram(composite, config.stft)
             ledger.record_stage(STAGE_SPECTROGRAM_BUILD, time.perf_counter() - t_spec)
             t_loc = time.perf_counter()
             boxes = localize(sgram, config.localizer)
@@ -327,6 +318,9 @@ def scenario_from_yaml(path) -> ScenarioConfig:
     """Load a scenario config from a YAML file; see README for the schema."""
     with open(str(path)) as fh:
         raw = yaml.safe_load(fh) or {}
+    if not isinstance(raw, dict):
+        raise InvalidConfigError(
+            f"scenario config root must be a mapping, not {type(raw).__name__}")
     try:
         radar_schedule = [
             RadarWindow(
@@ -357,7 +351,8 @@ def scenario_from_yaml(path) -> ScenarioConfig:
                            for e in raw.get("sinr_schedule", [{"t_start_s": 0,
                                                                "sinr_db": 8.0}])],
             radar_schedule=radar_schedule,
-            offered_load_range_mbps=tuple(raw.get("offered_load_range_mbps", (1.0, 5.0))),
+            offered_load_range_mbps=tuple(float(v) for v in
+                                          raw.get("offered_load_range_mbps", (1.0, 5.0))),
             link=link,
             coupling_db=float(raw.get("coupling_db", DEFAULT_COUPLING_DB)),
             guard_prbs=int(raw.get("guard_prbs", 1)),

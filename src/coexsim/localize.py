@@ -145,12 +145,14 @@ def _squash_confidence(mean_excess_db: float) -> float:
 
 
 def _row_quantile_and_median(lin: np.ndarray, pct: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``pct``-th percentile and median of ``lin`` from one partition.
+    """Per-row ``pct``-th percentile and median of ``lin`` from one sort.
 
     For finite input both equal ``np.percentile(lin, pct, axis=1)`` and
     ``np.median(lin, axis=1)`` bit for bit: they take the same order
     statistics and combine them with numpy's own arithmetic (its linear
     interpolation, and the mean of the two middle elements at even width).
+    A full row sort yields the same order statistics as a multi-kth
+    partition and is several times faster, as numpy vectorizes full sorts.
     """
     n = lin.shape[1]
     virtual = (n - 1) * (pct / 100.0)
@@ -158,28 +160,48 @@ def _row_quantile_and_median(lin: np.ndarray, pct: float) -> tuple[np.ndarray, n
     hi = min(lo + 1, n - 1)
     gamma = virtual - lo
     mid = n // 2
-    kth = {lo, hi, mid} if n % 2 else {lo, hi, mid - 1, mid}
-    # A C-order copy first: partitioning the strided rows of the live loop's
-    # Fortran-order spectrogram costs more than the copy.
-    part = np.array(lin, order="C")
-    part.partition(sorted(kth), axis=1)
-    below, above = part[:, lo], part[:, hi]
+    ordered = np.sort(lin, axis=1)
+    below, above = ordered[:, lo], ordered[:, hi]
     diff = above - below
     quantile = below + diff * gamma if gamma < 0.5 else above - diff * (1.0 - gamma)
-    median = part[:, mid] if n % 2 else (part[:, mid - 1] + part[:, mid]) / 2.0
+    median = ordered[:, mid] if n % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2.0
     return quantile, median
 
 
 def _dilate_square(mask: np.ndarray, radius: int) -> np.ndarray:
-    """``ndimage.binary_dilation`` by a (2 radius + 1)^2 square, zero border,
-    as two separable 1-D running maxima over a uint8 view (far cheaper)."""
-    size = 2 * radius + 1
-    out = ndimage.maximum_filter1d(mask.view(np.uint8), size, axis=0, mode="constant")
-    return ndimage.maximum_filter1d(out, size, axis=1, mode="constant").view(bool)
+    """``ndimage.binary_dilation`` by a (2 radius + 1)^2 square, zero border:
+    the square is separable, so OR the mask shifted by up to ``radius``
+    along the rows, then along the columns."""
+    rows = mask.copy()
+    for s in range(1, radius + 1):
+        rows[s:] |= mask[:-s]
+        rows[:-s] |= mask[s:]
+    out = rows.copy()
+    for s in range(1, radius + 1):
+        out[:, s:] |= rows[:, :-s]
+        out[:, :-s] |= rows[:, s:]
+    return out
+
+
+def _component_members(active: np.ndarray, radius: int
+                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Active bins grouped by 8-connected component of the dilated mask, in
+    label order, each group's (rows, cols) in raster order.  No group is
+    empty: the dilated mask is a union of squares around active bins."""
+    rows, cols = np.nonzero(active)
+    if rows.size == 0:
+        return []
+    labels, _ = ndimage.label(_dilate_square(active, radius),
+                              structure=np.ones((3, 3), dtype=bool))
+    comp = labels[rows, cols]
+    order = np.argsort(comp, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
+    return [(rows[g], cols[g]) for g in groups]
 
 
 def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Component]:
-    lin = 10.0 ** (spec.power_db / 10.0)
+    # Every pass below runs along rows; a C-order copy keeps them contiguous.
+    lin = 10.0 ** (np.ascontiguousarray(spec.power_db) / 10.0)
     n_rows, n_cols = lin.shape
     pct = config.noise_floor_percentile
 
@@ -197,35 +219,26 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
 
     # Transient path: per-bin exceedances over the local row floor.
     active = lin > row_floor[:, None] * thr_lin
-    if active.any():
-        radius = max(1, int(np.ceil(config.merge_gap_bins / 2)))
-        dilated = _dilate_square(active, radius)
-        labels, n_comp = ndimage.label(dilated, structure=np.ones((3, 3), dtype=bool))
-        for comp, sl in enumerate(ndimage.find_objects(labels), start=1):
-            if sl is None:
-                continue
-            mask_sub = (labels[sl] == comp) & active[sl]
-            rows_rel, cols_rel = np.nonzero(mask_sub)
-            rows_idx = rows_rel + sl[0].start
-            cols_idx = cols_rel + sl[1].start
-            cells = set(zip(rows_idx.tolist(), (cols_idx // overlap).tolist()))
-            if len(cells) < config.min_box_bins:
-                continue
-            if len(np.unique(rows_idx)) < config.min_box_rows:
-                continue
-            rmin, rmax = int(rows_idx.min()), int(rows_idx.max())
-            cmin, cmax = int(cols_idx.min()), int(cols_idx.max())
-            duty = len(np.unique(cols_idx)) / (cmax - cmin + 1)
-            bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
-            label = (CELLULAR if duty >= config.cellular_duty_threshold
-                     and bw_hz >= config.cellular_min_bandwidth_hz else RADAR)
-            excess = np.mean(spec.power_db[sl][mask_sub]
-                             - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
-            rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx,
-                                                    cols_idx, config)
-            box = _bins_to_box(spec, rmin, rmax, cmin, cmax, label,
-                               _squash_confidence(float(excess)))
-            components.append(_Component(box, rows_idx, cols_idx))
+    radius = max(1, int(np.ceil(config.merge_gap_bins / 2)))
+    for rows_idx, cols_idx in _component_members(active, radius):
+        cells = set(zip(rows_idx.tolist(), (cols_idx // overlap).tolist()))
+        if len(cells) < config.min_box_bins:
+            continue
+        if len(np.unique(rows_idx)) < config.min_box_rows:
+            continue
+        rmin, rmax = int(rows_idx.min()), int(rows_idx.max())
+        cmin, cmax = int(cols_idx.min()), int(cols_idx.max())
+        duty = len(np.unique(cols_idx)) / (cmax - cmin + 1)
+        bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
+        label = (CELLULAR if duty >= config.cellular_duty_threshold
+                 and bw_hz >= config.cellular_min_bandwidth_hz else RADAR)
+        excess = np.mean(spec.power_db[rows_idx, cols_idx]
+                         - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
+        rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx,
+                                                cols_idx, config)
+        box = _bins_to_box(spec, rmin, rmax, cmin, cmax, label,
+                           _squash_confidence(float(excess)))
+        components.append(_Component(box, rows_idx, cols_idx))
 
     # Persistent path: rows whose median power clears the quietest-row floor.
     # Medians ignore pulsed outliers, so pulsed emitters never register here.

@@ -13,7 +13,7 @@ logged to CSV with an optional trailing label column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import csv
 
 import numpy as np

@@ -18,7 +18,7 @@ with all three terms in linear mW/MHz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,10 +158,6 @@ class CellularParams:
     @property
     def band_low_hz(self) -> float:
         return -self.n_prbs * self.prb_bandwidth_hz / 2.0
-
-    def prb_span_hz(self, prb: int) -> tuple[float, float]:
-        lo = self.band_low_hz + prb * self.prb_bandwidth_hz
-        return lo, lo + self.prb_bandwidth_hz
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def spectrogram_to_image(spec: Spectrogram, db_min: float, db_max: float) -> np.
 
 def save_spectrogram(path, spec: Spectrogram, extra_meta: dict | None = None) -> None:
     """Row-major float32 matrix plus a key=value sidecar."""
-    spec.power_db.astype("<f4").tofile(str(path))
+    spec.power_db.astype("<f4", order="C").tofile(str(path))
     meta = {
         "format": "spectrogram_float32_rowmajor",
         "n_freq_bins": spec.n_freq_bins,

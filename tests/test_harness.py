@@ -208,6 +208,16 @@ class TestScenario:
         with pytest.raises(InvalidConfigError, match="sinr_schedule"):
             sc.validate()
 
+    def test_negative_offered_load_rejected(self):
+        sc = ScenarioConfig(duration_s=0.2, offered_load_range_mbps=(-1.0, 5.0))
+        with pytest.raises(InvalidConfigError, match="offered_load_range_mbps"):
+            sc.validate()
+
+    def test_inverted_offered_load_rejected(self):
+        sc = ScenarioConfig(duration_s=0.2, offered_load_range_mbps=(5.0, 1.0))
+        with pytest.raises(InvalidConfigError, match="offered_load_range_mbps"):
+            sc.validate()
+
 
 class TestYamlConfig:
     def test_round_trip(self, tmp_path):
@@ -233,6 +243,12 @@ link: {base_sinr_db: 35.0}
         path = tmp_path / "bad.yaml"
         path.write_text("duration_s: 1.0\nradar_schedule:\n  - {t_on_s: 2.0, t_off_s: 0.5}\n")
         with pytest.raises(InvalidConfigError):
+            scenario_from_yaml(path)
+
+    def test_list_root_rejected(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- duration_s: 1.0\n- policy: full\n")
+        with pytest.raises(InvalidConfigError, match="mapping"):
             scenario_from_yaml(path)
 
 
@@ -270,6 +286,14 @@ class TestCli:
                          "--data", str(tmp_path))
         assert r.returncode == 2
         assert r.stderr.startswith("error: InvalidParamsError:")
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_error_line_on_list_root_config(self, tmp_path):
+        yaml_path = tmp_path / "list.yaml"
+        yaml_path.write_text("- duration_s: 1.0\n")
+        r = self.run_cli("run-scenario", "--config", str(yaml_path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: InvalidConfigError:")
         assert len(r.stderr.strip().splitlines()) == 1
 
     def test_scenario_and_latency_report(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from coexsim.localize import (
     RADAR,
     FreqTimeBox,
     LocalizerConfig,
+    _component_members,
     _dilate_square,
     _extract_components,
     _row_quantile_and_median,
@@ -50,6 +53,20 @@ def make_composite(sinr_db, offset_hz=2.5e6, pulse_width_s=26e-6, seed=0):
 
 def box(f0, f1, t0, t1, label=RADAR, conf=1.0):
     return FreqTimeBox(f0, f1, t0, t1, label, conf)
+
+
+def find_objects_members(active, radius):
+    """Reference grouping: per-label bounding-box slices, masked, in raster order."""
+    square = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    dilated = ndimage.binary_dilation(active, structure=square)
+    labels, _ = ndimage.label(dilated, structure=np.ones((3, 3), dtype=bool))
+    members = []
+    for comp, sl in enumerate(ndimage.find_objects(labels), start=1):
+        if sl is None:
+            continue
+        rows_rel, cols_rel = np.nonzero((labels[sl] == comp) & active[sl])
+        members.append((rows_rel + sl[0].start, cols_rel + sl[1].start))
+    return members
 
 
 class TestIou:
@@ -137,6 +154,18 @@ class TestLocalize:
             bins = set(zip(comp.support_rows.tolist(), comp.support_cols.tolist()))
             assert any(bins <= sup for sup in low_supports)
 
+    def test_fortran_and_c_order_give_equal_boxes(self):
+        out, _, _ = make_composite(10.0, seed=9)
+        spec = stft_spectrogram(out, MODE2_CFG)
+        c_spec = replace(spec, power_db=np.ascontiguousarray(spec.power_db))
+        f_spec = replace(spec, power_db=np.asfortranarray(spec.power_db))
+        assert f_spec.power_db.flags.f_contiguous
+        assert not f_spec.power_db.flags.c_contiguous
+        for cfg in (LocalizerConfig(), LocalizerConfig(merge_gap_bins=6)):
+            c_boxes = localize(c_spec, cfg)
+            assert c_boxes
+            assert localize(f_spec, cfg) == c_boxes
+
     def test_confidence_in_unit_interval(self):
         out, _, _ = make_composite(8.0, seed=8)
         for b in localize(stft_spectrogram(out, MODE2_CFG)):
@@ -144,7 +173,8 @@ class TestLocalize:
 
 
 class TestExactRewrites:
-    """The fast row statistics and dilation equal the numpy/scipy calls bit for bit."""
+    """The fast row statistics, dilation and component grouping equal the
+    numpy/scipy calls bit for bit."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), merge_gap_bins=st.integers(1, 6),
@@ -180,6 +210,35 @@ class TestExactRewrites:
             quantile, median = _row_quantile_and_median(layout, pct)
             assert quantile.tobytes() == np.percentile(lin, pct, axis=1).tobytes()
             assert median.tobytes() == np.median(lin, axis=1).tobytes()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), merge_gap_bins=st.integers(1, 6),
+           rows=st.integers(1, 40), cols=st.integers(1, 60),
+           density=st.floats(0.0, 0.08), n_blobs=st.integers(0, 6),
+           border=st.booleans())
+    def test_label_indexed_members_equal_find_objects(self, seed, merge_gap_bins,
+                                                      rows, cols, density,
+                                                      n_blobs, border):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((rows, cols)) < density
+        for _ in range(n_blobs):
+            r0, c0 = rng.integers(rows), rng.integers(cols)
+            h, w = rng.integers(1, 8, size=2)
+            sub = mask[r0:r0 + h, c0:c0 + w]
+            sub |= rng.random(sub.shape) < 0.7
+        if border:
+            mask[0, rng.integers(cols)] = mask[-1, rng.integers(cols)] = True
+            mask[rng.integers(rows), 0] = mask[rng.integers(rows), -1] = True
+        radius = max(1, int(np.ceil(merge_gap_bins / 2)))
+        expected = find_objects_members(mask, radius)
+        for layout in (mask, np.asfortranarray(mask)):
+            got = _component_members(layout, radius)
+            assert len(got) == len(expected)
+            for (got_rows, got_cols), (exp_rows, exp_cols) in zip(got, expected):
+                assert got_rows.dtype == exp_rows.dtype
+                assert got_rows.tolist() == exp_rows.tolist()
+                assert got_cols.tolist() == exp_cols.tolist()
 
 
 class TestRecallSweep:
