@@ -81,15 +81,24 @@ class ClassifierModel:
         return (x - self.feat_mean) / self.feat_std
 
     def forward(self, x_norm: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities for normalized inputs [batch, K]."""
-        probs, _ = _forward_cached(self.weights, self.biases, np.atleast_2d(x_norm))
-        return probs
+        """Softmax class probabilities for normalized inputs [batch, K].
+
+        Each row enters matmul as its own (1, K) matrix, so numpy runs the
+        same kernel on it whatever the batch size: a row's probabilities are
+        bit-identical alone and in any batch (a 2-D batch would pick BLAS
+        kernels by matrix shape).
+        """
+        rows = np.atleast_2d(x_norm)[:, np.newaxis, :]
+        probs, _ = _forward_cached(self.weights, self.biases, rows)
+        return probs[:, 0]
 
     def predict_proba(self, x_raw: np.ndarray) -> np.ndarray:
-        """Row-wise evaluation so batch and single inference are bit-identical
-        (BLAS kernels vary with matrix shape otherwise)."""
-        xn = self.normalize(np.atleast_2d(x_raw))
-        return np.vstack([self.forward(row) for row in xn])
+        """Class probabilities [batch, 2] for raw feature rows [batch, K]."""
+        x = np.atleast_2d(x_raw)
+        if x.shape[-1] != self.input_size:
+            raise DimensionMismatchError(
+                f"window length {x.shape[-1]} != model input {self.input_size}")
+        return self.forward(self.normalize(x))
 
     def save(self, path) -> None:
         arrays = {
@@ -173,9 +182,9 @@ def _forward_cached(weights, biases, x):
         a = np.maximum(z, 0.0) if i < n_layers - 1 else z
         cache.append((z, a))
     logits = cache[-1][0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
     return probs, cache
 
 
@@ -269,11 +278,13 @@ def _accuracy(model: ClassifierModel, x_norm, y) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == y))
 
 
+def radar_present(probs: np.ndarray) -> np.ndarray:
+    """Argmax of ``predict_proba`` rows; ties break toward 'no radar'."""
+    return probs[..., 1] > probs[..., 0]  # strict: tie -> class 0, no radar
+
+
 def infer(model: ClassifierModel, window: KpmWindow) -> Detection:
-    """Argmax of softmax; ties break toward 'no radar'."""
-    if window.features.size != model.input_size:
-        raise DimensionMismatchError(
-            f"window length {window.features.size} != model input {model.input_size}")
+    """One window's detection and the winning class probability."""
     probs = model.predict_proba(window.features)[0]
-    radar = bool(probs[1] > probs[0])  # strict: tie -> class 0, no radar
-    return Detection(radar_present=radar, confidence=float(probs.max()))
+    return Detection(radar_present=bool(radar_present(probs)),
+                     confidence=float(probs.max()))

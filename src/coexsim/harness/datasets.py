@@ -19,7 +19,7 @@ import csv
 
 import numpy as np
 
-from ..errors import MissingDataError
+from ..errors import InvalidParamsError, MissingDataError
 from ..localize import LocalizerConfig, radar_truth_boxes, write_box_records, read_box_records
 from ..ranlink import (
     KpmRecord,
@@ -92,6 +92,10 @@ class KpmDatasetConfig:
     coupling_db: float = DEFAULT_COUPLING_DB
     combined_dbm_mhz: float = COMBINED_DBM_MHZ
     seed: int = 0
+
+    def __post_init__(self):
+        if self.items_per_class_per_sinr < 1:
+            raise InvalidParamsError("items_per_class_per_sinr must be >= 1")
 
 
 def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> Path:
@@ -194,6 +198,10 @@ class SpectrogramDatasetConfig:
     stft: StftConfig = MODE2_STFT
     localizer: LocalizerConfig = LocalizerConfig()
     seed: int = 0
+
+    def __post_init__(self):
+        if self.items_per_sinr < 1:
+            raise InvalidParamsError("items_per_sinr must be >= 1")
 
 
 def gen_spectrogram_dataset(out_dir,

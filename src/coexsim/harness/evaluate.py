@@ -7,7 +7,7 @@ import csv
 
 import numpy as np
 
-from ..detect import ClassifierModel, infer
+from ..detect import ClassifierModel, radar_present
 from ..errors import MissingDataError
 from ..localize import RADAR, LocalizerConfig, evaluate_localizer, localize
 from .datasets import load_kpm_windows, load_spectrogram_items
@@ -26,7 +26,7 @@ def eval_detector(model: ClassifierModel, dataset_dir, n_stack: int
     windows, labels, sinrs = load_kpm_windows(dataset_dir, n_stack)
     if not windows:
         raise MissingDataError("dataset produced no windows")
-    preds = np.array([int(infer(model, w).radar_present) for w in windows])
+    preds = radar_present(model.predict_proba(np.stack([w.features for w in windows])))
     labels = np.asarray(labels)
     rows = []
     for sinr in sorted(set(sinrs.tolist())):

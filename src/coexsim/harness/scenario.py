@@ -38,7 +38,7 @@ from ..control import (
     write_command_log,
 )
 from ..detect import ClassifierModel, Detection, KpmWindow, infer, record_features
-from ..errors import InvalidConfigError, MissingModelError
+from ..errors import InvalidConfigError, InvalidParamsError, MissingModelError
 from ..fileio import write_sidecar
 from ..localize import LocalizerConfig, localize
 from ..ranlink import (
@@ -51,6 +51,7 @@ from ..ranlink import (
     write_kpm_csv,
 )
 from ..signals import (
+    DEFAULT_SAMPLE_RATE_HZ,
     CellularParams,
     IqBuffer,
     RadarParams,
@@ -107,13 +108,26 @@ class ScenarioConfig:
             raise InvalidConfigError(f"policy must be one of {POLICIES}")
         if self.n_stack < 1:
             raise InvalidConfigError("n_stack must be >= 1")
+        # Mode 2 synthesizes one telemetry period of I/Q and takes its STFT.
+        if round(self.telemetry_period_s * DEFAULT_SAMPLE_RATE_HZ) < self.stft.fft_size:
+            raise InvalidConfigError(
+                f"telemetry_period_s {self.telemetry_period_s} holds fewer than one "
+                f"{self.stft.fft_size}-sample STFT frame")
         prev = None
-        for w in self.radar_schedule:
+        for i, w in enumerate(self.radar_schedule):
             if not 0.0 <= w.t_on_s < w.t_off_s <= self.duration_s:
                 raise InvalidConfigError("radar window outside scenario duration")
             if prev is not None and w.t_on_s < prev:
                 raise InvalidConfigError("radar windows must be ordered and disjoint")
             prev = w.t_off_s
+            try:
+                w.params.validate(DEFAULT_SAMPLE_RATE_HZ)
+            except InvalidParamsError as exc:
+                raise InvalidConfigError(f"radar_schedule[{i}]: {exc}") from exc
+            if w.params.burst_length_s > self.telemetry_period_s:
+                raise InvalidConfigError(
+                    f"radar_schedule[{i}]: burst_length_s {w.params.burst_length_s} "
+                    f"exceeds telemetry_period_s {self.telemetry_period_s}")
         if not self.sinr_schedule:
             raise InvalidConfigError("sinr_schedule must not be empty")
         starts = [t_start for t_start, _ in self.sinr_schedule]
@@ -177,6 +191,7 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
     )
     ledger = controller.ledger
 
+    silent = RadarInterferenceProfile.silent(link.n_prbs)
     mask = np.ones(link.n_prbs, dtype=bool)
     mcs = MCS_MAX
     recent = deque(maxlen=config.n_stack)
@@ -204,7 +219,7 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
                                        config.coupling_db)
             profile = radar_psd_per_prb(radar_win.params, units, link)
         else:
-            profile = RadarInterferenceProfile.silent(link.n_prbs)
+            profile = silent
         offered = float(rng.uniform(*config.offered_load_range_mbps))
         kpm = uplink.step(mcs, mask, profile, offered, seed=int(rng.integers(2 ** 63)))
         records.append(kpm)
@@ -321,6 +336,9 @@ def scenario_from_yaml(path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise InvalidConfigError(
             f"scenario config root must be a mapping, not {type(raw).__name__}")
+    link_raw = raw.get("link", {})
+    if not isinstance(link_raw, dict):
+        raise InvalidConfigError(f"link must be a mapping, not {type(link_raw).__name__}")
     try:
         radar_schedule = [
             RadarWindow(
@@ -337,7 +355,6 @@ def scenario_from_yaml(path) -> ScenarioConfig:
             )
             for w in raw.get("radar_schedule", [])
         ]
-        link_raw = raw.get("link", {})
         link = LinkConfig(
             base_sinr_db=float(link_raw.get("base_sinr_db", 35.0)),
             sinr_jitter_db=float(link_raw.get("sinr_jitter_db", 0.5)),

@@ -215,17 +215,19 @@ class UplinkSimulator:
         i_over_n = profile.per_prb_interference * profile.duty_cycle
         sinr_eff_db = base_db - 10.0 * np.log10(1.0 + i_over_n)
 
-        active = prb_mask
-        n_active = int(active.sum())
+        n_active = int(np.count_nonzero(prb_mask))
         if n_active == 0:
             self.backlog_bits += offered_load_mbps * 1e6 * link.kpm_period_s
             self.t_s += link.kpm_period_s
             return KpmRecord(self.t_s, 0.0, 0.0, mcs,
                              int(self.backlog_bits / 8), base_db)
 
+        # Means as sum / count: numpy's own np.mean arithmetic, without its
+        # per-call dispatch.
+        sinr_active = sinr_eff_db[prb_mask]
         required = self.mcs_table.required_sinr_db(mcs)
-        per_prb_bler = _logistic(link.bler_slope * (required - sinr_eff_db[active]))
-        bler = float(np.mean(per_prb_bler))
+        per_prb_bler = _logistic(link.bler_slope * (required - sinr_active))
+        bler = float(per_prb_bler.sum() / n_active)
 
         capacity_mbps = (self.mcs_table.efficiency(mcs) * n_active
                          * link.prb_bandwidth_hz * link.symbol_overhead
@@ -240,7 +242,7 @@ class UplinkSimulator:
             bler_pct=100.0 * bler,
             mcs=mcs,
             bsr_bytes=int(self.backlog_bits / 8),
-            sinr_db=float(np.mean(sinr_eff_db[active])),
+            sinr_db=float(sinr_active.sum() / n_active),
         )
 
 

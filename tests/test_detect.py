@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.detect import (
     ClassifierModel,
@@ -8,6 +9,7 @@ from coexsim.detect import (
     TrainConfig,
     infer,
     loss_and_grads,
+    radar_present,
     record_features,
     train_detector,
     window_kpms,
@@ -195,6 +197,13 @@ class TestInfer:
             single = toy_model.predict_proba(xs[i])
             assert np.array_equal(batch[i], single[0])
 
+    def test_eval_rule_matches_infer(self, toy_model):
+        rng = np.random.default_rng(10)
+        xs = rng.uniform(0, 10, (300, 4))
+        batch = radar_present(toy_model.predict_proba(xs))
+        single = [infer(toy_model, KpmWindow(x, 1)).radar_present for x in xs]
+        assert batch.tolist() == single
+
     def test_inference_latency_under_1ms(self, toy_model):
         import time
         w = KpmWindow(np.array([1.0, 2.0, 10.0, 5.0]), 1)
@@ -205,6 +214,46 @@ class TestInfer:
             infer(toy_model, w)
         per_call = (time.perf_counter() - t0) / n
         assert per_call < 1e-3
+
+
+def per_row_predict_proba(model, x_raw):
+    """The per-row loop predict_proba ran before rows were stacked; the
+    reference for the batched path.  Each row is a (1, K) matrix."""
+    out = []
+    for row in model.normalize(np.atleast_2d(x_raw)):
+        a = np.atleast_2d(row)
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = a @ w.T + b
+            a = np.maximum(z, 0.0) if i < len(model.weights) - 1 else z
+        shifted = z - z.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        out.append(exp / exp.sum(axis=1, keepdims=True))
+    return np.vstack(out)
+
+
+class TestBatchInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_stack=st.integers(1, 8),
+           hidden=st.lists(st.integers(1, 47), min_size=1, max_size=3),
+           batch=st.integers(1, 600), log_scale=st.floats(-4.0, 6.0))
+    def test_predict_proba_equals_per_row_loop(self, seed, n_stack, hidden,
+                                               batch, log_scale):
+        rng = np.random.default_rng(seed)
+        k = 4 * n_stack
+        sizes = (k, *hidden, 2)
+        weights = [rng.normal(0.0, np.sqrt(2.0 / i), (o, i))
+                   for i, o in zip(sizes, sizes[1:])]
+        biases = [rng.normal(0.0, 0.1, o) for o in sizes[1:]]
+        scales = 10.0 ** rng.uniform(log_scale - 2.0, log_scale, k)
+        model = ClassifierModel(sizes, weights, biases,
+                                rng.normal(0.0, 1.0, k) * scales,
+                                rng.uniform(0.5, 2.0, k) * scales)
+        x = rng.normal(0.0, 3.0, (batch, k)) * scales
+        probs = model.predict_proba(x)
+        assert probs.shape == (batch, 2)
+        assert probs.tobytes() == per_row_predict_proba(model, x).tobytes()
+        for i in range(batch):
+            assert model.predict_proba(x[i]).tobytes() == probs[i:i + 1].tobytes()
 
 
 class TestSerialization:

@@ -7,6 +7,7 @@ import pytest
 
 from coexsim.detect import ClassifierModel, TrainConfig, train_detector
 from coexsim.errors import InvalidConfigError, MissingDataError, MissingModelError
+from coexsim.harness import cli
 from coexsim.harness.datasets import (
     KpmDatasetConfig,
     SpectrogramDatasetConfig,
@@ -78,6 +79,7 @@ class TestKpmDataset:
     def test_missing_dataset(self, tmp_path):
         with pytest.raises(MissingDataError):
             load_kpm_windows(tmp_path / "nope", 1)
+
 
 
 class TestSpectrogramDataset:
@@ -218,6 +220,25 @@ class TestScenario:
         with pytest.raises(InvalidConfigError, match="offered_load_range_mbps"):
             sc.validate()
 
+    def test_invalid_radar_params_rejected(self):
+        bad = RadarParams(5e-6, 1000.0, 10, 10e-3)   # pulse width out of range
+        sc = ScenarioConfig(duration_s=0.2,
+                            radar_schedule=[RadarWindow(0.05, 0.1, bad)])
+        with pytest.raises(InvalidConfigError, match=r"radar_schedule\[0\].*pulse_width_s"):
+            sc.validate()
+
+    def test_burst_longer_than_period_rejected(self):
+        long_burst = RadarParams(26e-6, 1000.0, 10, 20e-3)
+        sc = ScenarioConfig(duration_s=0.2,
+                            radar_schedule=[RadarWindow(0.05, 0.1, long_burst)])
+        with pytest.raises(InvalidConfigError, match="burst_length_s"):
+            sc.validate()
+
+    def test_period_shorter_than_stft_frame_rejected(self):
+        sc = ScenarioConfig(duration_s=0.2, telemetry_period_s=50e-6)  # 768 samples
+        with pytest.raises(InvalidConfigError, match="telemetry_period_s"):
+            sc.validate()
+
 
 class TestYamlConfig:
     def test_round_trip(self, tmp_path):
@@ -295,6 +316,25 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("error: InvalidConfigError:")
         assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_error_line_on_non_mapping_link(self, tmp_path, capsys):
+        yaml_path = tmp_path / "link.yaml"
+        yaml_path.write_text("duration_s: 1.0\nlink: [35.0]\n")
+        assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfigError: link")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_error_line_on_zero_count(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        for kind, field in (("kpm", "items_per_class_per_sinr"),
+                            ("spectrogram", "items_per_sinr")):
+            assert cli.main(["gen-dataset", "--kind", kind, "--out", str(out),
+                             "--count", "0"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: InvalidParamsError: {field}")
+            assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_scenario_and_latency_report(self, tmp_path):
         data = tmp_path / "kpm"

@@ -1,5 +1,8 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.errors import InvalidParamsError
 from coexsim.ranlink import (
@@ -8,6 +11,7 @@ from coexsim.ranlink import (
     McsTable,
     RadarInterferenceProfile,
     UplinkSimulator,
+    _logistic,
     apply_prb_mask,
     radar_psd_per_prb,
     read_kpm_csv,
@@ -204,6 +208,61 @@ class TestLinkStep:
         r1 = sim.step(28, np.ones(50, bool), prof, 1.0, seed=0)
         r2 = sim.step(28, np.ones(50, bool), prof, 1.0, seed=1)
         assert r2.t_s == pytest.approx(r1.t_s + 0.01)
+
+
+def np_mean_step(sim, mcs, prb_mask, profile, offered_load_mbps, seed):
+    """UplinkSimulator.step as it was with np.mean; the reference for the
+    sum / count form."""
+    link = sim.link
+    rng = np.random.default_rng(seed)
+    base_db = link.base_sinr_db + rng.normal(0.0, link.sinr_jitter_db)
+    i_over_n = profile.per_prb_interference * profile.duty_cycle
+    sinr_eff_db = base_db - 10.0 * np.log10(1.0 + i_over_n)
+    active = np.asarray(prb_mask, dtype=bool)
+    n_active = int(active.sum())
+    if n_active == 0:
+        sim.backlog_bits += offered_load_mbps * 1e6 * link.kpm_period_s
+        sim.t_s += link.kpm_period_s
+        return KpmRecord(sim.t_s, 0.0, 0.0, mcs, int(sim.backlog_bits / 8), base_db)
+    required = sim.mcs_table.required_sinr_db(mcs)
+    per_prb_bler = _logistic(link.bler_slope * (required - sinr_eff_db[active]))
+    bler = float(np.mean(per_prb_bler))
+    capacity_mbps = (sim.mcs_table.efficiency(mcs) * n_active
+                     * link.prb_bandwidth_hz * link.symbol_overhead
+                     * (1.0 - bler)) / 1e6
+    throughput = min(offered_load_mbps, capacity_mbps)
+    sim.backlog_bits += max(0.0, (offered_load_mbps - throughput)
+                            * 1e6 * link.kpm_period_s)
+    sim.t_s += link.kpm_period_s
+    return KpmRecord(sim.t_s, throughput, 100.0 * bler, mcs,
+                     int(sim.backlog_bits / 8), float(np.mean(sinr_eff_db[active])))
+
+
+class TestStepExactness:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), mcs=st.integers(0, 28),
+           active_frac=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           radar=st.booleans(), base_sinr_db=st.floats(-10.0, 45.0),
+           offered=st.floats(0.0, 20.0), n_steps=st.integers(1, 4))
+    def test_step_equals_np_mean_step(self, seed, mcs, active_frac, radar,
+                                      base_sinr_db, offered, n_steps):
+        rng = np.random.default_rng(seed)
+        link = LinkConfig(base_sinr_db=base_sinr_db,
+                          sinr_jitter_db=float(rng.uniform(0.0, 3.0)))
+        mask = rng.random(link.n_prbs) < active_frac
+        if radar:
+            params = RadarParams(float(rng.uniform(13e-6, 52e-6)), 1000.0, 10, 10e-3,
+                                 center_offset_hz=float(rng.uniform(-4e6, 4e6)))
+            profile = radar_psd_per_prb(params, 10.0 ** rng.uniform(-2.0, 7.0), link)
+        else:
+            profile = RadarInterferenceProfile.silent(link.n_prbs)
+        sim, ref = UplinkSimulator(link), UplinkSimulator(link)
+        for _ in range(n_steps):
+            step_seed = int(rng.integers(2 ** 63))
+            got = sim.step(mcs, mask, profile, offered, step_seed)
+            want = np_mean_step(ref, mcs, mask, profile, offered, step_seed)
+            assert repr(astuple(got)) == repr(astuple(want))
+            assert (sim.t_s, sim.backlog_bits) == (ref.t_s, ref.backlog_bits)
 
 
 class TestKpmCsv:
