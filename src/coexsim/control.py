@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 import csv
 import math
+import time
 
 from .errors import (
     EmptyExtentError,
@@ -68,6 +69,8 @@ def mcs_update(state: McsControllerState, bler: float) -> McsControllerState:
     if not 0.0 <= bler <= 100.0:
         raise InvalidParamsError(f"bler {bler} outside [0, 100]")
     if abs(bler - state.bler_prev) < state.gamma:
+        if state.last_action == Action.HOLD:
+            return state
         return replace(state, last_action=Action.HOLD)
     if bler > state.bler_thresh:
         new_mcs = max(state.mcs // state.beta, state.mcs_min)
@@ -116,7 +119,6 @@ class Command:
 class ModeState:
     mode: Mode = Mode.MODE1
     blanked_prbs: frozenset[int] = frozenset()
-    last_detection: bool = False
 
 
 def mode_step(state: ModeState, detection, localization: list[FreqTimeBox] | None,
@@ -135,9 +137,8 @@ def mode_step(state: ModeState, detection, localization: list[FreqTimeBox] | Non
 
     if state.mode == Mode.MODE1:
         if detected:
-            commands.append(Command(CMD_REQUEST_IQ))
-            return replace(state, mode=Mode.MODE2, last_detection=True), commands
-        return replace(state, last_detection=False), commands
+            return replace(state, mode=Mode.MODE2), [Command(CMD_REQUEST_IQ)]
+        return state, commands
 
     boxes = localization or []
     extent = radar_freq_extent(boxes)
@@ -147,13 +148,14 @@ def mode_step(state: ModeState, detection, localization: list[FreqTimeBox] | Non
         prbs = frozenset(map_extent_to_prbs(extent, link, guard_prbs))
         if prbs != state.blanked_prbs:
             commands.append(Command(CMD_BLANK, prbs))
-        return replace(state, blanked_prbs=prbs, last_detection=detected), commands
+            state = replace(state, blanked_prbs=prbs)
+        return state, commands
     if not detected:
         commands.append(Command(CMD_UNBLANK_ALL))
         commands.append(Command(CMD_STOP_IQ))
         return ModeState(), commands
     # detector says present but no boxes: keep the current blank set, retry
-    return replace(state, last_detection=True), commands
+    return state, commands
 
 
 # Latency ledger stages
@@ -181,14 +183,20 @@ class LatencyLedger:
     totals_s: dict = field(default_factory=lambda: {s: 0.0 for s in ALL_STAGES})
     counts: dict = field(default_factory=lambda: {s: 0 for s in ALL_STAGES})
 
-    def record_stage(self, stage: str, duration_s: float) -> "LatencyLedger":
+    def record_stage(self, stage: str, duration_s: float) -> None:
         if stage not in self.totals_s:
             raise InvalidParamsError(f"unknown stage {stage!r}")
         if duration_s < 0:
             raise InvalidParamsError("duration must be >= 0")
         self.totals_s[stage] += duration_s
         self.counts[stage] += 1
-        return self
+
+    def timed(self, stage: str, fn, *args):
+        """Call ``fn(*args)``, record its wall time under ``stage``, return its value."""
+        t0 = time.perf_counter()
+        value = fn(*args)
+        self.record_stage(stage, time.perf_counter() - t0)
+        return value
 
     def mean_s(self, stage: str) -> float:
         n = self.counts[stage]
@@ -224,8 +232,7 @@ class LatencyLedger:
         lines.append("-" * (2 * width + 33))
         lines.append(f"{'mode1 total':<{width}} {ms(self.mode1_total_s())} | "
                      f"{'mode2 total':<{width}} {ms(self.mode2_total_s())}")
-        lines.append("i/q transport over the control interface: not modeled "
-                     "(in-process bus)")
+        lines.append("i/q transport over the control interface: not modeled")
         return "\n".join(lines)
 
 
@@ -247,7 +254,6 @@ class XappController:
         self.guard_prbs = guard_prbs
         self.mcs_adaptation = mcs_adaptation
         self.blanking = blanking
-        self.ledger = LatencyLedger()
 
     def step(self, detection, localization: list[FreqTimeBox] | None,
              bler_pct: float) -> list[Command]:

@@ -20,7 +20,7 @@ import csv
 import numpy as np
 
 from ..errors import InvalidParamsError, MissingDataError
-from ..localize import LocalizerConfig, radar_truth_boxes, write_box_records, read_box_records
+from ..localize import radar_truth_boxes, write_box_records, read_box_records
 from ..ranlink import (
     KpmRecord,
     LinkConfig,
@@ -32,16 +32,7 @@ from ..ranlink import (
 )
 from ..detect import KpmWindow, window_kpms
 from ..fileio import write_sidecar
-from ..signals import (
-    CellularParams,
-    IqBuffer,
-    RadarParams,
-    SinrSpec,
-    dbm_to_linear,
-    gen_cellular_baseband,
-    gen_radar_pulse_train,
-    mix_at_sinr,
-)
+from ..signals import RadarParams, SinrSpec, dbm_to_linear, sensing_capture
 from ..spectro import StftConfig, save_spectrogram, load_spectrogram, stft_spectrogram
 
 COMBINED_DBM_MHZ = -109.0  # regulatory cap on cellular + noise density
@@ -195,8 +186,6 @@ class SpectrogramDatasetConfig:
     items_per_sinr: int = 100
     absent_fraction: float = 0.2   # extra cellular-only items per SINR point
     combined_dbm_mhz: float = COMBINED_DBM_MHZ
-    stft: StftConfig = MODE2_STFT
-    localizer: LocalizerConfig = LocalizerConfig()
     seed: int = 0
 
     def __post_init__(self):
@@ -223,20 +212,12 @@ def gen_spectrogram_dataset(out_dir,
         for has_radar in [True] * config.items_per_sinr + [False] * n_absent:
             rng = np.random.default_rng([config.seed, item_idx])
             file_id = f"item_{item_idx:05d}"
-            cell = gen_cellular_baseband(CellularParams(), OBSERVATION_WINDOW_S,
-                                         seed=int(rng.integers(2 ** 63)))
-            if has_radar:
-                params = draw_radar_params(rng)
-                radar = gen_radar_pulse_train(params, OBSERVATION_WINDOW_S)
-                spec_powers = SinrSpec.from_target(sinr, config.combined_dbm_mhz)
-            else:
-                radar = IqBuffer(np.zeros(cell.n_samples), cell.sample_rate_hz)
-                base = SinrSpec.from_target(0.0, config.combined_dbm_mhz)
-                spec_powers = SinrSpec(float("-inf"), base.p_cellular_dbm_mhz,
-                                       base.p_noise_dbm_mhz)
-            composite, achieved = mix_at_sinr(radar, cell, spec_powers,
-                                              seed=int(rng.integers(2 ** 63)))
-            sgram = stft_spectrogram(composite, config.stft)
+            cell_seed = int(rng.integers(2 ** 63))
+            params = draw_radar_params(rng) if has_radar else None
+            composite, radar, achieved = sensing_capture(
+                params, sinr, config.combined_dbm_mhz, OBSERVATION_WINDOW_S,
+                cell_seed, noise_seed=int(rng.integers(2 ** 63)))
+            sgram = stft_spectrogram(composite, MODE2_STFT)
             save_spectrogram(out_dir / "specs" / f"{file_id}.bin", sgram, {
                 "file_id": file_id,
                 "sinr_db": sinr,
@@ -244,8 +225,8 @@ def gen_spectrogram_dataset(out_dir,
                 "has_radar": int(has_radar),
             })
             if has_radar:
-                clean = stft_spectrogram(radar, config.stft)
-                for box in radar_truth_boxes(clean, config.localizer):
+                clean = stft_spectrogram(radar, MODE2_STFT)
+                for box in radar_truth_boxes(clean):
                     truth_records.append((file_id, box))
             items.append({"file_id": file_id, "sinr_db": sinr,
                           "has_radar": int(has_radar)})
@@ -263,9 +244,9 @@ def gen_spectrogram_dataset(out_dir,
         "items_per_sinr": config.items_per_sinr,
         "absent_fraction": config.absent_fraction,
         "combined_dbm_mhz": config.combined_dbm_mhz,
-        "fft_size": config.stft.fft_size,
-        "hop": config.stft.hop_size,
-        "window": config.stft.window,
+        "fft_size": MODE2_STFT.fft_size,
+        "hop": MODE2_STFT.hop_size,
+        "window": MODE2_STFT.window,
     })
     return out_dir
 

@@ -1,10 +1,13 @@
 """Closed-loop scenario engine.
 
-Simulation time advances in fixed telemetry periods; each window the uplink
-emits one KPM record, the controller consumes it (plus an I/Q window when it
-has escalated), and the commands it emits reconfigure the link for the
-*next* window (one-window control delay).  Wall-clock durations of the
-compute stages are accumulated in the latency ledger; they never influence
+Simulation time advances in fixed telemetry periods, and each window runs
+two steps.  The world step simulates the radio: the uplink emits one KPM
+record and, while the controller is in Mode 2, the sensing receiver
+captures one period of I/Q.  The pipeline step is what a deployed xApp
+runs: it ingests the KPMs, takes the STFT of the I/Q and localizes the
+radar, infers, and lets the controller decide.  The RAN applies the
+commands before the *next* window (one-window control delay).  The latency
+ledger times the pipeline stages only; wall-clock time never influences
 simulation time.
 
 Policies: ``baseline`` applies no control at all, ``blanking`` applies PRB
@@ -17,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-import time
 
 import numpy as np
 import yaml
@@ -26,6 +28,8 @@ from ..control import (
     CMD_BLANK,
     CMD_SET_MCS,
     CMD_UNBLANK_ALL,
+    Command,
+    LatencyLedger,
     Mode,
     STAGE_CONTROL_DISPATCH,
     STAGE_KPM_INFERENCE_POLICY,
@@ -40,8 +44,9 @@ from ..control import (
 from ..detect import ClassifierModel, Detection, KpmWindow, infer, record_features
 from ..errors import InvalidConfigError, InvalidParamsError, MissingModelError
 from ..fileio import write_sidecar
-from ..localize import LocalizerConfig, localize
+from ..localize import localize
 from ..ranlink import (
+    KpmRecord,
     LinkConfig,
     MCS_MAX,
     RadarInterferenceProfile,
@@ -50,16 +55,7 @@ from ..ranlink import (
     radar_psd_per_prb,
     write_kpm_csv,
 )
-from ..signals import (
-    DEFAULT_SAMPLE_RATE_HZ,
-    CellularParams,
-    IqBuffer,
-    RadarParams,
-    SinrSpec,
-    gen_cellular_baseband,
-    gen_radar_pulse_train,
-    mix_at_sinr,
-)
+from ..signals import DEFAULT_SAMPLE_RATE_HZ, IqBuffer, RadarParams, sensing_capture
 from ..spectro import stft_spectrogram
 from .datasets import (
     COMBINED_DBM_MHZ,
@@ -94,8 +90,6 @@ class ScenarioConfig:
     combined_dbm_mhz: float = COMBINED_DBM_MHZ
     coupling_db: float = DEFAULT_COUPLING_DB
     guard_prbs: int = 1
-    stft: object = MODE2_STFT
-    localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
     seed: int = 0
     output_dir: str | None = None
 
@@ -109,10 +103,10 @@ class ScenarioConfig:
         if self.n_stack < 1:
             raise InvalidConfigError("n_stack must be >= 1")
         # Mode 2 synthesizes one telemetry period of I/Q and takes its STFT.
-        if round(self.telemetry_period_s * DEFAULT_SAMPLE_RATE_HZ) < self.stft.fft_size:
+        if round(self.telemetry_period_s * DEFAULT_SAMPLE_RATE_HZ) < MODE2_STFT.fft_size:
             raise InvalidConfigError(
                 f"telemetry_period_s {self.telemetry_period_s} holds fewer than one "
-                f"{self.stft.fft_size}-sample STFT frame")
+                f"{MODE2_STFT.fft_size}-sample STFT frame")
         prev = None
         for i, w in enumerate(self.radar_schedule):
             if not 0.0 <= w.t_on_s < w.t_off_s <= self.duration_s:
@@ -147,15 +141,8 @@ class ScenarioResult:
     records: list
     labels: list
     commands: list          # (t_s, Command)
-    ledger: object
+    ledger: LatencyLedger
     output_dir: Path | None
-
-
-def _active_radar(config: ScenarioConfig, t0: float) -> RadarWindow | None:
-    for w in config.radar_schedule:
-        if w.t_on_s <= t0 < w.t_off_s:
-            return w
-    return None
 
 
 def _sinr_at(config: ScenarioConfig, t0: float) -> float:
@@ -173,131 +160,128 @@ def ground_truth_radar_prbs(params: RadarParams, link: LinkConfig) -> set[int]:
                               link, guard_prbs=0)
 
 
+def _delay_s(event_idx: int | None, start_idx: int | None, ts: float) -> float | None:
+    """Seconds from the start window to the event window, both counted."""
+    return None if event_idx is None or start_idx is None else (event_idx - start_idx + 1) * ts
+
+
+class _World:
+    """The simulated radio: the uplink, the sensing receiver and the RAN's settings."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.uplink = UplinkSimulator(config.link)
+        self.silent = RadarInterferenceProfile.silent(config.link.n_prbs)
+        self.mask = np.ones(config.link.n_prbs, dtype=bool)
+        self.mcs = MCS_MAX
+
+    def step(self, k: int, sense: bool
+             ) -> tuple[RadarWindow | None, KpmRecord, IqBuffer | None]:
+        """Window k: the active radar, the KPM record and, if ``sense``, the I/Q."""
+        config = self.config
+        t0 = k * config.telemetry_period_s
+        rng = np.random.default_rng([config.seed, k])
+        radar_win = next((w for w in config.radar_schedule if w.t_on_s <= t0 < w.t_off_s),
+                         None)
+        sinr_db = _sinr_at(config, t0)
+        profile = self.silent
+        if radar_win is not None:
+            units = interference_units(sinr_db, config.link, config.combined_dbm_mhz,
+                                       config.coupling_db)
+            profile = radar_psd_per_prb(radar_win.params, units, config.link)
+        offered = float(rng.uniform(*config.offered_load_range_mbps))
+        kpm = self.uplink.step(self.mcs, self.mask, profile, offered,
+                               seed=int(rng.integers(2 ** 63)))
+        if not sense:
+            return radar_win, kpm, None
+        # The sensing receiver sees the emitter the link profile came from;
+        # the cellular waveform honors the current PRB mask.
+        cell_seed = int(rng.integers(2 ** 63))
+        iq, _, _ = sensing_capture(
+            None if radar_win is None else radar_win.params, sinr_db,
+            config.combined_dbm_mhz, config.telemetry_period_s, cell_seed,
+            noise_seed=int(rng.integers(2 ** 63)), prb_mask=self.mask,
+            measure_achieved=False)
+        return radar_win, kpm, iq
+
+    def apply(self, commands: list[Command]) -> None:
+        """The RAN reconfigures the link for the next window."""
+        for cmd in commands:
+            if cmd.kind == CMD_BLANK:
+                self.mask = apply_prb_mask(self.config.link, cmd.payload)
+            elif cmd.kind == CMD_UNBLANK_ALL:
+                self.mask = np.ones(self.config.link.n_prbs, dtype=bool)
+            elif cmd.kind == CMD_SET_MCS:
+                self.mcs = int(cmd.payload)
+
+
+def _pipeline_step(ledger: LatencyLedger, controller: XappController,
+                   detector: ClassifierModel | None, recent: deque, kpm: KpmRecord,
+                   iq: IqBuffer | None) -> tuple[Detection, list[Command]]:
+    """The xApp's window: ingest the KPMs, STFT and localize any I/Q, infer, decide."""
+    recent.append(ledger.timed(STAGE_TELEMETRY_INGEST, record_features, kpm))
+    boxes = None
+    if iq is not None:
+        sgram = ledger.timed(STAGE_SPECTROGRAM_BUILD, stft_spectrogram, iq, MODE2_STFT)
+        boxes = ledger.timed(STAGE_LOCALIZATION_INFERENCE, localize, sgram)
+    return ledger.timed(STAGE_KPM_INFERENCE_POLICY, _decide, controller, detector, recent,
+                        boxes, kpm.bler_pct)
+
+
+def _decide(controller, detector, recent, boxes, bler_pct):
+    if len(recent) < recent.maxlen:
+        detection = Detection(False, 1.0)  # warm-up
+    else:
+        detection = infer(detector, KpmWindow(np.concatenate(list(recent)), recent.maxlen))
+    return detection, controller.step(detection, boxes, bler_pct)
+
+
 def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> ScenarioResult:
     """Run the closed loop; returns metrics and writes logs when output_dir set."""
     config.validate()
     if detector is None and config.policy != POLICY_BASELINE:
         raise MissingModelError("control policies need a trained detector model")
 
-    link = config.link
     ts = config.telemetry_period_s
     n_windows = int(round(config.duration_s / ts))
-    uplink = UplinkSimulator(link)
+    ledger = LatencyLedger()
+    world = _World(config)
     controller = XappController(
-        link=link,
+        link=config.link,
         guard_prbs=config.guard_prbs,
         mcs_adaptation=(config.policy == POLICY_FULL),
         blanking=(config.policy in (POLICY_BLANKING, POLICY_FULL)),
     )
-    ledger = controller.ledger
-
-    silent = RadarInterferenceProfile.silent(link.n_prbs)
-    mask = np.ones(link.n_prbs, dtype=bool)
-    mcs = MCS_MAX
     recent = deque(maxlen=config.n_stack)
-
     records, labels, command_log = [], [], []
-    detect_window_idx = None
-    evac_window_idx = None
-    restore_window_idx = None
-    onset_idx = None
-    offset_idx = None
+    # window indices: radar on and off, and the loop's detection,
+    # evacuation and restore
+    onset = offset = detected = evacuated = restored = None
 
     for k in range(n_windows):
-        t0 = k * ts
-        rng = np.random.default_rng([config.seed, k])
-        radar_win = _active_radar(config, t0)
-        sinr_db = _sinr_at(config, t0)
-        if radar_win is not None and onset_idx is None:
-            onset_idx = k
-        if radar_win is None and onset_idx is not None and offset_idx is None:
-            offset_idx = k
-
-        # RAN side: one telemetry period of uplink under current settings
-        if radar_win is not None:
-            units = interference_units(sinr_db, link, config.combined_dbm_mhz,
-                                       config.coupling_db)
-            profile = radar_psd_per_prb(radar_win.params, units, link)
-        else:
-            profile = silent
-        offered = float(rng.uniform(*config.offered_load_range_mbps))
-        kpm = uplink.step(mcs, mask, profile, offered, seed=int(rng.integers(2 ** 63)))
+        radar_win, kpm, iq = world.step(k, sense=controller.mode_state.mode == Mode.MODE2)
         records.append(kpm)
         labels.append(int(radar_win is not None))
-
+        if radar_win is not None and onset is None:
+            onset = k
+        if radar_win is None and onset is not None and offset is None:
+            offset = k
         if config.policy == POLICY_BASELINE:
             continue
 
-        # xApp side: ingest telemetry, infer, decide
-        t_start = time.perf_counter()
-        recent.append(record_features(kpm))
-        ledger.record_stage(STAGE_TELEMETRY_INGEST, time.perf_counter() - t_start)
+        detection, commands = _pipeline_step(ledger, controller, detector, recent, kpm, iq)
+        ledger.timed(STAGE_CONTROL_DISPATCH, command_log.extend,
+                     [(kpm.t_s, cmd) for cmd in commands])
+        ledger.timed(STAGE_SPECTRUM_CONTROL, world.apply, commands)
 
-        iq_active = controller.mode_state.mode == Mode.MODE2
-
-        boxes = None
-        if iq_active:
-            t_spec = time.perf_counter()
-            # Sensing path reuses the same emitter the link profile came
-            # from; the cellular waveform honors the current PRB mask.
-            cell_iq = gen_cellular_baseband(
-                CellularParams(active_prb_mask=mask), ts,
-                seed=int(rng.integers(2 ** 63)))
-            powers = SinrSpec.from_target(sinr_db, config.combined_dbm_mhz)
-            if radar_win is not None:
-                radar_iq = gen_radar_pulse_train(radar_win.params, ts,
-                                                 cell_iq.sample_rate_hz)
-            else:
-                radar_iq = IqBuffer(np.zeros(cell_iq.n_samples),
-                                    cell_iq.sample_rate_hz)
-                powers = SinrSpec(float("-inf"), powers.p_cellular_dbm_mhz,
-                                  powers.p_noise_dbm_mhz)
-            composite, _ = mix_at_sinr(radar_iq, cell_iq, powers,
-                                       seed=int(rng.integers(2 ** 63)),
-                                       measure_achieved=False)
-            sgram = stft_spectrogram(composite, config.stft)
-            ledger.record_stage(STAGE_SPECTROGRAM_BUILD, time.perf_counter() - t_spec)
-            t_loc = time.perf_counter()
-            boxes = localize(sgram, config.localizer)
-            ledger.record_stage(STAGE_LOCALIZATION_INFERENCE,
-                                time.perf_counter() - t_loc)
-
-        t_infer = time.perf_counter()
-        if len(recent) == config.n_stack:
-            window = KpmWindow(np.concatenate(list(recent)), config.n_stack)
-            detection = infer(detector, window)
-        else:
-            detection = Detection(False, 1.0)  # warm-up
-        commands = controller.step(detection, boxes, kpm.bler_pct)
-        ledger.record_stage(STAGE_KPM_INFERENCE_POLICY, time.perf_counter() - t_infer)
-
-        t_dispatch = time.perf_counter()
-        for cmd in commands:
-            command_log.append((kpm.t_s, cmd))
-        ledger.record_stage(STAGE_CONTROL_DISPATCH, time.perf_counter() - t_dispatch)
-
-        if detection.radar_present and detect_window_idx is None:
-            detect_window_idx = k
-
-        # RAN applies commands before the next window (one-window delay)
-        t_apply = time.perf_counter()
-        for cmd in commands:
-            if cmd.kind == CMD_BLANK:
-                mask = apply_prb_mask(link, cmd.payload)
-            elif cmd.kind == CMD_UNBLANK_ALL:
-                mask = np.ones(link.n_prbs, dtype=bool)
-            elif cmd.kind == CMD_SET_MCS:
-                mcs = int(cmd.payload)
-        ledger.record_stage(STAGE_SPECTRUM_CONTROL, time.perf_counter() - t_apply)
-
-        # delay bookkeeping against ground truth
-        if radar_win is not None and evac_window_idx is None:
-            truth_prbs = ground_truth_radar_prbs(radar_win.params, link)
-            if truth_prbs and truth_prbs <= set(np.nonzero(~mask)[0]):
-                evac_window_idx = k
-        if (offset_idx is not None and restore_window_idx is None
-                and k >= offset_idx and mask.all()):
-            restore_window_idx = k
+        if detection.radar_present and detected is None:
+            detected = k
+        if radar_win is not None and evacuated is None:
+            truth_prbs = ground_truth_radar_prbs(radar_win.params, config.link)
+            if truth_prbs and truth_prbs <= set(np.nonzero(~world.mask)[0]):
+                evacuated = k
+        if offset is not None and restored is None and world.mask.all():
+            restored = k
 
     summary = {
         "policy": config.policy,
@@ -306,15 +290,9 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
         "mean_bler_pct": float(np.mean([r.bler_pct for r in records])),
         "radar_mean_bler_pct": float(np.mean(
             [r.bler_pct for r, lab in zip(records, labels) if lab])) if any(labels) else 0.0,
-        "detection_delay_s": ((detect_window_idx - onset_idx + 1) * ts
-                              if detect_window_idx is not None and onset_idx is not None
-                              else None),
-        "evacuation_delay_s": ((evac_window_idx - onset_idx + 1) * ts
-                               if evac_window_idx is not None and onset_idx is not None
-                               else None),
-        "restore_delay_s": ((restore_window_idx - offset_idx + 1) * ts
-                            if restore_window_idx is not None and offset_idx is not None
-                            else None),
+        "detection_delay_s": _delay_s(detected, onset, ts),
+        "evacuation_delay_s": _delay_s(evacuated, onset, ts),
+        "restore_delay_s": _delay_s(restored, offset, ts),
     }
 
     out_dir = None
@@ -329,53 +307,68 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
     return ScenarioResult(summary, records, labels, command_log, ledger, out_dir)
 
 
+def _read(value, where: str, read):
+    """``read`` pops the keys it knows from a copy of a mapping; leftovers fail by name."""
+    if not isinstance(value, dict):
+        raise InvalidConfigError(f"{where} must be a mapping, not {type(value).__name__}")
+    left = dict(value)
+    out = read(left)
+    if left:
+        raise InvalidConfigError(f"{where}: unknown key(s) {', '.join(map(repr, left))}")
+    return out
+
+
+def _radar_window(w: dict) -> RadarWindow:
+    return RadarWindow(
+        t_on_s=float(w.pop("t_on_s")),
+        t_off_s=float(w.pop("t_off_s")),
+        params=RadarParams(
+            pulse_width_s=float(w.pop("pulse_width_s", 26e-6)),
+            prr_hz=float(w.pop("prr_hz", 1000.0)),
+            pulses_per_burst=int(w.pop("pulses_per_burst", 10)),
+            burst_length_s=float(w.pop("burst_length_s", 0.01)),
+            center_offset_hz=float(w.pop("center_offset_hz", 2.5e6)),
+            doppler_shift_hz=float(w.pop("doppler_shift_hz", 0.0)),
+        ),
+    )
+
+
+def _scenario(raw: dict) -> ScenarioConfig:
+    return ScenarioConfig(
+        duration_s=float(raw.pop("duration_s", 2.0)),
+        telemetry_period_s=float(raw.pop("telemetry_period_s", 0.01)),
+        n_stack=int(raw.pop("n_stack", 1)),
+        policy=str(raw.pop("policy", POLICY_FULL)),
+        sinr_schedule=[
+            _read(e, f"sinr_schedule[{i}]",
+                  lambda e: (float(e.pop("t_start_s")), float(e.pop("sinr_db"))))
+            for i, e in enumerate(raw.pop("sinr_schedule", [{"t_start_s": 0, "sinr_db": 8.0}]))],
+        radar_schedule=[_read(w, f"radar_schedule[{i}]", _radar_window)
+                        for i, w in enumerate(raw.pop("radar_schedule", []))],
+        offered_load_range_mbps=tuple(float(v) for v in
+                                      raw.pop("offered_load_range_mbps", (1.0, 5.0))),
+        link=_read(raw.pop("link", {}), "link", lambda m: LinkConfig(
+            base_sinr_db=float(m.pop("base_sinr_db", 35.0)),
+            sinr_jitter_db=float(m.pop("sinr_jitter_db", 0.5)))),
+        coupling_db=float(raw.pop("coupling_db", DEFAULT_COUPLING_DB)),
+        guard_prbs=int(raw.pop("guard_prbs", 1)),
+        seed=int(raw.pop("seed", 0)),
+        output_dir=raw.pop("output_dir", None),
+    )
+
+
 def scenario_from_yaml(path) -> ScenarioConfig:
-    """Load a scenario config from a YAML file; see README for the schema."""
+    """Load a scenario config from a YAML file; see README for the schema.
+
+    Every mapping is read by popping the keys it knows, and whatever is left
+    is rejected by name, so a misspelt key cannot fall back to its default.
+    """
     with open(str(path)) as fh:
         raw = yaml.safe_load(fh) or {}
-    if not isinstance(raw, dict):
-        raise InvalidConfigError(
-            f"scenario config root must be a mapping, not {type(raw).__name__}")
-    link_raw = raw.get("link", {})
-    if not isinstance(link_raw, dict):
-        raise InvalidConfigError(f"link must be a mapping, not {type(link_raw).__name__}")
     try:
-        radar_schedule = [
-            RadarWindow(
-                t_on_s=float(w["t_on_s"]),
-                t_off_s=float(w["t_off_s"]),
-                params=RadarParams(
-                    pulse_width_s=float(w.get("pulse_width_s", 26e-6)),
-                    prr_hz=float(w.get("prr_hz", 1000.0)),
-                    pulses_per_burst=int(w.get("pulses_per_burst", 10)),
-                    burst_length_s=float(w.get("burst_length_s", 0.01)),
-                    center_offset_hz=float(w.get("center_offset_hz", 2.5e6)),
-                    doppler_shift_hz=float(w.get("doppler_shift_hz", 0.0)),
-                ),
-            )
-            for w in raw.get("radar_schedule", [])
-        ]
-        link = LinkConfig(
-            base_sinr_db=float(link_raw.get("base_sinr_db", 35.0)),
-            sinr_jitter_db=float(link_raw.get("sinr_jitter_db", 0.5)),
-        )
-        config = ScenarioConfig(
-            duration_s=float(raw.get("duration_s", 2.0)),
-            telemetry_period_s=float(raw.get("telemetry_period_s", 0.01)),
-            n_stack=int(raw.get("n_stack", 1)),
-            policy=str(raw.get("policy", POLICY_FULL)),
-            sinr_schedule=[(float(e["t_start_s"]), float(e["sinr_db"]))
-                           for e in raw.get("sinr_schedule", [{"t_start_s": 0,
-                                                               "sinr_db": 8.0}])],
-            radar_schedule=radar_schedule,
-            offered_load_range_mbps=tuple(float(v) for v in
-                                          raw.get("offered_load_range_mbps", (1.0, 5.0))),
-            link=link,
-            coupling_db=float(raw.get("coupling_db", DEFAULT_COUPLING_DB)),
-            guard_prbs=int(raw.get("guard_prbs", 1)),
-            seed=int(raw.get("seed", 0)),
-            output_dir=raw.get("output_dir"),
-        )
+        config = _read(raw, "scenario config", _scenario)
+    except InvalidConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"bad scenario config: {exc}") from exc
     config.validate()

@@ -193,10 +193,6 @@ class UplinkSimulator:
         self.t_s = 0.0
         self.backlog_bits = 0.0
 
-    def reset(self) -> None:
-        self.t_s = 0.0
-        self.backlog_bits = 0.0
-
     def step(self, mcs: int, prb_mask: np.ndarray,
              profile: RadarInterferenceProfile,
              offered_load_mbps: float, seed=None) -> KpmRecord:

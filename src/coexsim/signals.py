@@ -401,6 +401,29 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     return out, achieved
 
 
+def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz: float,
+                    duration_s: float, cell_seed: int, noise_seed: int,
+                    prb_mask: np.ndarray | None = None,
+                    measure_achieved: bool = True) -> tuple[IqBuffer, IqBuffer, float]:
+    """What the sensing receiver records: (composite, clean radar, mix_at_sinr's SINR).
+
+    The cellular waveform occupies the PRBs in ``prb_mask`` (all when None).
+    The radar, or silence when ``radar`` is None, and fresh AWGN are scaled
+    to ``sinr_db`` against the pinned cellular-plus-noise density.
+    """
+    cell = gen_cellular_baseband(CellularParams(active_prb_mask=prb_mask), duration_s,
+                                 seed=cell_seed)
+    powers = SinrSpec.from_target(sinr_db, combined_dbm_mhz)
+    if radar is None:
+        radar_iq = IqBuffer(np.zeros(cell.n_samples), cell.sample_rate_hz)
+        powers = SinrSpec(float("-inf"), powers.p_cellular_dbm_mhz, powers.p_noise_dbm_mhz)
+    else:
+        radar_iq = gen_radar_pulse_train(radar, duration_s, cell.sample_rate_hz)
+    composite, achieved = mix_at_sinr(radar_iq, cell, powers, seed=noise_seed,
+                                      measure_achieved=measure_achieved)
+    return composite, radar_iq, achieved
+
+
 def _psd_argmax_hz(iq: IqBuffer) -> float:
     spectrum = np.abs(np.fft.fft(iq.samples)) ** 2
     freqs = np.fft.fftfreq(iq.n_samples, d=1.0 / iq.sample_rate_hz)

@@ -56,6 +56,13 @@ class TestMcsUpdate:
         assert out.mcs == 20
         assert out.bler_prev == 2.0  # unchanged on HOLD
 
+    def test_repeated_hold_returns_incoming_state(self):
+        s = McsControllerState(mcs=20, bler_prev=2.0)
+        assert mcs_update(s, 2.5) is s
+        incr = McsControllerState(mcs=20, bler_prev=2.0, last_action=Action.INCR)
+        out = mcs_update(incr, 2.5)
+        assert out.last_action == Action.HOLD and out.mcs == 20 and out.bler_prev == 2.0
+
     def test_multiplicative_decrease(self):
         s = McsControllerState(mcs=20, bler_prev=2.0)
         out = mcs_update(s, 10.0)
@@ -192,6 +199,18 @@ class TestModeStep:
         assert state.mode == Mode.MODE1
         assert cmds == []
 
+    def test_mode1_idle_returns_incoming_state(self):
+        st = ModeState()
+        state, cmds = mode_step(st, Detection(False, 0.9), None, self.LINK)
+        assert state is st
+        assert cmds == []
+
+    def test_mode2_no_boxes_while_detected_returns_incoming_state(self):
+        st = ModeState(mode=Mode.MODE2, blanked_prbs=frozenset({24, 25, 26}))
+        state, cmds = mode_step(st, Detection(True, 0.9), [], self.LINK)
+        assert state is st
+        assert cmds == []
+
     def test_mode1_detection_escalates(self):
         state, cmds = mode_step(ModeState(), Detection(True, 0.95), None, self.LINK)
         assert state.mode == Mode.MODE2
@@ -315,6 +334,22 @@ class TestLatencyLedger:
             ledger.record_stage(STAGE_KPM_INFERENCE_POLICY, 1e-3)
             ledger.record_stage(STAGE_CONTROL_DISPATCH, 1e-4)
         assert ledger.mode1_total_s() == pytest.approx(3.1e-3)
+
+    def test_timed_records_one_sample_and_returns_value(self):
+        ledger = LatencyLedger()
+        calls = []
+
+        def work(a, b):
+            calls.append((a, b))
+            return a + b
+
+        assert ledger.timed(STAGE_SPECTROGRAM_BUILD, work, 2, 3) == 5
+        assert ledger.timed(STAGE_SPECTROGRAM_BUILD, work, 4, 5) == 9
+        assert calls == [(2, 3), (4, 5)]
+        assert ledger.counts[STAGE_SPECTROGRAM_BUILD] == 2
+        assert ledger.totals_s[STAGE_SPECTROGRAM_BUILD] > 0.0
+        assert all(n == 0 for stage, n in ledger.counts.items()
+                   if stage != STAGE_SPECTROGRAM_BUILD)
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(InvalidParamsError):

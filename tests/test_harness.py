@@ -266,6 +266,24 @@ link: {base_sinr_db: 35.0}
         with pytest.raises(InvalidConfigError):
             scenario_from_yaml(path)
 
+    def test_misspelt_radar_key_rejected_by_name(self, tmp_path):
+        path = tmp_path / "typo.yaml"
+        path.write_text("duration_s: 1.0\nradar_schedule:\n"
+                        "  - {t_on_s: 0.2, t_off_s: 0.5, pulse_widht_s: 40.0e-6}\n")
+        with pytest.raises(InvalidConfigError,
+                           match=r"radar_schedule\[0\].*'pulse_widht_s'"):
+            scenario_from_yaml(path)
+
+    def test_unknown_keys_rejected_by_name(self, tmp_path):
+        path = tmp_path / "unknown.yaml"
+        for text, where in (("duration_s: 1.0\nduraton_s: 2.0\n", "scenario config"),
+                            ("link: {base_sinr_db: 30.0, jitter_db: 1.0}\n", "link"),
+                            ("sinr_schedule:\n  - {t_start_s: 0.0, sinr_db: 8.0, db: 1}\n",
+                             r"sinr_schedule\[0\]")):
+            path.write_text(text)
+            with pytest.raises(InvalidConfigError, match=where + r": unknown key"):
+                scenario_from_yaml(path)
+
     def test_list_root_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- duration_s: 1.0\n- policy: full\n")
@@ -323,6 +341,16 @@ class TestCli:
         assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidConfigError: link")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_error_line_on_unknown_config_key(self, tmp_path, capsys):
+        yaml_path = tmp_path / "typo.yaml"
+        yaml_path.write_text("duration_s: 1.0\nradar_schedule:\n"
+                             "  - {t_on_s: 0.2, t_off_s: 0.5, pulse_widht_s: 40.0e-6}\n")
+        assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfigError: radar_schedule[0]: unknown key")
+        assert "pulse_widht_s" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_error_line_on_zero_count(self, tmp_path, capsys):

@@ -1,11 +1,15 @@
-"""Source hygiene: no module under src/coexsim imports a name it never uses."""
+"""Source hygiene: no module under src/coexsim imports a name it never uses,
+and no function, class or annotated field under it goes unreferenced."""
 
 import ast
+from collections import Counter
 from pathlib import Path
+import re
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coexsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coexsim"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -53,3 +57,40 @@ def test_scanner_flags_unused_and_spares_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> Counter:
+    """Functions, classes and annotated class fields defined in ``source``,
+    dunder methods aside, with how often each is defined."""
+    names = Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] += 1
+        if isinstance(node, ast.ClassDef):
+            names.update(item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign)
+                         and isinstance(item.target, ast.Name))
+    return Counter({n: k for n, k in names.items()
+                    if not (n.startswith("__") and n.endswith("__"))})
+
+
+def unreferenced(defined: Counter, texts) -> list[str]:
+    """Names whose every occurrence as a word in ``texts`` is a definition."""
+    words = Counter(w for text in texts for w in re.findall(r"\w+", text))
+    return sorted(n for n, k in defined.items() if words[n] <= k)
+
+
+def test_unreferenced_scanner_flags_only_the_lonely_name():
+    source = ("class A:\n    x: int = 0\n    lonely: int = 1\n"
+              "    def __init__(self):\n        pass\n"
+              "    def used(self):\n        return self.x\n"
+              "def orphan():\n    pass\n")
+    defined = defined_names(source)
+    assert unreferenced(defined, [source, "A().used()"]) == ["lonely", "orphan"]
+
+
+def test_no_unreferenced_definitions():
+    defined = sum((defined_names(p.read_text()) for p in SRC.rglob("*.py")), Counter())
+    texts = [p.read_text() for d in ("src", "tests", "perfbench")
+             for p in (ROOT / d).rglob("*.py")]
+    assert unreferenced(defined, texts) == []

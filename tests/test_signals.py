@@ -18,6 +18,7 @@ from coexsim.signals import (
     measure_band_power,
     mix_at_sinr,
     read_iq_file,
+    sensing_capture,
     write_iq_file,
 )
 
@@ -275,6 +276,41 @@ class TestMixAtSinr:
         a, sa = mix_at_sinr(radar, cell, spec, seed=3)
         b, sb = mix_at_sinr(radar, cell, spec, seed=3)
         assert np.array_equal(a.samples, b.samples) and sa == sb
+
+
+class TestSensingCapture:
+    """The one capture path of the scenario's Mode 2 and the spectrogram dataset."""
+
+    RADAR = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6)
+
+    def test_radar_matches_explicit_synthesis(self):
+        mask = np.ones(50, dtype=bool)
+        mask[20:30] = False
+        out, radar, achieved = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 11, 12,
+                                               prb_mask=mask)
+        cell = gen_cellular_baseband(CellularParams(active_prb_mask=mask), 10e-3, seed=11)
+        ref_radar = gen_radar_pulse_train(self.RADAR, 10e-3)
+        ref, ref_achieved = mix_at_sinr(ref_radar, cell, SinrSpec.from_target(8.0, -109.0),
+                                        seed=12)
+        assert np.array_equal(radar.samples, ref_radar.samples)
+        assert np.array_equal(out.samples, ref.samples) and achieved == ref_achieved
+
+    def test_silence_matches_explicit_synthesis(self):
+        out, radar, achieved = sensing_capture(None, 4.0, -109.0, 10e-3, 21, 22)
+        cell = gen_cellular_baseband(CellularParams(), 10e-3, seed=21)
+        floor = SinrSpec.from_target(0.0, -109.0)
+        spec = SinrSpec(float("-inf"), floor.p_cellular_dbm_mhz, floor.p_noise_dbm_mhz)
+        ref, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples), FS), cell, spec, seed=22)
+        assert not radar.samples.any()
+        assert achieved == float("-inf")
+        assert np.array_equal(out.samples, ref.samples)
+
+    def test_unmeasured_sinr_is_nan(self):
+        out, _, achieved = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 1, 2,
+                                           measure_achieved=False)
+        measured, _, _ = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 1, 2)
+        assert np.isnan(achieved)
+        assert np.array_equal(out.samples, measured.samples)
 
 
 class TestIqFileRoundTrip:
