@@ -107,6 +107,13 @@ class ScenarioConfig:
             raise InvalidConfigError(
                 f"telemetry_period_s {self.telemetry_period_s} holds fewer than one "
                 f"{MODE2_STFT.fft_size}-sample STFT frame")
+        # The uplink stamps each KPM record one link period after the last.
+        if self.telemetry_period_s != self.link.kpm_period_s:
+            raise InvalidConfigError(
+                f"telemetry_period_s {self.telemetry_period_s} differs from "
+                f"link.kpm_period_s {self.link.kpm_period_s}")
+        if self.guard_prbs < 0:
+            raise InvalidConfigError(f"guard_prbs must be >= 0, got {self.guard_prbs}")
         prev = None
         for i, w in enumerate(self.radar_schedule):
             if not 0.0 <= w.t_on_s < w.t_off_s <= self.duration_s:
@@ -334,6 +341,10 @@ def _radar_window(w: dict) -> RadarWindow:
 
 
 def _scenario(raw: dict) -> ScenarioConfig:
+    output_dir = raw.pop("output_dir", None)
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise InvalidConfigError(
+            f"output_dir must be a string, not {type(output_dir).__name__}")
     return ScenarioConfig(
         duration_s=float(raw.pop("duration_s", 2.0)),
         telemetry_period_s=float(raw.pop("telemetry_period_s", 0.01)),
@@ -353,7 +364,7 @@ def _scenario(raw: dict) -> ScenarioConfig:
         coupling_db=float(raw.pop("coupling_db", DEFAULT_COUPLING_DB)),
         guard_prbs=int(raw.pop("guard_prbs", 1)),
         seed=int(raw.pop("seed", 0)),
-        output_dir=raw.pop("output_dir", None),
+        output_dir=output_dir,
     )
 
 

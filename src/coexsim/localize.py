@@ -183,17 +183,32 @@ def _dilate_square(mask: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
+def _near_lines(idx: np.ndarray, n: int, reach: int) -> np.ndarray:
+    """Mask of the n lines within ``reach`` of any line in ``idx``."""
+    hit = np.zeros(n, dtype=np.uint8)
+    hit[idx] = 1
+    return ndimage.maximum_filter1d(hit, 2 * reach + 1, mode="constant").view(bool)
+
+
 def _component_members(active: np.ndarray, radius: int
                        ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Active bins grouped by 8-connected component of the dilated mask, in
     label order, each group's (rows, cols) in raster order.  No group is
-    empty: the dilated mask is a union of squares around active bins."""
+    empty: the dilated mask is a union of squares around active bins.
+
+    Only rows and columns within 2 radius of an active bin are dilated and
+    labelled.  Each kept run of lines then ends at least ``radius`` empty
+    lines beyond its dilated bins, so no component spans two runs, and
+    dropping whole lines keeps the raster order, so the labels are those of
+    the full grid."""
     rows, cols = np.nonzero(active)
     if rows.size == 0:
         return []
-    labels, _ = ndimage.label(_dilate_square(active, radius),
+    keep_r = _near_lines(rows, active.shape[0], 2 * radius)
+    keep_c = _near_lines(cols, active.shape[1], 2 * radius)
+    labels, _ = ndimage.label(_dilate_square(active[np.ix_(keep_r, keep_c)], radius),
                               structure=np.ones((3, 3), dtype=bool))
-    comp = labels[rows, cols]
+    comp = labels[np.cumsum(keep_r)[rows] - 1, np.cumsum(keep_c)[cols] - 1]
     order = np.argsort(comp, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
     return [(rows[g], cols[g]) for g in groups]
@@ -201,7 +216,7 @@ def _component_members(active: np.ndarray, radius: int
 
 def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Component]:
     # Every pass below runs along rows; a C-order copy keeps them contiguous.
-    lin = 10.0 ** (np.ascontiguousarray(spec.power_db) / 10.0)
+    lin = np.ascontiguousarray(spec.power)
     n_rows, n_cols = lin.shape
     pct = config.noise_floor_percentile
 
@@ -232,7 +247,7 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
         bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
         label = (CELLULAR if duty >= config.cellular_duty_threshold
                  and bw_hz >= config.cellular_min_bandwidth_hz else RADAR)
-        excess = np.mean(spec.power_db[rows_idx, cols_idx]
+        excess = np.mean(10.0 * np.log10(lin[rows_idx, cols_idx])
                          - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
         rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx,
                                                 cols_idx, config)
@@ -281,9 +296,9 @@ def radar_truth_boxes(clean_radar_spec: Spectrogram,
     extent is refined with the same trim levels the localizer applies, so
     the truth describes the pulse's support at the analysis resolution.
     """
-    if clean_radar_spec.power_db.max() - clean_radar_spec.power_db.min() < 1.0:
+    lin = clean_radar_spec.power
+    if 10.0 * np.log10(lin.max()) - 10.0 * np.log10(lin.min()) < 1.0:
         return []  # flat spectrogram, no signal
-    lin = 10.0 ** (clean_radar_spec.power_db / 10.0)
     col_energy = lin.sum(axis=0)
     peak = col_energy.max()
     active_cols = np.nonzero(col_energy > peak * 10.0 ** (-dynamic_range_db / 10.0))[0]

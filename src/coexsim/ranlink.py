@@ -87,6 +87,8 @@ class LinkConfig:
             raise InvalidParamsError("symbol_overhead must be in (0, 1]")
         if self.kpm_period_s <= 0:
             raise InvalidParamsError("kpm_period_s must be > 0")
+        if not self.sinr_jitter_db >= 0:  # also rejects NaN
+            raise InvalidParamsError(f"sinr_jitter_db must be >= 0, got {self.sinr_jitter_db}")
 
     @property
     def band_low_hz(self) -> float:

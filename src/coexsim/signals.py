@@ -19,6 +19,7 @@ with all three terms in linear mW/MHz.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,10 +47,13 @@ class IqBuffer:
     """Complex baseband sample stream.
 
     Treated as immutable after creation; do not write into ``samples``.
+    ``occupied_density`` is the density ``_occupied_density`` would measure,
+    when the generator knows it exactly; None means measure it.
     """
 
     samples: np.ndarray
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
+    occupied_density: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
@@ -155,10 +159,6 @@ class CellularParams:
             return np.ones(self.n_prbs, dtype=bool)
         return self.active_prb_mask
 
-    @property
-    def band_low_hz(self) -> float:
-        return -self.n_prbs * self.prb_bandwidth_hz / 2.0
-
 
 @dataclass(frozen=True)
 class SinrSpec:
@@ -235,6 +235,25 @@ def gen_radar_pulse_train(params: RadarParams, duration_s: float,
     return IqBuffer(x, sample_rate_hz)
 
 
+@lru_cache(maxsize=8)
+def _prb_bin_layout(n: int, sample_rate_hz: float, n_prbs: int, prb_bandwidth_hz: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(PRB of each FFT bin, n_prbs outside the band; FFT bins per PRB), read-only.
+
+    A bin belongs to the PRB whose [low, high) interval holds its frequency.
+    """
+    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
+    band_low = -n_prbs * prb_bandwidth_hz / 2.0
+    in_band = (freqs >= band_low) & (freqs < band_low + n_prbs * prb_bandwidth_hz)
+    prb_of_bin = np.full(n, n_prbs, dtype=np.min_scalar_type(n_prbs))
+    prb_of_bin[in_band] = np.clip(np.floor((freqs[in_band] - band_low) / prb_bandwidth_hz),
+                                  0, n_prbs - 1)
+    counts = np.bincount(prb_of_bin, minlength=n_prbs + 1)[:n_prbs]
+    for a in (prb_of_bin, counts):
+        a.setflags(write=False)
+    return prb_of_bin, counts
+
+
 def gen_cellular_baseband(params: CellularParams, duration_s: float,
                           sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
                           seed=None) -> IqBuffer:
@@ -244,35 +263,33 @@ def gen_cellular_baseband(params: CellularParams, duration_s: float,
     constant magnitude on every FFT bin inside an active PRB, zero
     elsewhere.  This gives an exactly flat PSD per active PRB and an exact
     total power of ``sum(per_prb_power)`` while the time-domain samples are
-    Gaussian-like by the CLT.
+    Gaussian-like by the CLT.  The buffer carries the density
+    ``_occupied_density`` would measure: PRBs hold k or k + 1 bins, so every
+    active bin is within a factor 2 of the peak, well inside its -20 dB floor.
     """
     params.validate(sample_rate_hz)
     n = int(round(duration_s * sample_rate_hz))
     mask = params.mask()
     if not mask.any() or params.per_prb_power == 0.0:
-        return IqBuffer(np.zeros(n, dtype=np.complex128), sample_rate_hz)
+        return IqBuffer(np.zeros(n, dtype=np.complex128), sample_rate_hz, 0.0)
 
     rng = np.random.default_rng(seed)
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
-    band_low = params.band_low_hz
-    band_high = band_low + params.n_prbs * params.prb_bandwidth_hz
-    in_band = (freqs >= band_low) & (freqs < band_high)
-    prb_idx = np.clip(np.floor((freqs[in_band] - band_low)
-                               / params.prb_bandwidth_hz).astype(np.int64),
-                      0, params.n_prbs - 1)
-    counts = np.bincount(prb_idx, minlength=params.n_prbs)
+    prb_of_bin, counts = _prb_bin_layout(n, sample_rate_hz, params.n_prbs,
+                                         params.prb_bandwidth_hz)
     if np.any(counts[mask] == 0):
         raise InvalidParamsError(
             "duration too short to place FFT bins inside each active PRB")
 
-    active_bin = mask[prb_idx]
-    mags = np.sqrt(params.per_prb_power * n * n / counts[prb_idx[active_bin]])
-    phases = rng.uniform(0.0, 2.0 * np.pi, int(active_bin.sum()))
+    bins = np.flatnonzero(np.append(mask, False)[prb_of_bin])
+    n_active_bins = bins.size
+    mags = np.sqrt(params.per_prb_power * n * n / counts[prb_of_bin[bins]])
+    phases = rng.uniform(0.0, 2.0 * np.pi, n_active_bins)
     spectrum = np.zeros(n, dtype=np.complex128)
-    bin_indices = np.nonzero(in_band)[0][active_bin]
-    spectrum[bin_indices] = mags * np.exp(1j * phases)
+    spectrum[bins] = mags * np.exp(1j * phases)
     x = np.fft.ifft(spectrum)
-    return IqBuffer(x, sample_rate_hz)
+    density = (int(mask.sum()) * params.per_prb_power
+               / (n_active_bins * sample_rate_hz / n / 1e6))
+    return IqBuffer(x, sample_rate_hz, density)
 
 
 def gen_awgn(power_linear: float, duration_s: float,
@@ -326,7 +343,7 @@ def _occupied_density(iq: IqBuffer, rel_floor_db: float = -20.0) -> tuple[float,
 
 def _radar_peak_density(iq: IqBuffer) -> tuple[float, np.ndarray]:
     """Pulse-on power density in the 1 MHz reference bandwidth, plus the on-mask."""
-    on = np.abs(iq.samples) > 0.0
+    on = iq.samples != 0
     if not on.any():
         return 0.0, on
     on_power = float(np.mean(np.abs(iq.samples[on]) ** 2))
@@ -357,18 +374,20 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     noise = gen_awgn(noise_density * fs_mhz, duration_s, fs, seed)
 
     radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
+    radar_scaled = np.zeros(radar.n_samples, dtype=np.complex128)
     if radar_target > 0.0:
         d_now, on = _radar_peak_density(radar)
         if d_now == 0.0:
             raise SilentComponentError("radar component has zero power but p_radar is finite")
-        radar_scaled = radar.samples * np.sqrt(radar_target / d_now)
+        radar_scaled[on] = radar.samples[on] * np.sqrt(radar_target / d_now)
     else:
-        radar_scaled = np.zeros(radar.n_samples, dtype=np.complex128)
         on = np.zeros(radar.n_samples, dtype=bool)
 
     cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
     if cell_target > 0.0:
-        d_now, _ = _occupied_density(cellular)
+        d_now = cellular.occupied_density
+        if d_now is None:
+            d_now, _ = _occupied_density(cellular)
         if d_now == 0.0:
             raise SilentComponentError("cellular component has zero power but p_cellular is finite")
         cell_scaled = cellular.samples * np.sqrt(cell_target / d_now)

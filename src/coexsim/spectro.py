@@ -1,14 +1,15 @@
 """STFT spectrograms of I/Q buffers for time-frequency signal localization.
 
-Columns are DC-centered (row 0 is -fs/2, row fft_size/2 is DC) and stored in
-dB with a configurable floor.  Linear column energy is normalized so that
-``sum_k |X_k|^2 / fft_size`` equals the windowed time-domain energy of the
-frame (Parseval), which the tests rely on.
+Columns are DC-centered (row 0 is -fs/2, row fft_size/2 is DC) and stored as
+linear power clamped at a configurable floor; the dB form is derived where a
+spectrogram is written, read or drawn.  Linear column energy is normalized so
+that ``sum_k |X_k|^2 / fft_size`` equals the windowed time-domain energy of
+the frame (Parseval), which the tests rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,30 +47,58 @@ class StftConfig:
         return np.ones(self.fft_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrogram:
-    """Time-frequency power matrix, power_db[freq_bin, time_column]."""
+    """Time-frequency power matrix, linear ``power[freq_bin, time_column]``.
 
-    power_db: np.ndarray
+    It stores the linear form only.  The constructor takes dB, the form that
+    files and callers hold, and converts it; ``from_power`` wraps linear power
+    without a conversion.
+    """
+
+    power: np.ndarray = field(init=False)
     freq_resolution_hz: float
     time_resolution_s: float
     f_start_hz: float
     t_start_s: float = 0.0
 
+    def __init__(self, power_db: np.ndarray, freq_resolution_hz: float,
+                 time_resolution_s: float, f_start_hz: float, t_start_s: float = 0.0):
+        power = 10.0 ** (np.asarray(power_db, dtype=np.float64) / 10.0)
+        self._fill(power, freq_resolution_hz, time_resolution_s, f_start_hz, t_start_s)
+
+    @classmethod
+    def from_power(cls, power: np.ndarray, freq_resolution_hz: float,
+                   time_resolution_s: float, f_start_hz: float,
+                   t_start_s: float = 0.0) -> "Spectrogram":
+        """Wrap linear power as it is; do not write into it afterwards."""
+        spec = cls.__new__(cls)
+        spec._fill(power, freq_resolution_hz, time_resolution_s, f_start_hz, t_start_s)
+        return spec
+
+    def _fill(self, *values) -> None:
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    @property
+    def power_db(self) -> np.ndarray:
+        """The dB form, computed on each access."""
+        return 10.0 * np.log10(self.power)
+
     @property
     def n_freq_bins(self) -> int:
-        return self.power_db.shape[0]
+        return self.power.shape[0]
 
     @property
     def n_time_bins(self) -> int:
-        return self.power_db.shape[1]
+        return self.power.shape[1]
 
     def freqs_hz(self) -> np.ndarray:
         return self.f_start_hz + np.arange(self.n_freq_bins) * self.freq_resolution_hz
 
 
 def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectrogram:
-    """Magnitude-squared STFT in dB, DC-centered rows, clamped at the floor."""
+    """Magnitude-squared STFT, DC-centered rows, clamped at the floor."""
     n = iq.n_samples
     fft_size = config.fft_size
     if n < fft_size:
@@ -77,15 +106,18 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
     hop = config.hop_size
     w = config.window_values()
 
+    # The FFT overwrites the windowed frames and the power is squared, scaled
+    # and clamped in place: the fewer multi-MB temporaries, the lower the peak.
     frames = sliding_window_view(iq.samples, fft_size)[::hop] * w
-    power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / fft_size
+    power = np.abs(np.fft.fft(frames, axis=1, out=frames))
+    np.square(power, out=power)
+    power /= fft_size
     power = np.fft.fftshift(power, axes=1).T  # [freq, time], row 0 = -fs/2
 
     floor_lin = 10.0 ** (config.power_floor_db / 10.0)
-    power_db = 10.0 * np.log10(np.maximum(power, floor_lin))
     fs = iq.sample_rate_hz
-    return Spectrogram(
-        power_db=power_db,
+    return Spectrogram.from_power(
+        np.maximum(power, floor_lin, out=power),
         freq_resolution_hz=fs / fft_size,
         time_resolution_s=hop / fs,
         f_start_hz=-fs / 2,
@@ -101,7 +133,7 @@ def spectrogram_to_image(spec: Spectrogram, db_min: float, db_max: float) -> np.
 
 
 def save_spectrogram(path, spec: Spectrogram, extra_meta: dict | None = None) -> None:
-    """Row-major float32 matrix plus a key=value sidecar."""
+    """Row-major float32 dB matrix plus a key=value sidecar."""
     spec.power_db.astype("<f4", order="C").tofile(str(path))
     meta = {
         "format": "spectrogram_float32_rowmajor",
@@ -118,11 +150,12 @@ def save_spectrogram(path, spec: Spectrogram, extra_meta: dict | None = None) ->
 
 
 def load_spectrogram(path) -> tuple[Spectrogram, dict]:
+    """Read what ``save_spectrogram`` wrote; the dB matrix converts to linear."""
     meta = read_sidecar(str(path) + ".meta")
     rows, cols = int(meta["n_freq_bins"]), int(meta["n_time_bins"])
     matrix = np.fromfile(str(path), dtype="<f4").reshape(rows, cols).astype(np.float64)
     spec = Spectrogram(
-        power_db=matrix,
+        matrix,
         freq_resolution_hz=float(meta["freq_resolution_hz"]),
         time_resolution_s=float(meta["time_resolution_s"]),
         f_start_hz=float(meta["f_start_hz"]),

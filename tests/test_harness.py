@@ -29,6 +29,7 @@ from coexsim.harness.scenario import (
     run_scenario,
     scenario_from_yaml,
 )
+from coexsim.ranlink import LinkConfig
 from coexsim.signals import RadarParams
 
 
@@ -240,6 +241,24 @@ class TestScenario:
             sc.validate()
 
 
+    def test_negative_guard_prbs_rejected(self):
+        sc = ScenarioConfig(duration_s=0.2, guard_prbs=-1)
+        with pytest.raises(InvalidConfigError, match="guard_prbs"):
+            sc.validate()
+
+    def test_period_differing_from_link_rejected(self):
+        sc = ScenarioConfig(duration_s=0.2, telemetry_period_s=0.02)
+        with pytest.raises(InvalidConfigError,
+                           match="telemetry_period_s 0.02 differs from link.kpm_period_s"):
+            sc.validate()
+
+    def test_kpm_times_follow_a_matching_period(self):
+        sc = ScenarioConfig(duration_s=0.1, telemetry_period_s=0.02, policy=POLICY_BASELINE,
+                            link=LinkConfig(base_sinr_db=35.0, kpm_period_s=0.02))
+        out = run_scenario(sc, None)
+        assert [r.t_s for r in out.records] == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
+
+
 class TestYamlConfig:
     def test_round_trip(self, tmp_path):
         text = """
@@ -351,6 +370,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidConfigError: radar_schedule[0]: unknown key")
         assert "pulse_widht_s" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("guard_prbs: -1\n", "guard_prbs must be >= 0"),
+        ("output_dir: 5\n", "output_dir must be a string, not int"),
+        ("telemetry_period_s: 0.02\n", "telemetry_period_s 0.02 differs"),
+        ("link: {sinr_jitter_db: -0.5}\n", "bad scenario config: sinr_jitter_db"),
+        ("link: {sinr_jitter_db: .nan}\n", "bad scenario config: sinr_jitter_db"),
+    ])
+    def test_error_line_on_invalid_field(self, tmp_path, capsys, text, message):
+        yaml_path = tmp_path / "bad.yaml"
+        yaml_path.write_text("duration_s: 0.05\npolicy: baseline\n" + text)
+        assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidConfigError: {message}")
         assert len(err.strip().splitlines()) == 1
 
     def test_error_line_on_zero_count(self, tmp_path, capsys):

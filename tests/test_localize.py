@@ -69,6 +69,20 @@ def find_objects_members(active, radius):
     return members
 
 
+def full_grid_members(active, radius):
+    """Reference: ``_component_members`` as it was, dilating and labelling the
+    whole grid."""
+    rows, cols = np.nonzero(active)
+    if rows.size == 0:
+        return []
+    labels, _ = ndimage.label(_dilate_square(active, radius),
+                              structure=np.ones((3, 3), dtype=bool))
+    comp = labels[rows, cols]
+    order = np.argsort(comp, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
+    return [(rows[g], cols[g]) for g in groups]
+
+
 class TestIou:
     def test_identical(self):
         a = box(2.4e6, 2.6e6, 0.0, 1e-3)
@@ -239,6 +253,27 @@ class TestExactRewrites:
                 assert got_rows.dtype == exp_rows.dtype
                 assert got_rows.tolist() == exp_rows.tolist()
                 assert got_cols.tolist() == exp_cols.tolist()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), radius=st.integers(1, 4),
+           rows=st.integers(1, 120), cols=st.integers(1, 120),
+           density=st.floats(0.001, 0.5), borders=st.booleans())
+    def test_line_dropping_members_equal_full_grid(self, seed, radius, rows, cols,
+                                                   density, borders):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((rows, cols)) < density
+        if borders:
+            mask[0, rng.integers(cols)] = mask[-1, rng.integers(cols)] = True
+            mask[rng.integers(rows), 0] = mask[rng.integers(rows), -1] = True
+        expected = full_grid_members(mask, radius)
+        for layout in (mask, np.asfortranarray(mask)):
+            got = _component_members(layout, radius)
+            assert len(got) == len(expected)
+            for (got_rows, got_cols), (exp_rows, exp_cols) in zip(got, expected):
+                assert got_rows.dtype == exp_rows.dtype
+                assert got_rows.tobytes() == exp_rows.tobytes()
+                assert got_cols.tobytes() == exp_cols.tobytes()
 
 
 class TestRecallSweep:

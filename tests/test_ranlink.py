@@ -202,6 +202,11 @@ class TestLinkStep:
             assert rec.bsr_bytes >= 0
             assert 0 <= rec.mcs <= 28
 
+    @pytest.mark.parametrize("jitter", [-0.5, float("nan")])
+    def test_bad_sinr_jitter_rejected(self, jitter):
+        with pytest.raises(InvalidParamsError, match="sinr_jitter_db"):
+            LinkConfig(sinr_jitter_db=jitter)
+
     def test_time_advances(self):
         sim = UplinkSimulator(LinkConfig())
         prof = RadarInterferenceProfile.silent(50)

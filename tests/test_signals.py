@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.errors import (
     EmptyBandError,
@@ -18,6 +19,7 @@ from coexsim.signals import (
     measure_band_power,
     mix_at_sinr,
     read_iq_file,
+    _occupied_density,
     sensing_capture,
     write_iq_file,
 )
@@ -276,6 +278,53 @@ class TestMixAtSinr:
         a, sa = mix_at_sinr(radar, cell, spec, seed=3)
         b, sb = mix_at_sinr(radar, cell, spec, seed=3)
         assert np.array_equal(a.samples, b.samples) and sa == sb
+
+
+class TestCarriedDensity:
+    """The density gen_cellular_baseband carries is the one mix_at_sinr used to
+    measure with a full-length FFT."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1500, 40000),
+           per_prb_power=st.floats(1e-6, 1e6), n_prbs=st.integers(1, 60),
+           prb_bandwidth_hz=st.sampled_from((180e3, FS / 64)), single=st.booleans())
+    def test_carried_density_equals_fft_measurement(self, seed, n_samples, per_prb_power,
+                                                    n_prbs, prb_bandwidth_hz, single):
+        rng = np.random.default_rng(seed)
+        mask = np.zeros(n_prbs, dtype=bool)
+        if single:
+            mask[rng.integers(n_prbs)] = True
+        else:
+            mask |= rng.random(n_prbs) < rng.uniform(0.05, 1.0)
+            mask[rng.integers(n_prbs)] = True
+        params = CellularParams(n_prbs=n_prbs, prb_bandwidth_hz=prb_bandwidth_hz,
+                                active_prb_mask=mask, per_prb_power=per_prb_power)
+        # The FFT bins per PRB need not be whole: PRBs then differ by one bin.
+        cell = gen_cellular_baseband(params, n_samples / FS, FS, seed=seed)
+        measured, _ = _occupied_density(IqBuffer(cell.samples, FS))
+        assert cell.occupied_density == pytest.approx(measured, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("params", [
+        CellularParams(active_prb_mask=np.zeros(50, dtype=bool)),
+        CellularParams(per_prb_power=0.0),
+    ])
+    def test_silent_cellular_still_rejected(self, params):
+        cell = gen_cellular_baseband(params, 1e-3, FS, seed=1)
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
+        assert cell.occupied_density == 0.0
+        with pytest.raises(SilentComponentError):
+            mix_at_sinr(IqBuffer(radar.samples[:cell.n_samples], FS), cell,
+                        SinrSpec.from_target(8.0), seed=0)
+
+    def test_other_buffers_are_measured(self):
+        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=2)
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
+        bare = IqBuffer(cell.samples, FS)
+        assert bare.occupied_density is None
+        a, sa = mix_at_sinr(radar, cell, SinrSpec.from_target(8.0), seed=3)
+        b, sb = mix_at_sinr(radar, bare, SinrSpec.from_target(8.0), seed=3)
+        assert np.allclose(a.samples, b.samples, rtol=1e-12, atol=0.0)
+        assert sa == pytest.approx(sb, abs=1e-9)
 
 
 class TestSensingCapture:
