@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-import csv
 import math
 import time
 
@@ -29,6 +28,7 @@ from .errors import (
     InvalidParamsError,
     ProtocolViolationError,
 )
+from .fileio import write_csv
 from .localize import FreqTimeBox, radar_freq_extent
 from .ranlink import LinkConfig, MCS_MAX, MCS_MIN
 
@@ -271,14 +271,9 @@ class XappController:
 
 def write_command_log(path, entries: list[tuple[float, Command]]) -> None:
     """Line-delimited command records: t_s, kind, payload."""
-    with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "kind", "payload"])
-        for t_s, cmd in entries:
-            if isinstance(cmd.payload, (set, frozenset)):
-                payload = " ".join(str(p) for p in sorted(cmd.payload))
-            elif cmd.payload is None:
-                payload = ""
-            else:
-                payload = str(cmd.payload)
-            writer.writerow([repr(t_s), cmd.kind, payload])
+    def text(payload) -> str:
+        if isinstance(payload, (set, frozenset)):
+            return " ".join(str(p) for p in sorted(payload))
+        return "" if payload is None else str(payload)
+    write_csv(path, ["t_s", "kind", "payload"],
+              ([repr(t_s), cmd.kind, text(cmd.payload)] for t_s, cmd in entries))

@@ -1,12 +1,14 @@
-"""Small helpers for sidecar metadata files.
+"""Small helpers for sidecar metadata files and CSV tables.
 
 Sidecars are line-delimited ``key=value`` text files written next to binary
 artifacts (I/Q captures, spectrogram matrices) so every file is
-self-describing without a database.
+self-describing without a database.  Each CSV table is a header row, then rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+import csv
 from pathlib import Path
 
 
@@ -26,3 +28,17 @@ def read_sidecar(path: str | Path) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """A header row, then each row of cells; the caller formats the cells."""
+    with open(str(path), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
+    """The data rows of a CSV file, one at a time, each keyed by the header row."""
+    with open(str(path), newline="") as fh:
+        yield from csv.DictReader(fh)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-import csv
 
 import numpy as np
 
@@ -26,12 +25,13 @@ from ..ranlink import (
     LinkConfig,
     RadarInterferenceProfile,
     UplinkSimulator,
+    WINDOW_S,
     radar_psd_per_prb,
     read_kpm_csv,
     write_kpm_csv,
 )
 from ..detect import KpmWindow, window_kpms
-from ..fileio import write_sidecar
+from ..fileio import read_csv, write_csv, write_sidecar
 from ..signals import RadarParams, SinrSpec, dbm_to_linear, sensing_capture
 from ..spectro import StftConfig, save_spectrogram, load_spectrogram, stft_spectrogram
 
@@ -39,7 +39,6 @@ COMBINED_DBM_MHZ = -109.0  # regulatory cap on cellular + noise density
 DEFAULT_SINR_SWEEP = (-4.0, 0.0, 4.0, 8.0, 12.0)
 CENTER_OFFSETS_HZ = (-2.5e6, 0.0, 2.5e6)
 DEFAULT_COUPLING_DB = 52.0   # sensing-reference to base-station interference gain
-OBSERVATION_WINDOW_S = 10e-3
 
 # Mode-2 analysis settings: 75% overlap so a 13..52 us pulse always lands
 # well inside some window, avoiding taper loss at column edges.
@@ -50,17 +49,16 @@ ITEMS_FILE = "items.csv"
 TRUTH_FILE = "truth_boxes.csv"
 
 
-def draw_radar_params(rng: np.random.Generator,
-                      window_s: float = OBSERVATION_WINDOW_S) -> RadarParams:
-    """Random in-range pulse train phase-jittered inside the window."""
+def draw_radar_params(rng: np.random.Generator) -> RadarParams:
+    """Random in-range pulse train phase-jittered inside one window."""
     pw = float(rng.uniform(13e-6, 52e-6))
     prr = float(rng.uniform(500.0, 1100.0))
-    max_pulses = int((window_s - pw) * prr) + 1
-    n_pulses = min(max_pulses, max(1, int(window_s * prr)))
-    slack = window_s - ((n_pulses - 1) / prr + pw)
+    max_pulses = int((WINDOW_S - pw) * prr) + 1
+    n_pulses = min(max_pulses, max(1, int(WINDOW_S * prr)))
+    slack = WINDOW_S - ((n_pulses - 1) / prr + pw)
     start = float(rng.uniform(0.0, max(slack - 1e-5, 0.0)))
     offset = float(rng.choice(CENTER_OFFSETS_HZ))
-    return RadarParams(pw, prr, n_pulses, window_s, center_offset_hz=offset,
+    return RadarParams(pw, prr, n_pulses, WINDOW_S, center_offset_hz=offset,
                        burst_start_s=start)
 
 
@@ -101,7 +99,7 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
     out_dir.mkdir(parents=True, exist_ok=True)
     records: list[KpmRecord] = []
     labels: list[int] = []
-    items: list[dict] = []
+    items: list[list] = []
     item_idx = 0
     for sinr in config.sinr_sweep_db:
         for label in (0, 1):
@@ -129,21 +127,12 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
                     seed = int(rng.integers(2 ** 63))
                     records.append(sim.step(mcs, mask, profile, offered, seed))
                     labels.append(label)
-                items.append({
-                    "item_id": item_idx,
-                    "row_start": row_start,
-                    "n_records": config.records_per_item,
-                    "sinr_db": sinr,
-                    "label": label,
-                })
+                items.append([item_idx, row_start, config.records_per_item, sinr, label])
                 item_idx += 1
 
     write_kpm_csv(out_dir / KPM_DATA_FILE, records, labels)
-    with open(out_dir / ITEMS_FILE, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["item_id", "row_start",
-                                                "n_records", "sinr_db", "label"])
-        writer.writeheader()
-        writer.writerows(items)
+    write_csv(out_dir / ITEMS_FILE, ["item_id", "row_start", "n_records", "sinr_db", "label"],
+              items)
     write_sidecar(out_dir / "dataset.meta", {
         "kind": "kpm",
         "seed": config.seed,
@@ -168,15 +157,14 @@ def load_kpm_windows(dataset_dir, n_stack: int
     windows: list[KpmWindow] = []
     out_labels: list[int] = []
     out_sinr: list[float] = []
-    with open(items_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            start = int(row["row_start"])
-            n = int(row["n_records"])
-            item_records = records[start:start + n]
-            for w in window_kpms(item_records, n_stack):
-                windows.append(w)
-                out_labels.append(int(row["label"]))
-                out_sinr.append(float(row["sinr_db"]))
+    for row in read_csv(items_path):
+        start = int(row["row_start"])
+        n = int(row["n_records"])
+        item_records = records[start:start + n]
+        for w in window_kpms(item_records, n_stack):
+            windows.append(w)
+            out_labels.append(int(row["label"]))
+            out_sinr.append(float(row["sinr_db"]))
     return windows, np.asarray(out_labels), np.asarray(out_sinr)
 
 
@@ -215,7 +203,7 @@ def gen_spectrogram_dataset(out_dir,
             cell_seed = int(rng.integers(2 ** 63))
             params = draw_radar_params(rng) if has_radar else None
             composite, radar, achieved = sensing_capture(
-                params, sinr, config.combined_dbm_mhz, OBSERVATION_WINDOW_S,
+                params, sinr, config.combined_dbm_mhz, WINDOW_S,
                 cell_seed, noise_seed=int(rng.integers(2 ** 63)))
             sgram = stft_spectrogram(composite, MODE2_STFT)
             save_spectrogram(out_dir / "specs" / f"{file_id}.bin", sgram, {
@@ -228,15 +216,11 @@ def gen_spectrogram_dataset(out_dir,
                 clean = stft_spectrogram(radar, MODE2_STFT)
                 for box in radar_truth_boxes(clean):
                     truth_records.append((file_id, box))
-            items.append({"file_id": file_id, "sinr_db": sinr,
-                          "has_radar": int(has_radar)})
+            items.append([file_id, sinr, int(has_radar)])
             item_idx += 1
 
     write_box_records(out_dir / TRUTH_FILE, truth_records)
-    with open(out_dir / ITEMS_FILE, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["file_id", "sinr_db", "has_radar"])
-        writer.writeheader()
-        writer.writerows(items)
+    write_csv(out_dir / ITEMS_FILE, ["file_id", "sinr_db", "has_radar"], items)
     write_sidecar(out_dir / "dataset.meta", {
         "kind": "spectrogram",
         "seed": config.seed,
@@ -262,9 +246,7 @@ def load_spectrogram_items(dataset_dir):
     if truth_path.exists():
         for file_id, box in read_box_records(truth_path):
             truth_by_id.setdefault(file_id, []).append(box)
-    with open(items_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
+    for row in read_csv(items_path):
         file_id = row["file_id"]
         sgram, _ = load_spectrogram(dataset_dir / "specs" / f"{file_id}.bin")
         yield (file_id, float(row["sinr_db"]), bool(int(row["has_radar"])),

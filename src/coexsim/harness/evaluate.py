@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-import csv
 
 import numpy as np
 
 from ..detect import ClassifierModel, radar_present
 from ..errors import MissingDataError
+from ..fileio import write_csv
 from ..localize import RADAR, LocalizerConfig, evaluate_localizer, localize
 from .datasets import load_kpm_windows, load_spectrogram_items
 
@@ -83,17 +83,11 @@ def pooled_localizer_metrics(dataset_dir, config: LocalizerConfig = LocalizerCon
 
 
 def write_detector_report(path, rows: list[DetectorEvalRow]) -> None:
-    with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sinr_db", "accuracy", "n_windows"])
-        for r in rows:
-            writer.writerow([r.sinr_db, f"{r.accuracy:.6f}", r.n_windows])
+    write_csv(path, ["sinr_db", "accuracy", "n_windows"],
+              ([r.sinr_db, f"{r.accuracy:.6f}", r.n_windows] for r in rows))
 
 
 def write_localizer_report(path, rows: list[LocalizerEvalRow]) -> None:
-    with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sinr_db", "recall", "precision", "mean_iou", "n_truth"])
-        for r in rows:
-            writer.writerow([r.sinr_db, f"{r.recall:.6f}", f"{r.precision:.6f}",
-                             f"{r.mean_iou:.6f}", r.n_truth])
+    write_csv(path, ["sinr_db", "recall", "precision", "mean_iou", "n_truth"],
+              ([r.sinr_db, f"{r.recall:.6f}", f"{r.precision:.6f}", f"{r.mean_iou:.6f}",
+                r.n_truth] for r in rows))

@@ -18,8 +18,9 @@ adaptation on top.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+import math
 
 import numpy as np
 import yaml
@@ -51,6 +52,7 @@ from ..ranlink import (
     MCS_MAX,
     RadarInterferenceProfile,
     UplinkSimulator,
+    WINDOW_S,
     apply_prb_mask,
     radar_psd_per_prb,
     write_kpm_csv,
@@ -80,7 +82,7 @@ class RadarWindow:
 @dataclass
 class ScenarioConfig:
     duration_s: float = 2.0
-    telemetry_period_s: float = 0.01
+    telemetry_period_s: float = WINDOW_S
     n_stack: int = 1
     policy: str = POLICY_FULL
     sinr_schedule: list = field(default_factory=lambda: [(0.0, 8.0)])
@@ -94,10 +96,13 @@ class ScenarioConfig:
     output_dir: str | None = None
 
     def validate(self) -> None:
-        if self.telemetry_period_s <= 0:
+        if not self.telemetry_period_s > 0:
             raise InvalidConfigError("telemetry_period_s must be > 0")
-        if self.duration_s < self.telemetry_period_s:
-            raise InvalidConfigError("duration_s must cover one window")
+        n_windows = self.duration_s / self.telemetry_period_s
+        if not (n_windows < math.inf and round(n_windows) >= 1
+                and math.isclose(n_windows, round(n_windows), rel_tol=1e-9)):
+            raise InvalidConfigError(f"duration_s {self.duration_s} is not a whole number "
+                                     f"(>= 1) of {self.telemetry_period_s} s windows")
         if self.policy not in POLICIES:
             raise InvalidConfigError(f"policy must be one of {POLICIES}")
         if self.n_stack < 1:
@@ -107,13 +112,10 @@ class ScenarioConfig:
             raise InvalidConfigError(
                 f"telemetry_period_s {self.telemetry_period_s} holds fewer than one "
                 f"{MODE2_STFT.fft_size}-sample STFT frame")
-        # The uplink stamps each KPM record one link period after the last.
-        if self.telemetry_period_s != self.link.kpm_period_s:
-            raise InvalidConfigError(
-                f"telemetry_period_s {self.telemetry_period_s} differs from "
-                f"link.kpm_period_s {self.link.kpm_period_s}")
         if self.guard_prbs < 0:
             raise InvalidConfigError(f"guard_prbs must be >= 0, got {self.guard_prbs}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         prev = None
         for i, w in enumerate(self.radar_schedule):
             if not 0.0 <= w.t_on_s < w.t_off_s <= self.duration_s:
@@ -177,7 +179,7 @@ class _World:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.uplink = UplinkSimulator(config.link)
+        self.uplink = UplinkSimulator(config.link, config.telemetry_period_s)
         self.silent = RadarInterferenceProfile.silent(config.link.n_prbs)
         self.mask = np.ones(config.link.n_prbs, dtype=bool)
         self.mcs = MCS_MAX
@@ -314,70 +316,87 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
     return ScenarioResult(summary, records, labels, command_log, ledger, out_dir)
 
 
-def _read(value, where: str, read):
-    """``read`` pops the keys it knows from a copy of a mapping; leftovers fail by name."""
+def _float(value, name: str) -> float:
+    """A finite number.  PyYAML reads ``26e-6`` and ``2.5e6`` (no dot, or no
+    exponent sign) as strings, so a numeric string converts; a bool does not."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
+def _int(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def _str(value, name: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise InvalidConfigError(f"{name} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _mapping(value, where: str, readers: dict) -> dict:
+    """Each key of a YAML mapping through its reader; an unknown key fails by name."""
     if not isinstance(value, dict):
         raise InvalidConfigError(f"{where} must be a mapping, not {type(value).__name__}")
-    left = dict(value)
-    out = read(left)
-    if left:
-        raise InvalidConfigError(f"{where}: unknown key(s) {', '.join(map(repr, left))}")
-    return out
+    unknown = [key for key in value if key not in readers]
+    if unknown:
+        raise InvalidConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    return {key: readers[key](v, key) for key, v in value.items()}
 
 
-def _radar_window(w: dict) -> RadarWindow:
-    return RadarWindow(
-        t_on_s=float(w.pop("t_on_s")),
-        t_off_s=float(w.pop("t_off_s")),
-        params=RadarParams(
-            pulse_width_s=float(w.pop("pulse_width_s", 26e-6)),
-            prr_hz=float(w.pop("prr_hz", 1000.0)),
-            pulses_per_burst=int(w.pop("pulses_per_burst", 10)),
-            burst_length_s=float(w.pop("burst_length_s", 0.01)),
-            center_offset_hz=float(w.pop("center_offset_hz", 2.5e6)),
-            doppler_shift_hz=float(w.pop("doppler_shift_hz", 0.0)),
-        ),
-    )
+def _each(read):
+    """The reader of a YAML list whose entries ``read`` reads one by one."""
+    return lambda value, name: [read(v, f"{name}[{i}]") for i, v in enumerate(value)]
 
 
-def _scenario(raw: dict) -> ScenarioConfig:
-    output_dir = raw.pop("output_dir", None)
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise InvalidConfigError(
-            f"output_dir must be a string, not {type(output_dir).__name__}")
-    return ScenarioConfig(
-        duration_s=float(raw.pop("duration_s", 2.0)),
-        telemetry_period_s=float(raw.pop("telemetry_period_s", 0.01)),
-        n_stack=int(raw.pop("n_stack", 1)),
-        policy=str(raw.pop("policy", POLICY_FULL)),
-        sinr_schedule=[
-            _read(e, f"sinr_schedule[{i}]",
-                  lambda e: (float(e.pop("t_start_s")), float(e.pop("sinr_db"))))
-            for i, e in enumerate(raw.pop("sinr_schedule", [{"t_start_s": 0, "sinr_db": 8.0}]))],
-        radar_schedule=[_read(w, f"radar_schedule[{i}]", _radar_window)
-                        for i, w in enumerate(raw.pop("radar_schedule", []))],
-        offered_load_range_mbps=tuple(float(v) for v in
-                                      raw.pop("offered_load_range_mbps", (1.0, 5.0))),
-        link=_read(raw.pop("link", {}), "link", lambda m: LinkConfig(
-            base_sinr_db=float(m.pop("base_sinr_db", 35.0)),
-            sinr_jitter_db=float(m.pop("sinr_jitter_db", 0.5)))),
-        coupling_db=float(raw.pop("coupling_db", DEFAULT_COUPLING_DB)),
-        guard_prbs=int(raw.pop("guard_prbs", 1)),
-        seed=int(raw.pop("seed", 0)),
-        output_dir=output_dir,
-    )
+# A radar window's keys, and the defaults of those RadarParams has none for.
+# The default center offset is 2.5 MHz, off DC, where RadarParams' own is 0.
+_RADAR_KEYS = {"t_on_s": _float, "t_off_s": _float, "pulse_width_s": _float,
+               "prr_hz": _float, "pulses_per_burst": _int, "burst_length_s": _float,
+               "center_offset_hz": _float, "doppler_shift_hz": _float}
+_RADAR_DEFAULTS = {"pulse_width_s": 26e-6, "prr_hz": 1000.0, "pulses_per_burst": 10,
+                   "burst_length_s": WINDOW_S, "center_offset_hz": 2.5e6}
+
+
+def _radar_window(value, where: str) -> RadarWindow:
+    w = _mapping(value, where, _RADAR_KEYS)
+    return RadarWindow(w.pop("t_on_s"), w.pop("t_off_s"), RadarParams(**_RADAR_DEFAULTS | w))
+
+
+def _sinr_step(value, where: str) -> tuple[float, float]:
+    step = _mapping(value, where, {"t_start_s": _float, "sinr_db": _float})
+    return step["t_start_s"], step["sinr_db"]
+
+
+# The YAML keys; a key left out keeps the ScenarioConfig (or its link's) default.
+_SCENARIO_KEYS = {
+    "duration_s": _float, "telemetry_period_s": _float, "n_stack": _int, "policy": _str,
+    "sinr_schedule": _each(_sinr_step), "radar_schedule": _each(_radar_window),
+    "offered_load_range_mbps": lambda value, name: tuple(_each(_float)(value, name)),
+    "link": lambda value, name: _mapping(
+        value, name, {"base_sinr_db": _float, "sinr_jitter_db": _float}),
+    "coupling_db": _float, "guard_prbs": _int, "seed": _int, "output_dir": _str,
+}
 
 
 def scenario_from_yaml(path) -> ScenarioConfig:
     """Load a scenario config from a YAML file; see README for the schema.
 
-    Every mapping is read by popping the keys it knows, and whatever is left
-    is rejected by name, so a misspelt key cannot fall back to its default.
+    Each mapping's keys are checked against the known ones, so a misspelt
+    key fails by name rather than falling back to its default.
     """
     with open(str(path)) as fh:
         raw = yaml.safe_load(fh) or {}
     try:
-        config = _read(raw, "scenario config", _scenario)
+        values = _mapping(raw, "scenario config", _SCENARIO_KEYS)
+        link = values.pop("link", {})
+        config = ScenarioConfig(**values)
+        config.link = replace(config.link, **link)
     except InvalidConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -27,13 +27,13 @@ high and it is wide (persistent wideband occupancy), otherwise ``radar``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import csv
 import math
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidParamsError
+from .fileio import read_csv, write_csv
 from .spectro import Spectrogram
 
 RADAR = "radar"
@@ -394,25 +394,18 @@ BOX_RECORD_FIELDS = ["file_id", "class", "f_low_hz", "f_high_hz",
 
 def write_box_records(path, records: list[tuple[str, FreqTimeBox]]) -> None:
     """Line-delimited box records: (file_id, box) pairs."""
-    with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOX_RECORD_FIELDS)
-        for file_id, box in records:
-            writer.writerow([file_id, box.label, repr(box.f_low_hz), repr(box.f_high_hz),
-                             repr(box.t_start_s), repr(box.t_end_s), repr(box.confidence)])
+    write_csv(path, BOX_RECORD_FIELDS,
+              ([file_id, box.label, repr(box.f_low_hz), repr(box.f_high_hz),
+                repr(box.t_start_s), repr(box.t_end_s), repr(box.confidence)]
+               for file_id, box in records))
 
 
 def read_box_records(path) -> list[tuple[str, FreqTimeBox]]:
-    out = []
-    with open(str(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append((row["file_id"], FreqTimeBox(
-                f_low_hz=float(row["f_low_hz"]),
-                f_high_hz=float(row["f_high_hz"]),
-                t_start_s=float(row["t_start_s"]),
-                t_end_s=float(row["t_end_s"]),
-                label=row["class"],
-                confidence=float(row["confidence"]),
-            )))
-    return out
+    return [(row["file_id"], FreqTimeBox(
+        f_low_hz=float(row["f_low_hz"]),
+        f_high_hz=float(row["f_high_hz"]),
+        t_start_s=float(row["t_start_s"]),
+        t_end_s=float(row["t_end_s"]),
+        label=row["class"],
+        confidence=float(row["confidence"]),
+    )) for row in read_csv(path)]

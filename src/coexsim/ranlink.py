@@ -14,16 +14,17 @@ logged to CSV with an optional trailing label column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import csv
 
 import numpy as np
 from scipy import special
 
 from .errors import InvalidParamsError
+from .fileio import read_csv, write_csv
 from .signals import RadarParams
 
 MCS_MIN = 0
 MCS_MAX = 28
+WINDOW_S = 0.01  # default KPM reporting period, which is also the I/Q capture length
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class LinkConfig:
     symbol_overhead: float = 0.75
     base_sinr_db: float = 30.0
     bler_slope: float = 0.5          # per dB of SINR shortfall
-    kpm_period_s: float = 0.01
     sinr_jitter_db: float = 0.5      # per-period wideband fading jitter
 
     def __post_init__(self):
@@ -85,8 +85,6 @@ class LinkConfig:
             raise InvalidParamsError("n_prbs must be > 0")
         if not 0.0 < self.symbol_overhead <= 1.0:
             raise InvalidParamsError("symbol_overhead must be in (0, 1]")
-        if self.kpm_period_s <= 0:
-            raise InvalidParamsError("kpm_period_s must be > 0")
         if not self.sinr_jitter_db >= 0:  # also rejects NaN
             raise InvalidParamsError(f"sinr_jitter_db must be >= 0, got {self.sinr_jitter_db}")
 
@@ -184,13 +182,17 @@ def _logistic(x):
 class UplinkSimulator:
     """Single-writer state machine; each step emits one KPM record.
 
-    State is the elapsed time and the uplink buffer backlog; everything
-    else is a pure function of the step inputs and the seed.
+    Each step covers one reporting period of ``period_s`` seconds.  State is
+    the elapsed time and the uplink buffer backlog; everything else is a
+    pure function of the step inputs and the seed.
     """
 
-    def __init__(self, link: LinkConfig = LinkConfig(),
+    def __init__(self, link: LinkConfig = LinkConfig(), period_s: float = WINDOW_S,
                  mcs_table: McsTable | None = None):
+        if not period_s > 0:
+            raise InvalidParamsError(f"period_s must be > 0, got {period_s}")
         self.link = link
+        self.period_s = period_s
         self.mcs_table = mcs_table or McsTable.default()
         self.t_s = 0.0
         self.backlog_bits = 0.0
@@ -215,8 +217,8 @@ class UplinkSimulator:
 
         n_active = int(np.count_nonzero(prb_mask))
         if n_active == 0:
-            self.backlog_bits += offered_load_mbps * 1e6 * link.kpm_period_s
-            self.t_s += link.kpm_period_s
+            self.backlog_bits += offered_load_mbps * 1e6 * self.period_s
+            self.t_s += self.period_s
             return KpmRecord(self.t_s, 0.0, 0.0, mcs,
                              int(self.backlog_bits / 8), base_db)
 
@@ -232,8 +234,8 @@ class UplinkSimulator:
                          * (1.0 - bler)) / 1e6
         throughput = min(offered_load_mbps, capacity_mbps)
         self.backlog_bits += max(0.0, (offered_load_mbps - throughput)
-                                 * 1e6 * link.kpm_period_s)
-        self.t_s += link.kpm_period_s
+                                 * 1e6 * self.period_s)
+        self.t_s += self.period_s
         return KpmRecord(
             t_s=self.t_s,
             throughput_mbps=throughput,
@@ -251,33 +253,20 @@ def write_kpm_csv(path, records: list[KpmRecord], labels: list[int] | None = Non
     """KPM log; with labels a trailing 0/1 radar-present column is added."""
     if labels is not None and len(labels) != len(records):
         raise InvalidParamsError("labels length != records length")
-    with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(KPM_CSV_FIELDS + (["label"] if labels is not None else []))
-        for i, r in enumerate(records):
-            row = [repr(r.t_s), repr(r.throughput_mbps), repr(r.bler_pct),
-                   r.mcs, r.bsr_bytes, repr(r.sinr_db)]
-            if labels is not None:
-                row.append(labels[i])
-            writer.writerow(row)
+    rows = ([repr(r.t_s), repr(r.throughput_mbps), repr(r.bler_pct), r.mcs, r.bsr_bytes,
+             repr(r.sinr_db)] for r in records)
+    if labels is not None:
+        rows = (row + [label] for row, label in zip(rows, labels))
+    write_csv(path, KPM_CSV_FIELDS + (["label"] if labels is not None else []), rows)
 
 
 def read_kpm_csv(path) -> tuple[list[KpmRecord], list[int] | None]:
-    records: list[KpmRecord] = []
-    labels: list[int] = []
-    has_labels = False
-    with open(str(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        has_labels = reader.fieldnames is not None and "label" in reader.fieldnames
-        for row in reader:
-            records.append(KpmRecord(
-                t_s=float(row["t_s"]),
-                throughput_mbps=float(row["throughput_mbps"]),
-                bler_pct=float(row["bler_pct"]),
-                mcs=int(row["mcs"]),
-                bsr_bytes=int(row["bsr_bytes"]),
-                sinr_db=float(row["sinr_db"]),
-            ))
-            if has_labels:
-                labels.append(int(row["label"]))
-    return records, (labels if has_labels else None)
+    """Records and, if the log has a label column, the labels."""
+    records, labels = [], []
+    for row in read_csv(path):
+        records.append(KpmRecord(float(row["t_s"]), float(row["throughput_mbps"]),
+                                 float(row["bler_pct"]), int(row["mcs"]),
+                                 int(row["bsr_bytes"]), float(row["sinr_db"])))
+        if "label" in row:
+            labels.append(int(row["label"]))
+    return records, labels or None

@@ -9,7 +9,7 @@ the frame (Parseval), which the tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,38 +47,20 @@ class StftConfig:
         return np.ones(self.fft_size)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Spectrogram:
     """Time-frequency power matrix, linear ``power[freq_bin, time_column]``.
 
-    It stores the linear form only.  The constructor takes dB, the form that
-    files and callers hold, and converts it; ``from_power`` wraps linear power
-    without a conversion.
+    It stores the linear form only, as given; do not write into ``power``
+    afterwards.  ``power_db`` derives the dB form, and ``load_spectrogram``
+    converts the dB matrix a file holds.
     """
 
-    power: np.ndarray = field(init=False)
+    power: np.ndarray
     freq_resolution_hz: float
     time_resolution_s: float
     f_start_hz: float
     t_start_s: float = 0.0
-
-    def __init__(self, power_db: np.ndarray, freq_resolution_hz: float,
-                 time_resolution_s: float, f_start_hz: float, t_start_s: float = 0.0):
-        power = 10.0 ** (np.asarray(power_db, dtype=np.float64) / 10.0)
-        self._fill(power, freq_resolution_hz, time_resolution_s, f_start_hz, t_start_s)
-
-    @classmethod
-    def from_power(cls, power: np.ndarray, freq_resolution_hz: float,
-                   time_resolution_s: float, f_start_hz: float,
-                   t_start_s: float = 0.0) -> "Spectrogram":
-        """Wrap linear power as it is; do not write into it afterwards."""
-        spec = cls.__new__(cls)
-        spec._fill(power, freq_resolution_hz, time_resolution_s, f_start_hz, t_start_s)
-        return spec
-
-    def _fill(self, *values) -> None:
-        for f, value in zip(fields(self), values):
-            object.__setattr__(self, f.name, value)
 
     @property
     def power_db(self) -> np.ndarray:
@@ -116,7 +98,7 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
 
     floor_lin = 10.0 ** (config.power_floor_db / 10.0)
     fs = iq.sample_rate_hz
-    return Spectrogram.from_power(
+    return Spectrogram(
         np.maximum(power, floor_lin, out=power),
         freq_resolution_hz=fs / fft_size,
         time_resolution_s=hop / fs,
@@ -155,7 +137,7 @@ def load_spectrogram(path) -> tuple[Spectrogram, dict]:
     rows, cols = int(meta["n_freq_bins"]), int(meta["n_time_bins"])
     matrix = np.fromfile(str(path), dtype="<f4").reshape(rows, cols).astype(np.float64)
     spec = Spectrogram(
-        matrix,
+        10.0 ** (matrix / 10.0),
         freq_resolution_hz=float(meta["freq_resolution_hz"]),
         time_resolution_s=float(meta["time_resolution_s"]),
         f_start_hz=float(meta["f_start_hz"]),

@@ -1,9 +1,11 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.detect import ClassifierModel, TrainConfig, train_detector
 from coexsim.errors import InvalidConfigError, MissingDataError, MissingModelError
@@ -29,8 +31,9 @@ from coexsim.harness.scenario import (
     run_scenario,
     scenario_from_yaml,
 )
-from coexsim.ranlink import LinkConfig
-from coexsim.signals import RadarParams
+from coexsim.fileio import read_csv
+from coexsim.ranlink import read_kpm_csv
+from coexsim.signals import DEFAULT_SAMPLE_RATE_HZ, RadarParams
 
 
 @pytest.fixture(scope="module")
@@ -246,17 +249,38 @@ class TestScenario:
         with pytest.raises(InvalidConfigError, match="guard_prbs"):
             sc.validate()
 
-    def test_period_differing_from_link_rejected(self):
-        sc = ScenarioConfig(duration_s=0.2, telemetry_period_s=0.02)
-        with pytest.raises(InvalidConfigError,
-                           match="telemetry_period_s 0.02 differs from link.kpm_period_s"):
-            sc.validate()
-
-    def test_kpm_times_follow_a_matching_period(self):
-        sc = ScenarioConfig(duration_s=0.1, telemetry_period_s=0.02, policy=POLICY_BASELINE,
-                            link=LinkConfig(base_sinr_db=35.0, kpm_period_s=0.02))
+    def test_kpm_times_follow_the_period(self):
+        sc = ScenarioConfig(duration_s=0.1, telemetry_period_s=0.02, policy=POLICY_BASELINE)
         out = run_scenario(sc, None)
         assert [r.t_s for r in out.records] == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"duration_s": 0.015},
+         r"duration_s 0.015 is not a whole number \(>= 1\) of 0.01 s windows"),
+        ({"duration_s": 0.05, "telemetry_period_s": 0.02}, "not a whole number"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_partial_window_or_negative_seed_rejected(self, kwargs, message):
+        sc = ScenarioConfig(**{"duration_s": 0.2, **kwargs})
+        with pytest.raises(InvalidConfigError, match=message):
+            sc.validate()
+
+    @pytest.mark.parametrize("duration_s, period_s", [(0.16, 0.01), (0.3, 0.1), (0.7, 0.1)])
+    def test_rounded_whole_windows_accepted(self, duration_s, period_s):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        ScenarioConfig(duration_s=duration_s, telemetry_period_s=period_s).validate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(period_s=st.floats(1024 / DEFAULT_SAMPLE_RATE_HZ, 0.05), n_windows=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32))
+    def test_any_valid_period_runs_on_its_own_clock(self, period_s, n_windows, seed):
+        sc = ScenarioConfig(duration_s=n_windows * period_s, telemetry_period_s=period_s,
+                            policy=POLICY_BASELINE, seed=seed)
+        sc.validate()
+        out = run_scenario(sc, None)
+        assert out.summary["n_windows"] == n_windows
+        expected = [(k + 1) * period_s for k in range(n_windows)]
+        assert [r.t_s for r in out.records] == pytest.approx(expected, rel=1e-9)
 
 
 class TestYamlConfig:
@@ -375,7 +399,6 @@ class TestCli:
     @pytest.mark.parametrize("text, message", [
         ("guard_prbs: -1\n", "guard_prbs must be >= 0"),
         ("output_dir: 5\n", "output_dir must be a string, not int"),
-        ("telemetry_period_s: 0.02\n", "telemetry_period_s 0.02 differs"),
         ("link: {sinr_jitter_db: -0.5}\n", "bad scenario config: sinr_jitter_db"),
         ("link: {sinr_jitter_db: .nan}\n", "bad scenario config: sinr_jitter_db"),
     ])
@@ -386,6 +409,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: InvalidConfigError: {message}")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text, field", [
+        ("duration_s: .inf\n", "duration_s must be a finite number, not inf"),
+        ("duration_s: true\n", "duration_s must be a finite number, not True"),
+        ("telemetry_period_s: .nan\n", "telemetry_period_s must be a finite number"),
+        ("coupling_db: .nan\n", "coupling_db must be a finite number"),
+        ("link: {base_sinr_db: .nan}\n", "base_sinr_db must be a finite number"),
+        ("sinr_schedule:\n  - {t_start_s: 0.0, sinr_db: .nan}\n", "sinr_db must be a finite"),
+        ("offered_load_range_mbps: [1.0, .inf]\n", r"offered_load_range_mbps\[1\] must be"),
+        ("radar_schedule:\n  - {t_on_s: 0.0, t_off_s: 0.02, center_offset_hz: -.inf}\n",
+         "center_offset_hz must be a finite number, not -inf"),
+        ("n_stack: 1.7\n", "n_stack must be an integer, not 1.7"),
+        ("guard_prbs: 2.5\n", "guard_prbs must be an integer, not 2.5"),
+        ("seed: true\n", "seed must be an integer, not True"),
+        ("radar_schedule:\n  - {t_on_s: 0.0, t_off_s: 0.02, pulses_per_burst: 5.5}\n",
+         "pulses_per_burst must be an integer"),
+    ])
+    def test_error_line_on_bad_number(self, tmp_path, capsys, text, field):
+        yaml_path = tmp_path / "bad.yaml"
+        yaml_path.write_text("policy: baseline\n" + text)
+        assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"error: InvalidConfigError: bad scenario config: {field}", err)
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("duration_s, args, message", [
+        ("0.015", [], "duration_s 0.015 is not a whole number"),
+        ("0.02", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_error_line_on_partial_window_or_negative_seed(self, tmp_path, capsys,
+                                                           duration_s, args, message):
+        yaml_path = tmp_path / "bad.yaml"
+        yaml_path.write_text(f"policy: baseline\nduration_s: {duration_s}\n")
+        assert cli.main(["run-scenario", "--config", str(yaml_path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidConfigError: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_period_from_yaml_stamps_kpms_and_commands(self, small_model, tmp_path):
+        model_path = tmp_path / "detector.npz"
+        small_model.save(model_path)
+        yaml_path = tmp_path / "slow.yaml"
+        yaml_path.write_text("duration_s: 0.4\ntelemetry_period_s: 0.02\n"
+                             "radar_schedule:\n  - {t_on_s: 0.1, t_off_s: 0.3}\n")
+        out = tmp_path / "run"
+        assert cli.main(["run-scenario", "--config", str(yaml_path),
+                         "--model", str(model_path), "--out", str(out)]) == 0
+        records, _ = read_kpm_csv(out / "kpm_log.csv")
+        expected = [0.02 * (k + 1) for k in range(20)]
+        assert [r.t_s for r in records] == pytest.approx(expected)
+        commands = list(read_csv(out / "command_log.csv"))
+        assert commands
+        assert all(float(c["t_s"]) in [r.t_s for r in records] for c in commands)
 
     def test_error_line_on_zero_count(self, tmp_path, capsys):
         out = tmp_path / "data"

@@ -171,10 +171,10 @@ class TestLocalize:
     def test_fortran_and_c_order_give_equal_boxes(self):
         out, _, _ = make_composite(10.0, seed=9)
         spec = stft_spectrogram(out, MODE2_CFG)
-        c_spec = replace(spec, power_db=np.ascontiguousarray(spec.power_db))
-        f_spec = replace(spec, power_db=np.asfortranarray(spec.power_db))
-        assert f_spec.power_db.flags.f_contiguous
-        assert not f_spec.power_db.flags.c_contiguous
+        c_spec = replace(spec, power=np.ascontiguousarray(spec.power))
+        f_spec = replace(spec, power=np.asfortranarray(spec.power))
+        assert f_spec.power.flags.f_contiguous
+        assert not f_spec.power.flags.c_contiguous
         for cfg in (LocalizerConfig(), LocalizerConfig(merge_gap_bins=6)):
             c_boxes = localize(c_spec, cfg)
             assert c_boxes

@@ -226,8 +226,8 @@ def np_mean_step(sim, mcs, prb_mask, profile, offered_load_mbps, seed):
     active = np.asarray(prb_mask, dtype=bool)
     n_active = int(active.sum())
     if n_active == 0:
-        sim.backlog_bits += offered_load_mbps * 1e6 * link.kpm_period_s
-        sim.t_s += link.kpm_period_s
+        sim.backlog_bits += offered_load_mbps * 1e6 * sim.period_s
+        sim.t_s += sim.period_s
         return KpmRecord(sim.t_s, 0.0, 0.0, mcs, int(sim.backlog_bits / 8), base_db)
     required = sim.mcs_table.required_sinr_db(mcs)
     per_prb_bler = _logistic(link.bler_slope * (required - sinr_eff_db[active]))
@@ -237,8 +237,8 @@ def np_mean_step(sim, mcs, prb_mask, profile, offered_load_mbps, seed):
                      * (1.0 - bler)) / 1e6
     throughput = min(offered_load_mbps, capacity_mbps)
     sim.backlog_bits += max(0.0, (offered_load_mbps - throughput)
-                            * 1e6 * link.kpm_period_s)
-    sim.t_s += link.kpm_period_s
+                            * 1e6 * sim.period_s)
+    sim.t_s += sim.period_s
     return KpmRecord(sim.t_s, throughput, 100.0 * bler, mcs,
                      int(sim.backlog_bits / 8), float(np.mean(sinr_eff_db[active])))
 

@@ -129,7 +129,7 @@ class TestImageScaling:
     @pytest.fixture
     def spec(self):
         db = np.array([[-100.0, -50.0], [0.0, -75.0]])
-        return Spectrogram(db, 15e3, 1e-3, -FS / 2)
+        return Spectrogram(10.0 ** (db / 10.0), 15e3, 1e-3, -FS / 2)
 
     def test_endpoints_and_midpoint(self, spec):
         img = spectrogram_to_image(spec, -100.0, 0.0)
