@@ -249,7 +249,7 @@ class TestScenario:
         with pytest.raises(InvalidConfigError, match="guard_prbs"):
             sc.validate()
 
-    def test_kpm_times_follow_the_period(self):
+    def test_kpm_times_follow_a_matching_period(self):
         sc = ScenarioConfig(duration_s=0.1, telemetry_period_s=0.02, policy=POLICY_BASELINE)
         out = run_scenario(sc, None)
         assert [r.t_s for r in out.records] == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
