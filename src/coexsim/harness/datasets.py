@@ -32,10 +32,9 @@ from ..ranlink import (
 )
 from ..detect import KpmWindow, window_kpms
 from ..fileio import read_csv, write_csv, write_sidecar
-from ..signals import RadarParams, SinrSpec, dbm_to_linear, sensing_capture
+from ..signals import COMBINED_DBM_MHZ, RadarParams, SinrSpec, dbm_to_linear, sensing_capture
 from ..spectro import StftConfig, save_spectrogram, load_spectrogram, stft_spectrogram
 
-COMBINED_DBM_MHZ = -109.0  # regulatory cap on cellular + noise density
 DEFAULT_SINR_SWEEP = (-4.0, 0.0, 4.0, 8.0, 12.0)
 CENTER_OFFSETS_HZ = (-2.5e6, 0.0, 2.5e6)
 DEFAULT_COUPLING_DB = 52.0   # sensing-reference to base-station interference gain

@@ -96,6 +96,18 @@ class ScenarioConfig:
     output_dir: str | None = None
 
     def validate(self) -> None:
+        # The YAML loader reads these numbers too; a config built in Python
+        # meets the same finite and integer checks here.
+        try:
+            for name in ("combined_dbm_mhz", "coupling_db"):
+                _float(getattr(self, name), name)
+            for name in ("n_stack", "guard_prbs", "seed"):
+                _int(getattr(self, name), name)
+            for i, (t_start, sinr) in enumerate(self.sinr_schedule):
+                _float(t_start, f"sinr_schedule[{i}].t_start_s")
+                _float(sinr, f"sinr_schedule[{i}].sinr_db")
+        except ValueError as exc:
+            raise InvalidConfigError(str(exc)) from exc
         if not self.telemetry_period_s > 0:
             raise InvalidConfigError("telemetry_period_s must be > 0")
         n_windows = self.duration_s / self.telemetry_period_s

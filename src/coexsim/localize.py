@@ -215,7 +215,8 @@ def _component_members(active: np.ndarray, radius: int
 
 
 def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Component]:
-    # Every pass below runs along rows; a C-order copy keeps them contiguous.
+    # Every pass below runs along rows.  STFT and loaded spectrograms are
+    # C-order already; the call copies only caller-built F-order arrays.
     lin = np.ascontiguousarray(spec.power)
     n_rows, n_cols = lin.shape
     pct = config.noise_floor_percentile

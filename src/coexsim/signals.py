@@ -28,6 +28,7 @@ from .fileio import write_sidecar, read_sidecar
 
 DEFAULT_SAMPLE_RATE_HZ = 15.36e6
 RADAR_REF_BANDWIDTH_HZ = 1e6  # reference bandwidth for peak radar density
+COMBINED_DBM_MHZ = -109.0  # regulatory cap on cellular + noise density
 
 PULSE_WIDTH_RANGE_S = (13e-6, 52e-6)
 PRR_RANGE_HZ = (500.0, 1100.0)
@@ -175,7 +176,7 @@ class SinrSpec:
                 raise InvalidParamsError(f"{name} must be finite or -inf")
 
     @classmethod
-    def from_target(cls, target_sinr_db: float, combined_dbm_mhz: float = -109.0,
+    def from_target(cls, target_sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ,
                     cellular_to_noise_db: float = 0.0) -> "SinrSpec":
         """Build a spec for a target SINR against a fixed combined floor.
 
@@ -284,9 +285,11 @@ def gen_cellular_baseband(params: CellularParams, duration_s: float,
     n_active_bins = bins.size
     mags = np.sqrt(params.per_prb_power * n * n / counts[prb_of_bin[bins]])
     phases = rng.uniform(0.0, 2.0 * np.pi, n_active_bins)
+    tones = np.exp(1j * phases)
+    tones *= mags
     spectrum = np.zeros(n, dtype=np.complex128)
-    spectrum[bins] = mags * np.exp(1j * phases)
-    x = np.fft.ifft(spectrum)
+    spectrum[bins] = tones
+    x = np.fft.ifft(spectrum, out=spectrum)
     density = (int(mask.sum()) * params.per_prb_power
                / (n_active_bins * sample_rate_hz / n / 1e6))
     return IqBuffer(x, sample_rate_hz, density)
@@ -302,7 +305,10 @@ def gen_awgn(power_linear: float, duration_s: float,
         return IqBuffer(np.zeros(n, dtype=np.complex128), sample_rate_hz)
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power_linear / 2.0)
-    x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = np.empty(n, dtype=np.complex128)
+    x.real = rng.standard_normal(n)
+    x.imag = rng.standard_normal(n)
+    x *= scale
     return IqBuffer(x, sample_rate_hz)
 
 
@@ -394,7 +400,9 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     else:
         cell_scaled = np.zeros(cellular.n_samples, dtype=np.complex128)
 
-    out = IqBuffer(radar_scaled + cell_scaled + noise.samples, fs)
+    mix = np.add(radar_scaled, cell_scaled)
+    mix += noise.samples
+    out = IqBuffer(mix, fs)
 
     if not measure_achieved:
         return out, float("nan")

@@ -1,7 +1,9 @@
 """STFT spectrograms of I/Q buffers for time-frequency signal localization.
 
 Columns are DC-centered (row 0 is -fs/2, row fft_size/2 is DC) and stored as
-linear power clamped at a configurable floor; the dB form is derived where a
+linear power clamped at a configurable floor, in a C-order ``[freq, time]``
+matrix as both ``stft_spectrogram`` and ``load_spectrogram`` produce it, so
+row passes run over contiguous memory.  The dB form is derived where a
 spectrogram is written, read or drawn.  Linear column energy is normalized so
 that ``sum_k |X_k|^2 / fft_size`` equals the windowed time-domain energy of
 the frame (Parseval), which the tests rely on.
@@ -20,6 +22,10 @@ from .signals import IqBuffer
 
 WINDOW_RECTANGULAR = "rectangular"
 WINDOW_HANN = "hann"
+
+# Frames per block of the STFT's transposed write.  128 frames of 1024 bins
+# are 1 MB, half a 2 MB L2 cache; of 48, 64, 128 and 256 it was the fastest.
+_BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,8 @@ class StftConfig:
 class Spectrogram:
     """Time-frequency power matrix, linear ``power[freq_bin, time_column]``.
 
-    It stores the linear form only, as given; do not write into ``power``
+    ``stft_spectrogram`` and ``load_spectrogram`` give a C-order matrix.  It
+    stores the linear form only, as given; do not write into ``power``
     afterwards.  ``power_db`` derives the dB form, and ``load_spectrogram``
     converts the dB matrix a file holds.
     """
@@ -88,18 +95,28 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
     hop = config.hop_size
     w = config.window_values()
 
-    # The FFT overwrites the windowed frames and the power is squared, scaled
-    # and clamped in place: the fewer multi-MB temporaries, the lower the peak.
+    # The FFT overwrites the windowed frames, which are freed before the
+    # output is allocated: the output never adds to the frames' peak.
     frames = sliding_window_view(iq.samples, fft_size)[::hop] * w
-    power = np.abs(np.fft.fft(frames, axis=1, out=frames))
-    np.square(power, out=power)
-    power /= fft_size
-    power = np.fft.fftshift(power, axes=1).T  # [freq, time], row 0 = -fs/2
+    magnitude = np.abs(np.fft.fft(frames, axis=1, out=frames))  # [time, freq]
+    del frames
 
+    # Square, scale and clamp one cache-sized block of frames at a time and
+    # write it transposed, with fftshift's half swap, into C-order [freq, time].
     floor_lin = 10.0 ** (config.power_floor_db / 10.0)
+    half = fft_size // 2
+    power = np.empty((fft_size, magnitude.shape[0]))
+    for t0 in range(0, magnitude.shape[0], _BLOCK_FRAMES):
+        block = magnitude[t0:t0 + _BLOCK_FRAMES]
+        np.square(block, out=block)
+        block /= fft_size
+        np.maximum(block, floor_lin, out=block)
+        power[:half, t0:t0 + _BLOCK_FRAMES] = block[:, half:].T  # row 0 = -fs/2
+        power[half:, t0:t0 + _BLOCK_FRAMES] = block[:, :half].T
+
     fs = iq.sample_rate_hz
     return Spectrogram(
-        np.maximum(power, floor_lin, out=power),
+        power,
         freq_resolution_hz=fs / fft_size,
         time_resolution_s=hop / fs,
         f_start_hz=-fs / 2,

@@ -1,3 +1,4 @@
+import inspect
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.detect import ClassifierModel, TrainConfig, train_detector
 from coexsim.errors import InvalidConfigError, MissingDataError, MissingModelError
-from coexsim.harness import cli
+from coexsim.harness import cli, datasets
 from coexsim.harness.datasets import (
     KpmDatasetConfig,
     SpectrogramDatasetConfig,
@@ -33,7 +34,7 @@ from coexsim.harness.scenario import (
 )
 from coexsim.fileio import read_csv
 from coexsim.ranlink import read_kpm_csv
-from coexsim.signals import DEFAULT_SAMPLE_RATE_HZ, RadarParams
+from coexsim.signals import DEFAULT_SAMPLE_RATE_HZ, RadarParams, SinrSpec
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,10 @@ class TestSpectrogramDataset:
     def test_missing_dataset(self, tmp_path):
         with pytest.raises(MissingDataError):
             list(load_spectrogram_items(tmp_path / "nope"))
+
+    def test_combined_density_has_one_owner(self):
+        default = inspect.signature(SinrSpec.from_target).parameters["combined_dbm_mhz"]
+        assert default.default is datasets.COMBINED_DBM_MHZ
 
 
 class TestEvaluate:
@@ -264,6 +269,24 @@ class TestScenario:
         sc = ScenarioConfig(**{"duration_s": 0.2, **kwargs})
         with pytest.raises(InvalidConfigError, match=message):
             sc.validate()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sinr_schedule": [(0.0, float("nan"))]},
+         r"sinr_schedule\[0\].sinr_db must be a finite number, not nan"),
+        ({"sinr_schedule": [(0.0, 8.0), (0.05, -np.inf)]}, r"sinr_schedule\[1\].sinr_db"),
+        ({"sinr_schedule": [(np.nan, 8.0)]}, r"sinr_schedule\[0\].t_start_s"),
+        ({"coupling_db": float("nan")}, "coupling_db must be a finite number"),
+        ({"combined_dbm_mhz": np.inf}, "combined_dbm_mhz must be a finite number"),
+        ({"n_stack": 1.5}, "n_stack must be an integer, not 1.5"),
+        ({"guard_prbs": True}, "guard_prbs must be an integer, not True"),
+        ({"seed": 3.0}, "seed must be an integer, not 3.0"),
+    ])
+    def test_python_built_bad_number_rejected_by_name(self, kwargs, message):
+        sc = ScenarioConfig(**{"duration_s": 0.1, "policy": POLICY_BASELINE, **kwargs})
+        with pytest.raises(InvalidConfigError, match=message):
+            sc.validate()
+        with pytest.raises(InvalidConfigError, match=message):
+            run_scenario(sc, None)
 
     @pytest.mark.parametrize("duration_s, period_s", [(0.16, 0.01), (0.3, 0.1), (0.7, 0.1)])
     def test_rounded_whole_windows_accepted(self, duration_s, period_s):

@@ -180,6 +180,18 @@ class TestLocalize:
             assert c_boxes
             assert localize(f_spec, cfg) == c_boxes
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_truth_boxes_equal_in_both_layouts(self, seed):
+        # The column sums reduce along the strided axis of a C-order matrix.
+        _, radar, _ = make_composite(8.0, pulse_width_s=13e-6 + 9e-6 * seed, seed=seed)
+        spec = stft_spectrogram(radar, MODE2_CFG)
+        c_spec = replace(spec, power=np.ascontiguousarray(spec.power))
+        f_spec = replace(spec, power=np.asfortranarray(spec.power))
+        assert not f_spec.power.flags.c_contiguous
+        c_boxes = radar_truth_boxes(c_spec)
+        assert len(c_boxes) == 5
+        assert radar_truth_boxes(f_spec) == c_boxes
+
     def test_confidence_in_unit_interval(self):
         out, _, _ = make_composite(8.0, seed=8)
         for b in localize(stft_spectrogram(out, MODE2_CFG)):

@@ -20,6 +20,7 @@ from coexsim.signals import (
     mix_at_sinr,
     read_iq_file,
     _occupied_density,
+    _prb_bin_layout,
     sensing_capture,
     write_iq_file,
 )
@@ -325,6 +326,58 @@ class TestCarriedDensity:
         b, sb = mix_at_sinr(radar, bare, SinrSpec.from_target(8.0), seed=3)
         assert np.allclose(a.samples, b.samples, rtol=1e-12, atol=0.0)
         assert sa == pytest.approx(sb, abs=1e-9)
+
+
+class TestInPlaceSynthesis:
+    """The noise, the cellular waveform and the mix, built in place, equal the
+    expressions they replaced bit for bit."""
+
+    @staticmethod
+    def awgn_oracle(power_linear, n, seed):
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(power_linear / 2.0)
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    @staticmethod
+    def cellular_oracle(params, n, seed):
+        rng = np.random.default_rng(seed)
+        prb_of_bin, counts = _prb_bin_layout(n, FS, params.n_prbs, params.prb_bandwidth_hz)
+        bins = np.flatnonzero(np.append(params.mask(), False)[prb_of_bin])
+        mags = np.sqrt(params.per_prb_power * n * n / counts[prb_of_bin[bins]])
+        phases = rng.uniform(0.0, 2.0 * np.pi, bins.size)
+        spectrum = np.zeros(n, dtype=np.complex128)
+        spectrum[bins] = mags * np.exp(1j * phases)
+        return np.fft.ifft(spectrum)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_awgn_equals_summed_draws(self, seed):
+        power = 10.0 ** np.random.default_rng(seed).uniform(-14.0, 2.0)
+        got = gen_awgn(power, 10e-3, FS, seed=seed).samples
+        assert np.array_equal(got, self.awgn_oracle(power, 153600, seed))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cellular_equals_scaled_tones(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(50) < rng.uniform(0.1, 1.0)
+        mask[rng.integers(50)] = True
+        params = CellularParams(active_prb_mask=mask, per_prb_power=rng.uniform(0.1, 10.0))
+        got = gen_cellular_baseband(params, 10e-3, FS, seed=seed).samples
+        assert np.array_equal(got, self.cellular_oracle(params, 153600, seed))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mix_equals_sum_of_components(self, seed):
+        radar = gen_radar_pulse_train(
+            RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6), 10e-3, FS)
+        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=seed)
+        spec = SinrSpec.from_target(float(seed % 13) - 4.0)
+        silent = float("-inf")
+        parts = [mix_at_sinr(radar, cell, part, seed=seed, measure_achieved=False)[0].samples
+                 for part in (SinrSpec(spec.p_radar_dbm_mhz, silent, silent),
+                              SinrSpec(silent, spec.p_cellular_dbm_mhz, silent),
+                              SinrSpec(silent, silent, spec.p_noise_dbm_mhz))]
+        radar_scaled, cell_scaled, noise = parts
+        got, _ = mix_at_sinr(radar, cell, spec, seed=seed, measure_achieved=False)
+        assert np.array_equal(got.samples, radar_scaled + cell_scaled + noise)
 
 
 class TestSensingCapture:

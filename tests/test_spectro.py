@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from coexsim.errors import InvalidParamsError, TooShortInputError
 from coexsim.signals import IqBuffer, gen_awgn
 from coexsim.spectro import (
+    _BLOCK_FRAMES,
     Spectrogram,
     StftConfig,
     load_spectrogram,
@@ -123,6 +125,49 @@ class TestStridedFraming:
         expected = gathered_stft_db(samples, cfg)
         assert spec.power_db.shape == expected.shape
         assert spec.power_db.tobytes() == expected.tobytes()
+
+
+def shifted_power(samples, config):
+    """The linear power as the STFT built it with a whole-matrix fftshift:
+    the transpose of a C-order [time, freq] array, so F-order."""
+    fft_size = config.fft_size
+    frames = sliding_window_view(samples, fft_size)[::config.hop_size]
+    spectra = np.fft.fft(frames * config.window_values(), axis=1)
+    power = np.fft.fftshift(np.abs(spectra) ** 2 / fft_size, axes=1).T
+    return np.maximum(power, 10.0 ** (config.power_floor_db / 10.0))
+
+
+class TestBlockedLayout:
+    """The STFT writes C-order power block by block, equal to the shifted
+    transpose it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log2_fft=st.integers(1, 8),
+           hop_frac=st.floats(0.0, 1.0), window=st.sampled_from(["hann", "rectangular"]),
+           n_blocks=st.integers(0, 2), n_rest=st.integers(0, _BLOCK_FRAMES - 1),
+           tail=st.floats(0.0, 1.0))
+    def test_blocked_power_equals_shifted_transpose(self, seed, log2_fft, hop_frac, window,
+                                                    n_blocks, n_rest, tail):
+        fft_size = 2 ** log2_fft
+        hop = max(1, round(hop_frac * fft_size))
+        n_frames = max(1, n_blocks * _BLOCK_FRAMES + n_rest)
+        # samples past the last whole frame, fewer than one hop
+        n = fft_size + (n_frames - 1) * hop + int(tail * (hop - 1))
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cfg = StftConfig(fft_size=fft_size, hop=hop, window=window)
+        power = stft_spectrogram(IqBuffer(samples, FS), cfg).power
+        assert power.shape == (fft_size, n_frames)
+        assert power.flags.c_contiguous
+        assert np.array_equal(power, shifted_power(samples, cfg))
+
+    def test_stft_and_loaded_power_need_no_copy(self, tmp_path):
+        spec = stft_spectrogram(gen_awgn(1.0, 10e-3, FS, seed=7), StftConfig(hop=256))
+        path = tmp_path / "spec.bin"
+        save_spectrogram(path, spec)
+        loaded, _ = load_spectrogram(path)
+        for power in (spec.power, loaded.power):
+            assert np.ascontiguousarray(power) is power
 
 
 class TestImageScaling:
