@@ -27,7 +27,6 @@ from .spectro import Spectrogram, StftConfig, spectrogram_to_image, stft_spectro
 from .ranlink import (
     KpmRecord,
     LinkConfig,
-    McsTable,
     RadarInterferenceProfile,
     UplinkSimulator,
     apply_prb_mask,

@@ -1,11 +1,11 @@
 """Decision layer: AIMD MCS adaptation, box-to-PRB blanking, mode machine.
 
 The MCS controller is a BLER-driven additive-increase/multiplicative-
-decrease rule: hold while BLER is within gamma of the last acted-upon
-value, divide the index by beta when BLER exceeds the threshold, add beta
-otherwise, clamped to [mcs_min, mcs_max].  The reference BLER used for the
+decrease rule: hold while BLER is within AIMD_GAMMA of the last acted-upon
+value, divide the index by AIMD_BETA above BLER_THRESH_PCT, add AIMD_BETA
+otherwise, clamped to [MCS_MIN, MCS_MAX].  The reference BLER used for the
 hold comparison advances only when an increase or decrease actually fires,
-so a slow drift below gamma per step still triggers action eventually.
+so a slow drift below AIMD_GAMMA per step still triggers action eventually.
 
 The mode machine starts in MODE1 (KPM-only monitoring).  A detection
 escalates to MODE2, which consumes localization boxes: radar boxes map to
@@ -44,38 +44,34 @@ class Mode(Enum):
     MODE2 = "MODE2"
 
 
+AIMD_GAMMA = 1.0       # hold band on BLER, in percentage points
+AIMD_BETA = 2          # MCS step up, and divisor down
+BLER_THRESH_PCT = 5.0  # BLER above which the MCS decreases
+
+
 @dataclass(frozen=True)
 class McsControllerState:
     mcs: int = MCS_MAX
     bler_prev: float = 0.0
     last_action: Action = Action.HOLD
-    gamma: float = 1.0
-    beta: int = 2
-    bler_thresh: float = 5.0
-    mcs_min: int = MCS_MIN
-    mcs_max: int = MCS_MAX
 
     def __post_init__(self):
-        if self.beta < 2:
-            raise InvalidParamsError("beta must be >= 2")
-        if self.gamma < 0:
-            raise InvalidParamsError("gamma must be >= 0")
-        if not self.mcs_min <= self.mcs <= self.mcs_max:
-            raise InvalidParamsError("mcs outside [mcs_min, mcs_max]")
+        if not MCS_MIN <= self.mcs <= MCS_MAX:
+            raise InvalidParamsError(f"mcs outside [{MCS_MIN}, {MCS_MAX}]")
 
 
 def mcs_update(state: McsControllerState, bler: float) -> McsControllerState:
     """One AIMD step from the observed BLER (percent)."""
     if not 0.0 <= bler <= 100.0:
         raise InvalidParamsError(f"bler {bler} outside [0, 100]")
-    if abs(bler - state.bler_prev) < state.gamma:
+    if abs(bler - state.bler_prev) < AIMD_GAMMA:
         if state.last_action == Action.HOLD:
             return state
         return replace(state, last_action=Action.HOLD)
-    if bler > state.bler_thresh:
-        new_mcs = max(state.mcs // state.beta, state.mcs_min)
+    if bler > BLER_THRESH_PCT:
+        new_mcs = max(state.mcs // AIMD_BETA, MCS_MIN)
         return replace(state, mcs=new_mcs, bler_prev=bler, last_action=Action.DECR)
-    new_mcs = min(state.mcs + state.beta, state.mcs_max)
+    new_mcs = min(state.mcs + AIMD_BETA, MCS_MAX)
     return replace(state, mcs=new_mcs, bler_prev=bler, last_action=Action.INCR)
 
 
@@ -244,12 +240,11 @@ class XappController:
     """
 
     def __init__(self, link: LinkConfig = LinkConfig(),
-                 mcs_state: McsControllerState | None = None,
                  guard_prbs: int = 1,
                  mcs_adaptation: bool = True,
                  blanking: bool = True):
         self.link = link
-        self.mcs_state = mcs_state or McsControllerState()
+        self.mcs_state = McsControllerState()
         self.mode_state = ModeState()
         self.guard_prbs = guard_prbs
         self.mcs_adaptation = mcs_adaptation

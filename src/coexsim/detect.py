@@ -12,6 +12,7 @@ Windows stack the latest N records oldest-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from pathlib import Path
 import zipfile
 
@@ -28,6 +29,11 @@ KPM_FEATURES = ("throughput_mbps", "bler_pct", "mcs", "bsr_bytes")
 N_FEATURES = len(KPM_FEATURES)
 MODEL_FORMAT_VERSION = 1
 
+TRAIN_FRACTION = 0.75    # share of windows that trains; the rest validates
+HIDDEN_SIZES = (32, 16)  # hidden layer widths
+RMS_DECAY = 0.9          # RMSprop decay and epsilon
+RMS_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class KpmWindow:
@@ -35,11 +41,10 @@ class KpmWindow:
 
     features: np.ndarray
     n_stack: int
-    n_features: int = N_FEATURES
 
     def __post_init__(self):
         arr = np.asarray(self.features, dtype=float).ravel()
-        if arr.size != self.n_stack * self.n_features:
+        if arr.size != self.n_stack * N_FEATURES:
             raise InvalidParamsError("window length != n_stack * n_features")
         if not np.all(np.isfinite(arr)):
             raise InvalidParamsError("window features must be finite")
@@ -130,7 +135,7 @@ class ClassifierModel:
                     raise InvalidParamsError(f"unsupported model format version {version}")
                 layer_sizes = tuple(int(v) for v in data["layer_sizes"])
                 n_layers = len(layer_sizes) - 1
-                return cls(
+                model = cls(
                     layer_sizes=layer_sizes,
                     weights=[data[f"W{i}"] for i in range(n_layers)],
                     biases=[data[f"b{i}"] for i in range(n_layers)],
@@ -139,6 +144,10 @@ class ClassifierModel:
                 )
             except KeyError as exc:
                 raise InvalidParamsError(f"model file {path} lacks an array: {exc}") from exc
+        arrays = [*model.weights, *model.biases, model.feat_mean, model.feat_std]
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise InvalidParamsError(f"model file {path} holds non-finite values")
+        return model
 
 
 @dataclass(frozen=True)
@@ -146,15 +155,11 @@ class TrainConfig:
     learning_rate: float = 0.001
     epochs: int = 50
     batch_size: int = 128
-    train_fraction: float = 0.75
-    hidden_sizes: tuple[int, ...] = (32, 16)
-    rms_decay: float = 0.9
-    rms_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidParamsError("train_fraction must be in (0, 1)")
+        if not math.isfinite(self.learning_rate):
+            raise InvalidParamsError(f"learning_rate must be finite, got {self.learning_rate}")
         if min(self.learning_rate, self.epochs, self.batch_size) <= 0:
             raise InvalidParamsError("hyperparameters must be positive")
 
@@ -237,7 +242,7 @@ def train_detector(windows: list[KpmWindow], labels, config: TrainConfig = Train
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(y.size)
     x, y = x[order], y[order]
-    n_train = int(round(config.train_fraction * y.size))
+    n_train = int(round(TRAIN_FRACTION * y.size))
     x_train, y_train = x[:n_train], y[:n_train]
     x_val, y_val = x[n_train:], y[n_train:]
 
@@ -247,7 +252,7 @@ def train_detector(windows: list[KpmWindow], labels, config: TrainConfig = Train
     xn_train = (x_train - mean) / std
     xn_val = (x_val - mean) / std
 
-    layer_sizes = (x.shape[1], *config.hidden_sizes, 2)
+    layer_sizes = (x.shape[1], *HIDDEN_SIZES, 2)
     weights, biases = _init_params(layer_sizes, rng)
     cache_w = [np.zeros_like(w) for w in weights]
     cache_b = [np.zeros_like(b) for b in biases]
@@ -258,14 +263,12 @@ def train_detector(windows: list[KpmWindow], labels, config: TrainConfig = Train
             idx = perm[start:start + config.batch_size]
             _, gw, gb = loss_and_grads(weights, biases, xn_train[idx], y_train[idx])
             for i in range(len(weights)):
-                cache_w[i] = (config.rms_decay * cache_w[i]
-                              + (1 - config.rms_decay) * gw[i] ** 2)
-                cache_b[i] = (config.rms_decay * cache_b[i]
-                              + (1 - config.rms_decay) * gb[i] ** 2)
+                cache_w[i] = RMS_DECAY * cache_w[i] + (1 - RMS_DECAY) * gw[i] ** 2
+                cache_b[i] = RMS_DECAY * cache_b[i] + (1 - RMS_DECAY) * gb[i] ** 2
                 weights[i] -= (config.learning_rate * gw[i]
-                               / (np.sqrt(cache_w[i]) + config.rms_epsilon))
+                               / (np.sqrt(cache_w[i]) + RMS_EPSILON))
                 biases[i] -= (config.learning_rate * gb[i]
-                              / (np.sqrt(cache_b[i]) + config.rms_epsilon))
+                              / (np.sqrt(cache_b[i]) + RMS_EPSILON))
 
     model = ClassifierModel(layer_sizes, weights, biases, mean, std)
     train_acc = _accuracy(model, xn_train, y_train)

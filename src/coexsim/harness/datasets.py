@@ -1,9 +1,9 @@
 """Labeled dataset generation for the detector and the localizer.
 
 Datasets follow the regulatory power convention: the combined cellular plus
-noise density is pinned (default -109 dBm/MHz, split equally between the
-two) and the radar density is swept to hit each target SINR.  The radar
-seen by the uplink is the same emitter scaled by a fixed coupling gain,
+noise density is pinned (-109 dBm/MHz, split equally between the two)
+and the radar density is swept to hit each target SINR.  The radar seen
+by the uplink is the same emitter scaled by a fixed coupling gain,
 which ties the sensing-path SINR to the link-path interference so KPM
 labels and spectrogram labels describe one physical condition.
 
@@ -77,8 +77,6 @@ class KpmDatasetConfig:
     sinr_sweep_db: tuple = DEFAULT_SINR_SWEEP
     items_per_class_per_sinr: int = 100
     records_per_item: int = 8
-    coupling_db: float = DEFAULT_COUPLING_DB
-    combined_dbm_mhz: float = COMBINED_DBM_MHZ
     seed: int = 0
 
     def __post_init__(self):
@@ -114,8 +112,7 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
                 offered = float(rng.uniform(1.0, 5.0))
                 if label:
                     params = draw_radar_params(rng)
-                    units = interference_units(sinr, link, config.combined_dbm_mhz,
-                                               config.coupling_db)
+                    units = interference_units(sinr, link)
                     profile = radar_psd_per_prb(params, units, link)
                 else:
                     profile = RadarInterferenceProfile.silent(link.n_prbs)
@@ -138,8 +135,8 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
         "sinr_sweep_db": " ".join(str(s) for s in config.sinr_sweep_db),
         "items_per_class_per_sinr": config.items_per_class_per_sinr,
         "records_per_item": config.records_per_item,
-        "coupling_db": config.coupling_db,
-        "combined_dbm_mhz": config.combined_dbm_mhz,
+        "coupling_db": DEFAULT_COUPLING_DB,
+        "combined_dbm_mhz": COMBINED_DBM_MHZ,
     })
     return out_dir
 
@@ -172,7 +169,6 @@ class SpectrogramDatasetConfig:
     sinr_sweep_db: tuple = DEFAULT_SINR_SWEEP
     items_per_sinr: int = 100
     absent_fraction: float = 0.2   # extra cellular-only items per SINR point
-    combined_dbm_mhz: float = COMBINED_DBM_MHZ
     seed: int = 0
 
     def __post_init__(self):
@@ -202,7 +198,7 @@ def gen_spectrogram_dataset(out_dir,
             cell_seed = int(rng.integers(2 ** 63))
             params = draw_radar_params(rng) if has_radar else None
             composite, radar, achieved = sensing_capture(
-                params, sinr, config.combined_dbm_mhz, WINDOW_S,
+                params, sinr, COMBINED_DBM_MHZ, WINDOW_S,
                 cell_seed, noise_seed=int(rng.integers(2 ** 63)))
             sgram = stft_spectrogram(composite, MODE2_STFT)
             save_spectrogram(out_dir / "specs" / f"{file_id}.bin", sgram, {
@@ -226,7 +222,7 @@ def gen_spectrogram_dataset(out_dir,
         "sinr_sweep_db": " ".join(str(s) for s in config.sinr_sweep_db),
         "items_per_sinr": config.items_per_sinr,
         "absent_fraction": config.absent_fraction,
-        "combined_dbm_mhz": config.combined_dbm_mhz,
+        "combined_dbm_mhz": COMBINED_DBM_MHZ,
         "fft_size": MODE2_STFT.fft_size,
         "hop": MODE2_STFT.hop_size,
         "window": MODE2_STFT.window,

@@ -97,15 +97,21 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         # The YAML loader reads these numbers too; a config built in Python
-        # meets the same finite and integer checks here.
+        # meets the same finite and integer checks here, and a string or a
+        # bool is not a number.
         try:
-            for name in ("combined_dbm_mhz", "coupling_db"):
-                _float(getattr(self, name), name)
+            for name in ("duration_s", "telemetry_period_s", "combined_dbm_mhz",
+                         "coupling_db"):
+                _number(getattr(self, name), name)
+            for name in ("base_sinr_db", "sinr_jitter_db"):
+                _number(getattr(self.link, name), f"link.{name}")
             for name in ("n_stack", "guard_prbs", "seed"):
                 _int(getattr(self, name), name)
             for i, (t_start, sinr) in enumerate(self.sinr_schedule):
-                _float(t_start, f"sinr_schedule[{i}].t_start_s")
-                _float(sinr, f"sinr_schedule[{i}].sinr_db")
+                _number(t_start, f"sinr_schedule[{i}].t_start_s")
+                _number(sinr, f"sinr_schedule[{i}].sinr_db")
+            for i, bound in enumerate(self.offered_load_range_mbps):
+                _number(bound, f"offered_load_range_mbps[{i}]")
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
         if not self.telemetry_period_s > 0:
@@ -147,7 +153,7 @@ class ScenarioConfig:
             raise InvalidConfigError("sinr_schedule must not be empty")
         starts = [t_start for t_start, _ in self.sinr_schedule]
         if any(not 0.0 <= t_start <= self.duration_s for t_start in starts):
-            raise InvalidConfigError("sinr schedule entry outside duration")
+            raise InvalidConfigError("sinr_schedule entry outside duration")
         if starts != sorted(starts):
             raise InvalidConfigError("sinr_schedule start times must be sorted")
         load = self.offered_load_range_mbps
@@ -328,15 +334,23 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
     return ScenarioResult(summary, records, labels, command_log, ledger, out_dir)
 
 
-def _float(value, name: str) -> float:
-    """A finite number.  PyYAML reads ``26e-6`` and ``2.5e6`` (no dot, or no
-    exponent sign) as strings, so a numeric string converts; a bool does not."""
+def _number(value, name: str) -> float:
+    """A finite number; a string or a bool is not one."""
     try:
-        if not isinstance(value, bool) and math.isfinite(number := float(value)):
+        if not isinstance(value, (bool, str)) and math.isfinite(number := float(value)):
             return number
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
+def _float(value, name: str) -> float:
+    """A YAML number.  PyYAML reads ``26e-6`` and ``2.5e6`` (no dot, or no
+    exponent sign) as strings, so a numeric string converts."""
+    try:
+        return _number(float(value) if isinstance(value, str) else value, name)
+    except ValueError:
+        raise ValueError(f"{name} must be a finite number, not {value!r}") from None
 
 
 def _int(value, name: str) -> int:

@@ -16,7 +16,7 @@ a learned detector can be dropped in instead.  Detection runs on two paths:
   absorb.
 
 Box extents are then refined with floor-subtracted energy profiles trimmed
-contiguously from the peak (time_trim_db for columns, freq_trim_db for
+contiguously from the peak (TIME_TRIM_DB for columns, FREQ_TRIM_DB for
 rows), which makes the reported extent depend on the signal's shape rather
 than on how far above the detection threshold it happens to sit.
 
@@ -41,6 +41,17 @@ CELLULAR = "cellular"
 
 _PAD_ROWS = 8   # refinement window margin beyond detected bins
 _PAD_COLS = 3
+
+NOISE_FLOOR_PERCENTILE = 20.0
+MIN_BOX_BINS = 4
+MIN_BOX_ROWS = 2  # rejects single-bin noise spikes smeared across overlapped columns
+CELLULAR_DUTY_THRESHOLD = 0.8
+CELLULAR_MIN_BANDWIDTH_HZ = 1.8e6  # 10 PRB equivalents
+TIME_TRIM_DB = 6.0   # extent trims below the peak of the column and row energy
+FREQ_TRIM_DB = 10.0
+PULSE_GAP_COLS = 8   # truth boxes: active columns further apart start a new pulse
+DYNAMIC_RANGE_DB = 40.0  # truth boxes: active columns lie within this of the peak
+IOU_THRESHOLD = 0.5  # a matched prediction recalls its truth box at this IoU
 
 
 @dataclass(frozen=True)
@@ -73,19 +84,10 @@ class FreqTimeBox:
 
 @dataclass(frozen=True)
 class LocalizerConfig:
-    noise_floor_percentile: float = 20.0
     threshold_db_above_floor: float = 10.0
-    min_box_bins: int = 4
-    min_box_rows: int = 2  # rejects single-bin noise spikes smeared across overlapped columns
     merge_gap_bins: int = 3
-    cellular_duty_threshold: float = 0.8
-    cellular_min_bandwidth_hz: float = 1.8e6  # 10 PRB equivalents
-    time_trim_db: float = 6.0
-    freq_trim_db: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.noise_floor_percentile < 100.0:
-            raise InvalidParamsError("noise_floor_percentile must be in (0, 100)")
         if self.threshold_db_above_floor <= 0:
             raise InvalidParamsError("threshold_db_above_floor must be > 0")
 
@@ -113,7 +115,7 @@ def _contiguous_span(profile: np.ndarray, trim_db: float) -> tuple[int, int]:
 
 
 def _refine_extent(lin: np.ndarray, floor_lin: np.ndarray, rows_idx: np.ndarray,
-                   cols_idx: np.ndarray, config: LocalizerConfig) -> tuple[int, int, int, int]:
+                   cols_idx: np.ndarray) -> tuple[int, int, int, int]:
     """Floor-subtracted, peak-contiguous extent trim around a component."""
     n_rows, n_cols = lin.shape
     r0 = max(0, int(rows_idx.min()) - _PAD_ROWS)
@@ -122,9 +124,9 @@ def _refine_extent(lin: np.ndarray, floor_lin: np.ndarray, rows_idx: np.ndarray,
     c1 = min(n_cols, int(cols_idx.max()) + 1 + _PAD_COLS)
     win = np.maximum(lin[r0:r1, c0:c1] - floor_lin[r0:r1, None], 0.0)
     col_energy = win.sum(axis=0)
-    clo, chi = _contiguous_span(col_energy, config.time_trim_db)
+    clo, chi = _contiguous_span(col_energy, TIME_TRIM_DB)
     row_energy = win[:, clo:chi + 1].sum(axis=1)
-    rlo, rhi = _contiguous_span(row_energy, config.freq_trim_db)
+    rlo, rhi = _contiguous_span(row_energy, FREQ_TRIM_DB)
     return r0 + rlo, r0 + rhi, c0 + clo, c0 + chi
 
 
@@ -219,7 +221,7 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
     # C-order already; the call copies only caller-built F-order arrays.
     lin = np.ascontiguousarray(spec.power)
     n_rows, n_cols = lin.shape
-    pct = config.noise_floor_percentile
+    pct = NOISE_FLOOR_PERCENTILE
 
     # Per-row floor: quantile scaled to mean-equivalent for exponential bins.
     row_q, row_med = _row_quantile_and_median(lin, pct)
@@ -228,7 +230,7 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
 
     components: list[_Component] = []
 
-    # min_box_bins counts distinct resolution cells: with overlapped columns
+    # MIN_BOX_BINS counts distinct resolution cells: with overlapped columns
     # (hop < fft) one noise event smears across fft/hop columns, so those
     # correlated looks collapse onto the true time-frequency grid.
     overlap = max(1, round(1.0 / (spec.freq_resolution_hz * spec.time_resolution_s)))
@@ -238,20 +240,19 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
     radius = max(1, int(np.ceil(config.merge_gap_bins / 2)))
     for rows_idx, cols_idx in _component_members(active, radius):
         cells = set(zip(rows_idx.tolist(), (cols_idx // overlap).tolist()))
-        if len(cells) < config.min_box_bins:
+        if len(cells) < MIN_BOX_BINS:
             continue
-        if len(np.unique(rows_idx)) < config.min_box_rows:
+        if len(np.unique(rows_idx)) < MIN_BOX_ROWS:
             continue
         rmin, rmax = int(rows_idx.min()), int(rows_idx.max())
         cmin, cmax = int(cols_idx.min()), int(cols_idx.max())
         duty = len(np.unique(cols_idx)) / (cmax - cmin + 1)
         bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
-        label = (CELLULAR if duty >= config.cellular_duty_threshold
-                 and bw_hz >= config.cellular_min_bandwidth_hz else RADAR)
+        label = (CELLULAR if duty >= CELLULAR_DUTY_THRESHOLD
+                 and bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR)
         excess = np.mean(10.0 * np.log10(lin[rows_idx, cols_idx])
                          - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
-        rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx,
-                                                cols_idx, config)
+        rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx, cols_idx)
         box = _bins_to_box(spec, rmin, rmax, cmin, cmax, label,
                            _squash_confidence(float(excess)))
         components.append(_Component(box, rows_idx, cols_idx))
@@ -269,8 +270,8 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
             rmin, rmax = int(run[0]), int(run[-1])
             bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
             duty = 1.0  # persistent by construction
-            label = (CELLULAR if duty >= config.cellular_duty_threshold
-                     and bw_hz >= config.cellular_min_bandwidth_hz else RADAR)
+            label = (CELLULAR if duty >= CELLULAR_DUTY_THRESHOLD
+                     and bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR)
             excess = np.mean(10.0 * np.log10(row_med[run] / (global_floor * thr_lin)))
             box = _bins_to_box(spec, rmin, rmax, 0, n_cols - 1, label,
                                _squash_confidence(float(excess)))
@@ -287,10 +288,7 @@ def localize(spec: Spectrogram, config: LocalizerConfig = LocalizerConfig()) -> 
     return sorted(boxes, key=lambda b: -b.confidence)
 
 
-def radar_truth_boxes(clean_radar_spec: Spectrogram,
-                      config: LocalizerConfig = LocalizerConfig(),
-                      pulse_gap_cols: int = 8,
-                      dynamic_range_db: float = 40.0) -> list[FreqTimeBox]:
+def radar_truth_boxes(clean_radar_spec: Spectrogram) -> list[FreqTimeBox]:
     """Ground-truth boxes from a noise-free radar spectrogram.
 
     Each pulse is segmented by gaps in the column-energy profile, then its
@@ -302,19 +300,18 @@ def radar_truth_boxes(clean_radar_spec: Spectrogram,
         return []  # flat spectrogram, no signal
     col_energy = lin.sum(axis=0)
     peak = col_energy.max()
-    active_cols = np.nonzero(col_energy > peak * 10.0 ** (-dynamic_range_db / 10.0))[0]
+    active_cols = np.nonzero(col_energy > peak * 10.0 ** (-DYNAMIC_RANGE_DB / 10.0))[0]
     if active_cols.size == 0:
         return []
     segments = np.split(active_cols,
-                        np.nonzero(np.diff(active_cols) > pulse_gap_cols)[0] + 1)
+                        np.nonzero(np.diff(active_cols) > PULSE_GAP_COLS)[0] + 1)
     zero_floor = np.zeros(lin.shape[0])
     out = []
     for seg in segments:
         sub = lin[:, seg[0]:seg[-1] + 1]
         rows_idx, cols_rel = np.nonzero(sub > sub.max() * 1e-3)
         cols_idx = cols_rel + seg[0]
-        rmin, rmax, cmin, cmax = _refine_extent(lin, zero_floor, rows_idx,
-                                                cols_idx, config)
+        rmin, rmax, cmin, cmax = _refine_extent(lin, zero_floor, rows_idx, cols_idx)
         out.append(_bins_to_box(clean_radar_spec, rmin, rmax, cmin, cmax, RADAR, 1.0))
     return out
 
@@ -341,12 +338,11 @@ class LocalizerMetrics:
 
 
 def evaluate_localizer(predictions: list[list[FreqTimeBox]],
-                       ground_truth: list[list[FreqTimeBox]],
-                       iou_threshold: float = 0.5) -> LocalizerMetrics:
+                       ground_truth: list[list[FreqTimeBox]]) -> LocalizerMetrics:
     """Greedy one-to-one matching by descending IoU, class-aware.
 
     A truth box counts as recalled when its matched prediction reaches the
-    IoU threshold; mean_iou is over matched pairs.
+    IOU_THRESHOLD; mean_iou is over matched pairs.
     """
     if len(predictions) != len(ground_truth):
         raise InvalidParamsError("predictions and ground_truth must pair per spectrogram")
@@ -371,7 +367,7 @@ def evaluate_localizer(predictions: list[list[FreqTimeBox]],
                 continue
             used_t.add(ti)
             used_p.add(pi)
-            if v >= iou_threshold:
+            if v >= IOU_THRESHOLD:
                 n_matched += 1
                 matched_ious.append(v)
     recall = n_matched / n_truth if n_truth else 1.0

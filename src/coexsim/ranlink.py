@@ -27,48 +27,18 @@ MCS_MAX = 28
 WINDOW_S = 0.01  # default KPM reporting period, which is also the I/Q capture length
 
 
-@dataclass(frozen=True)
-class McsTable:
-    """Spectral efficiency and required SINR per MCS index 0..28.
+# LTE-shaped MCS table, indexed by MCS 0..28: spectral efficiency climbs
+# 0.15 to 5.55 bits/symbol equivalent, and the required SINR is linear in
+# the index from -6 to +22 dB.
+SPECTRAL_EFFICIENCY = 0.15 + np.arange(MCS_MAX + 1) * (5.55 - 0.15) / MCS_MAX
+SINR_REQUIRED_DB = -6.0 + np.arange(MCS_MAX + 1) * 1.0
 
-    LTE-shaped constants: efficiency climbs 0.15 to 5.55 bits/symbol
-    equivalent, required SINR is linear in the index from -6 to +22 dB.
-    """
 
-    spectral_efficiency: np.ndarray
-    sinr_required_db: np.ndarray
-
-    @classmethod
-    def default(cls) -> "McsTable":
-        idx = np.arange(MCS_MAX + 1)
-        return cls(
-            spectral_efficiency=0.15 + idx * (5.55 - 0.15) / MCS_MAX,
-            sinr_required_db=-6.0 + idx * 1.0,
-        )
-
-    def __post_init__(self):
-        eff = np.asarray(self.spectral_efficiency, dtype=float)
-        req = np.asarray(self.sinr_required_db, dtype=float)
-        if eff.size != MCS_MAX + 1 or req.size != MCS_MAX + 1:
-            raise InvalidParamsError("MCS table must have 29 entries")
-        if not np.all(np.diff(eff) > 0):
-            raise InvalidParamsError("spectral efficiency must be strictly increasing")
-        if not np.all(np.diff(req) >= 0):
-            raise InvalidParamsError("required SINR must be non-decreasing")
-        object.__setattr__(self, "spectral_efficiency", eff)
-        object.__setattr__(self, "sinr_required_db", req)
-
-    def efficiency(self, mcs: int) -> float:
-        return float(self.spectral_efficiency[self._check(mcs)])
-
-    def required_sinr_db(self, mcs: int) -> float:
-        return float(self.sinr_required_db[self._check(mcs)])
-
-    @staticmethod
-    def _check(mcs: int) -> int:
-        if not MCS_MIN <= mcs <= MCS_MAX:
-            raise InvalidParamsError(f"mcs {mcs} outside {MCS_MIN}..{MCS_MAX}")
-        return int(mcs)
+def check_mcs(mcs: int) -> int:
+    """``mcs`` as an index into the MCS table; out of range raises."""
+    if not MCS_MIN <= mcs <= MCS_MAX:
+        raise InvalidParamsError(f"mcs {mcs} outside {MCS_MIN}..{MCS_MAX}")
+    return int(mcs)
 
 
 @dataclass(frozen=True)
@@ -187,13 +157,11 @@ class UplinkSimulator:
     pure function of the step inputs and the seed.
     """
 
-    def __init__(self, link: LinkConfig = LinkConfig(), period_s: float = WINDOW_S,
-                 mcs_table: McsTable | None = None):
+    def __init__(self, link: LinkConfig = LinkConfig(), period_s: float = WINDOW_S):
         if not period_s > 0:
             raise InvalidParamsError(f"period_s must be > 0, got {period_s}")
         self.link = link
         self.period_s = period_s
-        self.mcs_table = mcs_table or McsTable.default()
         self.t_s = 0.0
         self.backlog_bits = 0.0
 
@@ -201,7 +169,7 @@ class UplinkSimulator:
              profile: RadarInterferenceProfile,
              offered_load_mbps: float, seed=None) -> KpmRecord:
         link = self.link
-        mcs = McsTable._check(mcs)
+        mcs = check_mcs(mcs)
         prb_mask = np.asarray(prb_mask, dtype=bool)
         if prb_mask.size != link.n_prbs:
             raise InvalidParamsError("prb_mask length != n_prbs")
@@ -225,11 +193,11 @@ class UplinkSimulator:
         # Means as sum / count: numpy's own np.mean arithmetic, without its
         # per-call dispatch.
         sinr_active = sinr_eff_db[prb_mask]
-        required = self.mcs_table.required_sinr_db(mcs)
+        required = float(SINR_REQUIRED_DB[mcs])
         per_prb_bler = _logistic(link.bler_slope * (required - sinr_active))
         bler = float(per_prb_bler.sum() / n_active)
 
-        capacity_mbps = (self.mcs_table.efficiency(mcs) * n_active
+        capacity_mbps = (float(SPECTRAL_EFFICIENCY[mcs]) * n_active
                          * link.prb_bandwidth_hz * link.symbol_overhead
                          * (1.0 - bler)) / 1e6
         throughput = min(offered_load_mbps, capacity_mbps)

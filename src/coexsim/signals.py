@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -32,6 +33,7 @@ COMBINED_DBM_MHZ = -109.0  # regulatory cap on cellular + noise density
 
 PULSE_WIDTH_RANGE_S = (13e-6, 52e-6)
 PRR_RANGE_HZ = (500.0, 1100.0)
+OCCUPIED_REL_FLOOR_DB = -20.0  # occupied bins lie within this of the peak bin
 
 
 def dbm_to_linear(dbm: float) -> float:
@@ -77,7 +79,7 @@ class IqBuffer:
 
 @dataclass(frozen=True)
 class RadarParams:
-    """Pulsed CW radar burst description (unmodulated fixed-frequency pulses)."""
+    """Pulsed CW radar burst description (unit-amplitude fixed-frequency pulses)."""
 
     pulse_width_s: float
     prr_hz: float
@@ -85,10 +87,17 @@ class RadarParams:
     burst_length_s: float
     center_offset_hz: float = 0.0
     doppler_shift_hz: float = 0.0
-    amplitude: float = 1.0
     burst_start_s: float = 0.0  # pulse-train phase within the burst period
 
     def validate(self, sample_rate_hz: float) -> None:
+        for name in ("pulse_width_s", "prr_hz", "burst_length_s", "center_offset_hz",
+                     "doppler_shift_hz", "burst_start_s"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, str)) or not math.isfinite(value):
+                raise InvalidParamsError(f"{name} must be a finite number, not {value!r}")
+        count = self.pulses_per_burst
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise InvalidParamsError(f"pulses_per_burst must be an integer, not {count!r}")
         lo, hi = PULSE_WIDTH_RANGE_S
         if not lo <= self.pulse_width_s <= hi:
             raise InvalidParamsError(
@@ -100,8 +109,6 @@ class RadarParams:
             raise InvalidParamsError("pulses_per_burst must be >= 0")
         if self.burst_length_s <= 0:
             raise InvalidParamsError("burst_length_s must be > 0")
-        if self.amplitude < 0:
-            raise InvalidParamsError("amplitude must be >= 0")
         if self.burst_start_s < 0:
             raise InvalidParamsError("burst_start_s must be >= 0")
         if self.pulses_per_burst / self.prr_hz > self.burst_length_s:
@@ -176,17 +183,15 @@ class SinrSpec:
                 raise InvalidParamsError(f"{name} must be finite or -inf")
 
     @classmethod
-    def from_target(cls, target_sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ,
-                    cellular_to_noise_db: float = 0.0) -> "SinrSpec":
+    def from_target(cls, target_sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ
+                    ) -> "SinrSpec":
         """Build a spec for a target SINR against a fixed combined floor.
 
-        The combined cellular+noise density is split so that
-        ``p_cellular - p_noise == cellular_to_noise_db`` while their linear
-        sum equals ``combined_dbm_mhz`` exactly.
+        The combined cellular+noise density is split equally between the two,
+        so their linear sum equals ``combined_dbm_mhz`` exactly.
         """
-        chi = dbm_to_linear(cellular_to_noise_db)
         lin_combined = dbm_to_linear(combined_dbm_mhz)
-        lin_noise = lin_combined / (1.0 + chi)
+        lin_noise = lin_combined / 2.0
         return cls(
             p_radar_dbm_mhz=combined_dbm_mhz + target_sinr_db,
             p_cellular_dbm_mhz=linear_to_db(lin_combined - lin_noise),
@@ -216,7 +221,7 @@ def gen_radar_pulse_train(params: RadarParams, duration_s: float,
         raise InvalidParamsError("duration_s must cover at least one burst period")
     n = int(round(duration_s * sample_rate_hz))
     x = np.zeros(n, dtype=np.complex128)
-    if params.pulses_per_burst == 0 or params.amplitude == 0.0:
+    if params.pulses_per_burst == 0:
         return IqBuffer(x, sample_rate_hz)
 
     pulse_n = int(round(params.pulse_width_s * sample_rate_hz))
@@ -231,7 +236,7 @@ def gen_radar_pulse_train(params: RadarParams, duration_s: float,
                 break
             s1 = min(s0 + pulse_n, n)
             t = np.arange(s0, s1) / sample_rate_hz
-            x[s0:s1] = params.amplitude * np.exp(2j * np.pi * f * t)
+            x[s0:s1] = np.exp(2j * np.pi * f * t)
         burst += 1
     return IqBuffer(x, sample_rate_hz)
 
@@ -334,14 +339,14 @@ def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float
     return band_power / width_mhz
 
 
-def _occupied_density(iq: IqBuffer, rel_floor_db: float = -20.0) -> tuple[float, float]:
-    """(density per MHz, occupied bandwidth Hz) over bins within rel_floor_db of peak."""
+def _occupied_density(iq: IqBuffer) -> tuple[float, float]:
+    """(density per MHz, occupied bandwidth Hz) over bins within OCCUPIED_REL_FLOOR_DB of peak."""
     n = iq.n_samples
     p_bins = np.abs(np.fft.fft(iq.samples)) ** 2 / (n * n)
     peak = p_bins.max()
     if peak <= 0.0:
         return 0.0, 0.0
-    occ = p_bins >= peak * 10.0 ** (rel_floor_db / 10.0)
+    occ = p_bins >= peak * 10.0 ** (OCCUPIED_REL_FLOOR_DB / 10.0)
     bw_hz = occ.sum() * iq.sample_rate_hz / n
     density = float(p_bins[occ].sum()) / (bw_hz / 1e6)
     return density, float(bw_hz)

@@ -1,7 +1,7 @@
 """STFT spectrograms of I/Q buffers for time-frequency signal localization.
 
 Columns are DC-centered (row 0 is -fs/2, row fft_size/2 is DC) and stored as
-linear power clamped at a configurable floor, in a C-order ``[freq, time]``
+linear power clamped at POWER_FLOOR_DB, in a C-order ``[freq, time]``
 matrix as both ``stft_spectrogram`` and ``load_spectrogram`` produce it, so
 row passes run over contiguous memory.  The dB form is derived where a
 spectrogram is written, read or drawn.  Linear column energy is normalized so
@@ -22,6 +22,8 @@ from .signals import IqBuffer
 
 WINDOW_RECTANGULAR = "rectangular"
 WINDOW_HANN = "hann"
+POWER_FLOOR_DB = -120.0  # STFT power clamp, which keeps the dB form finite
+PGM_DB_RANGE = (-120.0, -20.0)  # save_pgm's black and white levels
 
 # Frames per block of the STFT's transposed write.  128 frames of 1024 bins
 # are 1 MB, half a 2 MB L2 cache; of 48, 64, 128 and 256 it was the fastest.
@@ -33,7 +35,6 @@ class StftConfig:
     fft_size: int = 1024
     hop: int | None = None  # None -> fft_size (non-overlapping)
     window: str = WINDOW_HANN
-    power_floor_db: float = -120.0
 
     def __post_init__(self):
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
@@ -103,7 +104,7 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
 
     # Square, scale and clamp one cache-sized block of frames at a time and
     # write it transposed, with fftshift's half swap, into C-order [freq, time].
-    floor_lin = 10.0 ** (config.power_floor_db / 10.0)
+    floor_lin = 10.0 ** (POWER_FLOOR_DB / 10.0)
     half = fft_size // 2
     power = np.empty((fft_size, magnitude.shape[0]))
     for t0 in range(0, magnitude.shape[0], _BLOCK_FRAMES):
@@ -163,9 +164,9 @@ def load_spectrogram(path) -> tuple[Spectrogram, dict]:
     return spec, meta
 
 
-def save_pgm(path, spec: Spectrogram, db_min: float = -120.0, db_max: float = -20.0) -> None:
+def save_pgm(path, spec: Spectrogram) -> None:
     """Binary PGM grayscale export for visual inspection (freq rows, top = +fs/2)."""
-    img = spectrogram_to_image(spec, db_min, db_max)
+    img = spectrogram_to_image(spec, *PGM_DB_RANGE)
     pixels = (img[::-1, :] * 255).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
     with open(str(path), "wb") as fh:

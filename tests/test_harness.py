@@ -1,4 +1,6 @@
+from dataclasses import replace
 import inspect
+import math
 import re
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from coexsim.harness.evaluate import (
     pooled_localizer_metrics,
 )
 from coexsim.harness.scenario import (
+    POLICIES,
     POLICY_BASELINE,
     POLICY_FULL,
     RadarWindow,
@@ -33,7 +36,7 @@ from coexsim.harness.scenario import (
     scenario_from_yaml,
 )
 from coexsim.fileio import read_csv
-from coexsim.ranlink import read_kpm_csv
+from coexsim.ranlink import LinkConfig, read_kpm_csv
 from coexsim.signals import DEFAULT_SAMPLE_RATE_HZ, RadarParams, SinrSpec
 
 
@@ -280,6 +283,15 @@ class TestScenario:
         ({"n_stack": 1.5}, "n_stack must be an integer, not 1.5"),
         ({"guard_prbs": True}, "guard_prbs must be an integer, not True"),
         ({"seed": 3.0}, "seed must be an integer, not 3.0"),
+        ({"coupling_db": "52"}, "coupling_db must be a finite number, not '52'"),
+        ({"sinr_schedule": [(0.0, "8")]}, r"sinr_schedule\[0\].sinr_db must be a finite"),
+        ({"offered_load_range_mbps": (1.0, np.inf)},
+         r"offered_load_range_mbps\[1\] must be a finite number, not inf"),
+        ({"offered_load_range_mbps": (True, 5.0)}, r"offered_load_range_mbps\[0\]"),
+        ({"duration_s": "0.1"}, "duration_s must be a finite number, not '0.1'"),
+        ({"telemetry_period_s": np.nan}, "telemetry_period_s must be a finite number"),
+        ({"link": LinkConfig(base_sinr_db="35")}, "link.base_sinr_db must be a finite"),
+        ({"link": LinkConfig(sinr_jitter_db=np.inf)}, "link.sinr_jitter_db must be a finite"),
     ])
     def test_python_built_bad_number_rejected_by_name(self, kwargs, message):
         sc = ScenarioConfig(**{"duration_s": 0.1, "policy": POLICY_BASELINE, **kwargs})
@@ -287,6 +299,19 @@ class TestScenario:
             sc.validate()
         with pytest.raises(InvalidConfigError, match=message):
             run_scenario(sc, None)
+
+    @pytest.mark.parametrize("field, value", [
+        ("center_offset_hz", np.nan), ("doppler_shift_hz", np.nan), ("burst_start_s", np.nan),
+        ("burst_length_s", np.nan), ("pulses_per_burst", 2.5),
+    ])
+    def test_python_built_bad_radar_number_rejected_by_name(self, small_model, field, value):
+        params = replace(SCENARIO_PARAMS, **{field: value})
+        sc = ScenarioConfig(duration_s=0.1, radar_schedule=[RadarWindow(0.0, 0.05, params)])
+        message = rf"radar_schedule\[0\]: {field} must be"
+        with pytest.raises(InvalidConfigError, match=message):
+            sc.validate()
+        with pytest.raises(InvalidConfigError, match=message):
+            run_scenario(sc, small_model)
 
     @pytest.mark.parametrize("duration_s, period_s", [(0.16, 0.01), (0.3, 0.1), (0.7, 0.1)])
     def test_rounded_whole_windows_accepted(self, duration_s, period_s):
@@ -304,6 +329,56 @@ class TestScenario:
         assert out.summary["n_windows"] == n_windows
         expected = [(k + 1) * period_s for k in range(n_windows)]
         assert [r.t_s for r in out.records] == pytest.approx(expected, rel=1e-9)
+
+    # Each example sets at most one drawn number to a value no number check
+    # accepts.  LinkConfig itself rejects a NaN, negative or string jitter
+    # when it is built, so the jitter takes only the others.
+    _INVALID = [np.nan, np.inf, -np.inf, "8", True]
+    _DRAWN = ["link.base_sinr_db", "link.sinr_jitter_db", "sinr_schedule[0].sinr_db",
+              "sinr_schedule[1].t_start_s", "sinr_schedule[1].sinr_db",
+              "offered_load_range_mbps[0]", "offered_load_range_mbps[1]"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(policy=st.sampled_from(POLICIES), n_windows=st.integers(1, 5),
+           radar_on=st.integers(0, 5), radar_len=st.integers(1, 5),
+           base_sinr=st.floats(-10.0, 50.0) | st.just(1.5), jitter=st.floats(0.0, 3.0),
+           sinrs=st.tuples(st.floats(-10.0, 20.0), st.floats(-10.0, 20.0)),
+           step_frac=st.floats(0.0, 1.2),
+           load_low=st.just(0.0) | st.floats(0.0, 10.0),
+           load_width=st.just(0.0) | st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32),
+           bad=st.none() | st.tuples(st.sampled_from(_DRAWN), st.sampled_from(_INVALID)).filter(
+               lambda b: b[0] != "link.sinr_jitter_db" or b[1] in (np.inf, True)))
+    def test_validated_config_runs_to_completion(self, small_model, policy, n_windows,
+                                                 radar_on, radar_len, base_sinr, jitter, sinrs,
+                                                 step_frac, load_low, load_width, seed, bad):
+        period = 0.01
+        duration = n_windows * period
+        values = dict(zip(self._DRAWN, (base_sinr, jitter, sinrs[0], step_frac * duration,
+                                        sinrs[1], load_low, load_low + load_width)))
+        if bad is not None:
+            values[bad[0]] = bad[1]
+        base_sinr, jitter, sinr0, t_step, sinr1, load_low, load_high = values.values()
+        radar = []
+        if radar_on < n_windows:
+            radar = [RadarWindow(radar_on * period, min(radar_on + radar_len, n_windows) * period,
+                                 SCENARIO_PARAMS)]
+        sc = ScenarioConfig(
+            duration_s=duration, policy=policy, radar_schedule=radar, seed=seed,
+            link=LinkConfig(base_sinr_db=base_sinr, sinr_jitter_db=jitter),
+            sinr_schedule=[(0.0, sinr0), (t_step, sinr1)],
+            offered_load_range_mbps=(load_low, load_high))
+        try:
+            out = run_scenario(sc, None if policy == POLICY_BASELINE else small_model)
+        except InvalidConfigError as exc:
+            # a valid draw fails only on a step that starts after the run ends
+            names = [bad[0]] if bad else ["sinr_schedule entry outside duration"]
+            assert any(name in str(exc) for name in names), str(exc)
+            return
+        assert bad is None
+        assert len(out.records) == n_windows
+        for r in out.records:
+            assert all(math.isfinite(x) for x in (r.t_s, r.throughput_mbps, r.bler_pct,
+                                                  r.mcs, r.bsr_bytes, r.sinr_db))
 
 
 class TestYamlConfig:
@@ -392,6 +467,30 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("error: InvalidParamsError:")
         assert len(r.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_error_line_on_non_finite_learning_rate(self, kpm_dataset, tmp_path, capsys, rate):
+        model_path = tmp_path / "m.npz"
+        assert cli.main(["train-detector", "--data", str(kpm_dataset), "--out",
+                         str(model_path), "--learning-rate", rate]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParamsError: learning_rate must be finite")
+        assert len(err.strip().splitlines()) == 1
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_error_line_on_non_finite_model(self, small_model, kpm_dataset, tmp_path, capsys,
+                                            value):
+        weights = [w.copy() for w in small_model.weights]
+        weights[0][0, 0] = value
+        model_path = tmp_path / "m.npz"
+        replace(small_model, weights=weights).save(model_path)
+        assert cli.main(["eval-detector", "--model", str(model_path),
+                         "--data", str(kpm_dataset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParamsError: model file")
+        assert "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_error_line_on_list_root_config(self, tmp_path):
         yaml_path = tmp_path / "list.yaml"

@@ -8,11 +8,13 @@ from coexsim.errors import InvalidParamsError
 from coexsim.ranlink import (
     KpmRecord,
     LinkConfig,
-    McsTable,
     RadarInterferenceProfile,
+    SINR_REQUIRED_DB,
+    SPECTRAL_EFFICIENCY,
     UplinkSimulator,
     _logistic,
     apply_prb_mask,
+    check_mcs,
     radar_psd_per_prb,
     read_kpm_csv,
     write_kpm_csv,
@@ -40,17 +42,17 @@ def numeric_prb_psd_oracle(params, link, duration=10e-3):
 
 class TestMcsTable:
     def test_shape_and_monotonicity(self):
-        t = McsTable.default()
-        assert t.efficiency(0) == pytest.approx(0.15)
-        assert t.efficiency(28) == pytest.approx(5.55)
-        assert t.required_sinr_db(0) == -6.0
-        assert t.required_sinr_db(28) == 22.0
-        assert np.all(np.diff(t.spectral_efficiency) > 0)
-        assert np.all(np.diff(t.sinr_required_db) >= 0)
+        assert SPECTRAL_EFFICIENCY.size == SINR_REQUIRED_DB.size == 29
+        assert SPECTRAL_EFFICIENCY[0] == pytest.approx(0.15)
+        assert SPECTRAL_EFFICIENCY[28] == pytest.approx(5.55)
+        assert SINR_REQUIRED_DB[0] == -6.0
+        assert SINR_REQUIRED_DB[28] == 22.0
+        assert np.all(np.diff(SPECTRAL_EFFICIENCY) > 0)
+        assert np.all(np.diff(SINR_REQUIRED_DB) >= 0)
 
     def test_bad_index(self):
         with pytest.raises(InvalidParamsError):
-            McsTable.default().efficiency(29)
+            check_mcs(29)
 
 
 class TestRadarPsdPerPrb:
@@ -229,10 +231,10 @@ def np_mean_step(sim, mcs, prb_mask, profile, offered_load_mbps, seed):
         sim.backlog_bits += offered_load_mbps * 1e6 * sim.period_s
         sim.t_s += sim.period_s
         return KpmRecord(sim.t_s, 0.0, 0.0, mcs, int(sim.backlog_bits / 8), base_db)
-    required = sim.mcs_table.required_sinr_db(mcs)
+    required = float(SINR_REQUIRED_DB[mcs])
     per_prb_bler = _logistic(link.bler_slope * (required - sinr_eff_db[active]))
     bler = float(np.mean(per_prb_bler))
-    capacity_mbps = (sim.mcs_table.efficiency(mcs) * n_active
+    capacity_mbps = (float(SPECTRAL_EFFICIENCY[mcs]) * n_active
                      * link.prb_bandwidth_hz * link.symbol_overhead
                      * (1.0 - bler)) / 1e6
     throughput = min(offered_load_mbps, capacity_mbps)

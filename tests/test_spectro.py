@@ -7,6 +7,7 @@ from coexsim.errors import InvalidParamsError, TooShortInputError
 from coexsim.signals import IqBuffer, gen_awgn
 from coexsim.spectro import (
     _BLOCK_FRAMES,
+    POWER_FLOOR_DB,
     Spectrogram,
     StftConfig,
     load_spectrogram,
@@ -105,7 +106,7 @@ def gathered_stft_db(samples, config):
     frames = samples[idx] * config.window_values()[None, :]
     power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / fft_size
     power = np.fft.fftshift(power, axes=1).T
-    return 10.0 * np.log10(np.maximum(power, 10.0 ** (config.power_floor_db / 10.0)))
+    return 10.0 * np.log10(np.maximum(power, 10.0 ** (POWER_FLOOR_DB / 10.0)))
 
 
 class TestStridedFraming:
@@ -134,7 +135,7 @@ def shifted_power(samples, config):
     frames = sliding_window_view(samples, fft_size)[::config.hop_size]
     spectra = np.fft.fft(frames * config.window_values(), axis=1)
     power = np.fft.fftshift(np.abs(spectra) ** 2 / fft_size, axes=1).T
-    return np.maximum(power, 10.0 ** (config.power_floor_db / 10.0))
+    return np.maximum(power, 10.0 ** (POWER_FLOOR_DB / 10.0))
 
 
 class TestBlockedLayout:
