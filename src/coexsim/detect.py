@@ -17,6 +17,7 @@ from pathlib import Path
 import zipfile
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateDatasetError,
@@ -56,16 +57,19 @@ def record_features(record: KpmRecord) -> np.ndarray:
                      float(record.mcs), float(record.bsr_bytes)])
 
 
-def window_kpms(records: list[KpmRecord], n_stack: int) -> list[KpmWindow]:
-    """Sliding windows over the record stream; first output after N records."""
+def window_kpms(features: np.ndarray, n_stack: int) -> np.ndarray:
+    """Sliding windows over ``[records, N_FEATURES]`` feature rows, as a read-only
+    strided view ``[records - n_stack + 1, n_stack * N_FEATURES]``; row r
+    stacks records r .. r + n_stack - 1, oldest first."""
     if n_stack < 1:
         raise InvalidParamsError("n_stack must be >= 1")
-    feats = [record_features(r) for r in records]
-    out = []
-    for end in range(n_stack, len(feats) + 1):
-        stacked = np.concatenate(feats[end - n_stack:end])
-        out.append(KpmWindow(stacked, n_stack))
-    return out
+    features = np.ascontiguousarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != N_FEATURES:
+        raise InvalidParamsError(f"features must be [records, {N_FEATURES}]")
+    width = n_stack * N_FEATURES
+    if features.shape[0] < n_stack:
+        return np.empty((0, width))
+    return sliding_window_view(features.reshape(-1), width)[::N_FEATURES]
 
 
 @dataclass
@@ -226,19 +230,24 @@ def _init_params(layer_sizes, rng):
     return weights, biases
 
 
-def train_detector(windows: list[KpmWindow], labels, config: TrainConfig = TrainConfig()
+def train_detector(x: np.ndarray, labels, config: TrainConfig = TrainConfig()
                    ) -> TrainResult:
-    """Shuffle, split, fit normalization on the training split, run RMSprop."""
+    """Shuffle, split, fit normalization on the training split, run RMSprop.
+
+    ``x`` holds one stacked window per row, ``[windows, n_stack * N_FEATURES]``.
+    """
+    x = np.asarray(x, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if len(windows) != y.size:
+    if x.ndim != 2 or x.shape[0] != y.size:
         raise InvalidParamsError("windows and labels length mismatch")
+    if not np.isfinite(x).all():
+        raise InvalidParamsError("window features must be finite")
     if len(set(y.tolist())) < 2:
         raise DegenerateDatasetError("training data must contain both classes")
     if y.size < 2 * config.batch_size:
         raise DegenerateDatasetError(
             f"need at least {2 * config.batch_size} windows, got {y.size}")
 
-    x = np.stack([w.features for w in windows])
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(y.size)
     x, y = x[order], y[order]

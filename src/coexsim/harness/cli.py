@@ -102,12 +102,12 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_train_detector(args) -> int:
-    windows, labels, _ = load_kpm_windows(args.data, args.n_stack)
+    x, labels, _ = load_kpm_windows(args.data, args.n_stack)
     cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
-    result = train_detector(windows, labels, cfg)
+    result = train_detector(x, labels, cfg)
     result.model.save(args.out)
-    print(f"trained on {len(windows)} windows (n_stack={args.n_stack}): "
+    print(f"trained on {len(x)} windows (n_stack={args.n_stack}): "
           f"train acc {result.train_accuracy:.4f}, "
           f"val acc {result.val_accuracy:.4f}")
     print(f"wrote model to {args.out}")

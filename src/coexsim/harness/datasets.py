@@ -27,10 +27,9 @@ from ..ranlink import (
     UplinkSimulator,
     WINDOW_S,
     radar_psd_per_prb,
-    read_kpm_csv,
     write_kpm_csv,
 )
-from ..detect import KpmWindow, window_kpms
+from ..detect import KPM_FEATURES, window_kpms
 from ..fileio import read_csv, write_csv, write_sidecar
 from ..signals import COMBINED_DBM_MHZ, RadarParams, SinrSpec, dbm_to_linear, sensing_capture
 from ..spectro import StftConfig, save_spectrogram, load_spectrogram, stft_spectrogram
@@ -141,27 +140,43 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
     return out_dir
 
 
+def _read_columns(path: Path, names) -> np.ndarray:
+    """The named columns of a CSV file that ``write_csv`` wrote, as ``[rows, names]`` floats."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise InvalidParamsError(f"{path} lacks the column(s) {', '.join(missing)}")
+        return np.loadtxt(fh, delimiter=",", usecols=[header.index(n) for n in names],
+                          ndmin=2)
+
+
 def load_kpm_windows(dataset_dir, n_stack: int
-                     ) -> tuple[list[KpmWindow], np.ndarray, np.ndarray]:
-    """(windows, labels, per-window sweep SINR); windows stay inside items."""
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(windows ``[n, n_stack * N_FEATURES]``, labels, per-window sweep SINR).
+
+    The records' features parse once into one ``[records, N_FEATURES]``
+    matrix; each window is a row of its strided view that starts and ends
+    inside one item.
+    """
     dataset_dir = Path(dataset_dir)
     data_path = dataset_dir / KPM_DATA_FILE
     items_path = dataset_dir / ITEMS_FILE
     if not data_path.exists() or not items_path.exists():
         raise MissingDataError(f"no KPM dataset in {dataset_dir}")
-    records, labels = read_kpm_csv(data_path)
-    windows: list[KpmWindow] = []
-    out_labels: list[int] = []
-    out_sinr: list[float] = []
-    for row in read_csv(items_path):
-        start = int(row["row_start"])
-        n = int(row["n_records"])
-        item_records = records[start:start + n]
-        for w in window_kpms(item_records, n_stack):
-            windows.append(w)
-            out_labels.append(int(row["label"]))
-            out_sinr.append(float(row["sinr_db"]))
-    return windows, np.asarray(out_labels), np.asarray(out_sinr)
+    features = _read_columns(data_path, KPM_FEATURES)
+    for name, column in zip(KPM_FEATURES, features.T):
+        if not np.isfinite(column).all():
+            raise InvalidParamsError(f"{data_path}: {name} holds a non-finite value")
+    items = _read_columns(items_path, ["row_start", "n_records", "sinr_db", "label"])
+    row_start, n_records = items[:, 0].astype(int), items[:, 1].astype(int)
+    if np.any(row_start + n_records > len(features)):
+        raise InvalidParamsError(f"{items_path} names records past the end of {data_path}")
+    counts = np.maximum(n_records - n_stack + 1, 0)
+    first = np.repeat(row_start - (np.cumsum(counts) - counts), counts)
+    starts = first + np.arange(first.size)
+    windows = window_kpms(features, n_stack)[starts]
+    return windows, np.repeat(items[:, 3].astype(int), counts), np.repeat(items[:, 2], counts)
 
 
 @dataclass(frozen=True)
@@ -230,8 +245,9 @@ def gen_spectrogram_dataset(out_dir,
     return out_dir
 
 
-def load_spectrogram_items(dataset_dir):
-    """Yields (file_id, sinr_db, has_radar, Spectrogram, truth boxes)."""
+def load_spectrogram_items(dataset_dir, keep=lambda sinr_db, has_radar: True):
+    """Yields (file_id, sinr_db, has_radar, Spectrogram, truth boxes) for each
+    item that ``keep(sinr_db, has_radar)`` accepts; it loads no other."""
     dataset_dir = Path(dataset_dir)
     items_path = dataset_dir / ITEMS_FILE
     if not items_path.exists():
@@ -243,6 +259,7 @@ def load_spectrogram_items(dataset_dir):
             truth_by_id.setdefault(file_id, []).append(box)
     for row in read_csv(items_path):
         file_id = row["file_id"]
-        sgram, _ = load_spectrogram(dataset_dir / "specs" / f"{file_id}.bin")
-        yield (file_id, float(row["sinr_db"]), bool(int(row["has_radar"])),
-               sgram, truth_by_id.get(file_id, []))
+        sinr_db, has_radar = float(row["sinr_db"]), bool(int(row["has_radar"]))
+        if keep(sinr_db, has_radar):
+            sgram, _ = load_spectrogram(dataset_dir / "specs" / f"{file_id}.bin")
+            yield file_id, sinr_db, has_radar, sgram, truth_by_id.get(file_id, [])

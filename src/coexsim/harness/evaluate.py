@@ -23,11 +23,10 @@ class DetectorEvalRow:
 def eval_detector(model: ClassifierModel, dataset_dir, n_stack: int
                   ) -> list[DetectorEvalRow]:
     """Accuracy per sweep SINR point (radar and clean windows pooled)."""
-    windows, labels, sinrs = load_kpm_windows(dataset_dir, n_stack)
-    if not windows:
+    x, labels, sinrs = load_kpm_windows(dataset_dir, n_stack)
+    if not len(x):
         raise MissingDataError("dataset produced no windows")
-    preds = radar_present(model.predict_proba(np.stack([w.features for w in windows])))
-    labels = np.asarray(labels)
+    preds = radar_present(model.predict_proba(x))
     rows = []
     for sinr in sorted(set(sinrs.tolist())):
         sel = sinrs == sinr
@@ -70,11 +69,10 @@ def eval_localizer(dataset_dir, config: LocalizerConfig = LocalizerConfig()
 
 def pooled_localizer_metrics(dataset_dir, config: LocalizerConfig = LocalizerConfig(),
                              min_sinr_db: float = float("-inf")):
-    """Metrics over all items at or above min_sinr_db."""
+    """Metrics over the radar items at or above min_sinr_db; loads no other item."""
     preds, truths = [], []
-    for _, sinr, has_radar, sgram, truth in load_spectrogram_items(dataset_dir):
-        if sinr < min_sinr_db or not has_radar:
-            continue
+    for _, _, _, sgram, truth in load_spectrogram_items(
+            dataset_dir, lambda sinr, has_radar: has_radar and not sinr < min_sinr_db):
         preds.append([b for b in localize(sgram, config) if b.label == RADAR])
         truths.append(truth)
     if not preds:

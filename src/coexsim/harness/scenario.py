@@ -42,7 +42,7 @@ from ..control import (
     map_extent_to_prbs,
     write_command_log,
 )
-from ..detect import ClassifierModel, Detection, KpmWindow, infer, record_features
+from ..detect import N_FEATURES, ClassifierModel, Detection, KpmWindow, infer, record_features
 from ..errors import InvalidConfigError, InvalidParamsError, MissingModelError
 from ..fileio import write_sidecar
 from ..localize import localize
@@ -57,7 +57,7 @@ from ..ranlink import (
     radar_psd_per_prb,
     write_kpm_csv,
 )
-from ..signals import DEFAULT_SAMPLE_RATE_HZ, IqBuffer, RadarParams, sensing_capture
+from ..signals import DEFAULT_SAMPLE_RATE_HZ, IqBuffer, RadarParams, dbm_to_linear, sensing_capture
 from ..spectro import stft_spectrogram
 from .datasets import (
     COMBINED_DBM_MHZ,
@@ -114,6 +114,21 @@ class ScenarioConfig:
                 _number(bound, f"offered_load_range_mbps[{i}]")
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
+        # A level without a finite linear power overflows, or divides by zero,
+        # in the first radar window: the combined density, the coupling, and
+        # the radar's power at the base station for each scheduled SINR.
+        _level(self.combined_dbm_mhz, "combined_dbm_mhz")
+        _level(self.coupling_db, "coupling_db")
+        for i, (_, sinr) in enumerate(self.sinr_schedule):
+            try:
+                units = interference_units(sinr, self.link, self.combined_dbm_mhz,
+                                           self.coupling_db)
+            except OverflowError:
+                units = math.inf
+            if not math.isfinite(units):
+                raise InvalidConfigError(
+                    f"sinr_schedule[{i}].sinr_db {sinr} with coupling_db {self.coupling_db} "
+                    f"puts a radar power at the base station that is not finite")
         if not self.telemetry_period_s > 0:
             raise InvalidConfigError("telemetry_period_s must be > 0")
         n_windows = self.duration_s / self.telemetry_period_s
@@ -266,8 +281,13 @@ def _decide(controller, detector, recent, boxes, bler_pct):
 def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> ScenarioResult:
     """Run the closed loop; returns metrics and writes logs when output_dir set."""
     config.validate()
-    if detector is None and config.policy != POLICY_BASELINE:
-        raise MissingModelError("control policies need a trained detector model")
+    if config.policy != POLICY_BASELINE:
+        if detector is None:
+            raise MissingModelError("control policies need a trained detector model")
+        if config.n_stack * N_FEATURES != detector.input_size:
+            raise InvalidConfigError(
+                f"n_stack {config.n_stack} stacks {config.n_stack * N_FEATURES} features, "
+                f"but the detector takes {detector.input_size}")
 
     ts = config.telemetry_period_s
     n_windows = int(round(config.duration_s / ts))
@@ -342,6 +362,17 @@ def _number(value, name: str) -> float:
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
+def _level(db: float, name: str) -> None:
+    """A dB level whose linear power is a finite, non-zero number."""
+    try:
+        linear = dbm_to_linear(db)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise InvalidConfigError(
+            f"{name} sets a level of {db} dB, which has no finite, non-zero linear power")
 
 
 def _float(value, name: str) -> float:

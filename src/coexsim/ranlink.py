@@ -102,14 +102,16 @@ class RadarInterferenceProfile:
         return cls(np.zeros(n_prbs), 0.0)
 
 
-def _sinc_sq_integral(a: float, b: float) -> float:
-    """Integral of sinc^2(x) = (sin(pi x)/(pi x))^2 over [a, b]; total mass 1."""
-    def antideriv(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        si, _ = special.sici(2.0 * np.pi * x)
-        return (si - np.sin(np.pi * x) ** 2 / (np.pi * x)) / np.pi
-    return antideriv(b) - antideriv(a)
+def _sinc_sq_antiderivative(x: float) -> float:
+    """An antiderivative of sinc^2(x) = (sin(pi x)/(pi x))^2, zero at 0; total mass 1.
+
+    Takes a scalar: numpy squares a scalar through ``pow`` and an array
+    through ``square``, which differ in the last bit for some inputs.
+    """
+    if x == 0.0:
+        return 0.0
+    si, _ = special.sici(2.0 * np.pi * x)
+    return (si - np.sin(np.pi * x) ** 2 / (np.pi * x)) / np.pi
 
 
 def radar_psd_per_prb(radar: RadarParams, p_radar_linear: float,
@@ -119,19 +121,17 @@ def radar_psd_per_prb(radar: RadarParams, p_radar_linear: float,
     ``p_radar_linear`` is the pulse-on (peak) radar power at the receiver in
     whatever linear unit the caller works in; the profile entries come out
     in the same unit.  Total mass over all frequencies equals
-    ``p_radar_linear``.
+    ``p_radar_linear``.  The antiderivative is taken once per PRB edge.
     """
     if p_radar_linear < 0:
         raise InvalidParamsError("p_radar_linear must be >= 0")
-    edges = link.prb_edges_hz()
     out = np.zeros(link.n_prbs)
     if p_radar_linear > 0.0:
         pw = radar.pulse_width_s
         fc = radar.carrier_hz
+        cdf = [_sinc_sq_antiderivative((edge - fc) * pw) for edge in link.prb_edges_hz()]
         for i in range(link.n_prbs):
-            a = (edges[i] - fc) * pw
-            b = (edges[i + 1] - fc) * pw
-            out[i] = p_radar_linear * _sinc_sq_integral(a, b)
+            out[i] = p_radar_linear * (cdf[i + 1] - cdf[i])
     return RadarInterferenceProfile(out, radar.duty_cycle())
 
 

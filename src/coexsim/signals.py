@@ -305,16 +305,26 @@ def gen_awgn(power_linear: float, duration_s: float,
     """Circularly symmetric complex Gaussian noise of the given mean power."""
     if power_linear < 0:
         raise InvalidParamsError("power_linear must be >= 0")
-    n = int(round(duration_s * sample_rate_hz))
+    x = np.zeros(int(round(duration_s * sample_rate_hz)), dtype=np.complex128)
+    _add_awgn(x, power_linear, seed)
+    return IqBuffer(x, sample_rate_hz)
+
+
+def _add_awgn(x: np.ndarray, power_linear: float, seed) -> None:
+    """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place.
+
+    The real and then the imaginary normal draws pass through one reused
+    float buffer, scaled there; ``power_linear == 0`` adds nothing.
+    """
     if power_linear == 0.0:
-        return IqBuffer(np.zeros(n, dtype=np.complex128), sample_rate_hz)
+        return
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power_linear / 2.0)
-    x = np.empty(n, dtype=np.complex128)
-    x.real = rng.standard_normal(n)
-    x.imag = rng.standard_normal(n)
-    x *= scale
-    return IqBuffer(x, sample_rate_hz)
+    half = np.empty(x.size)
+    for part in (x.real, x.imag):
+        rng.standard_normal(out=half)
+        half *= scale
+        part += half
 
 
 def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float:
@@ -328,13 +338,25 @@ def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float
     fs = iq.sample_rate_hz
     if f_high_hz <= -fs / 2 or f_low_hz >= fs / 2:
         raise EmptyBandError("band lies outside the representable spectrum")
-    n = iq.n_samples
-    if n == 0:
+    if iq.n_samples == 0:
         return 0.0
-    spectrum = np.fft.fft(iq.samples)
+    return _band_density(_fft_power(iq.samples), fs, f_low_hz, f_high_hz)
+
+
+def _fft_power(samples: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """|FFT(samples)|^2 per bin through one float array; ``overwrite`` transforms
+    ``samples`` in place."""
+    power = np.abs(np.fft.fft(samples, out=samples if overwrite else None))
+    return np.square(power, out=power)
+
+
+def _band_density(p_bins: np.ndarray, fs: float, f_low_hz: float, f_high_hz: float
+                  ) -> float:
+    """``measure_band_power`` from the squared FFT magnitudes ``p_bins``."""
+    n = p_bins.size
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
     sel = (freqs >= f_low_hz) & (freqs < f_high_hz)
-    band_power = float(np.sum(np.abs(spectrum[sel]) ** 2)) / (n * n)
+    band_power = float(np.sum(p_bins[sel])) / (n * n)
     width_mhz = (f_high_hz - f_low_hz) / 1e6
     return band_power / width_mhz
 
@@ -342,7 +364,8 @@ def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float
 def _occupied_density(iq: IqBuffer) -> tuple[float, float]:
     """(density per MHz, occupied bandwidth Hz) over bins within OCCUPIED_REL_FLOOR_DB of peak."""
     n = iq.n_samples
-    p_bins = np.abs(np.fft.fft(iq.samples)) ** 2 / (n * n)
+    p_bins = _fft_power(iq.samples)
+    p_bins /= n * n
     peak = p_bins.max()
     if peak <= 0.0:
         return 0.0, 0.0
@@ -353,9 +376,9 @@ def _occupied_density(iq: IqBuffer) -> tuple[float, float]:
 
 
 def _radar_peak_density(iq: IqBuffer) -> tuple[float, np.ndarray]:
-    """Pulse-on power density in the 1 MHz reference bandwidth, plus the on-mask."""
-    on = iq.samples != 0
-    if not on.any():
+    """Pulse-on power density in the 1 MHz reference bandwidth, plus the on-sample indices."""
+    on = np.flatnonzero(iq.samples)
+    if not on.size:
         return 0.0, on
     on_power = float(np.mean(np.abs(iq.samples[on]) ** 2))
     return on_power / (RADAR_REF_BANDWIDTH_HZ / 1e6), on
@@ -369,30 +392,17 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     equals p_radar; cellular so its occupied-band density equals p_cellular;
     fresh AWGN is generated at p_noise over the full sample bandwidth.  The
     returned SINR is re-measured from the scaled components, not the nominal
-    target; ``measure_achieved=False`` skips that verification pass (several
+    target; ``measure_achieved=False`` skips that verification pass (three
     full-length FFTs) and returns NaN instead, for hot loops that only need
-    the waveform.
+    the waveform.  The mix is built in one array: the scaled cellular, then
+    the scaled radar on its support, then the noise.
     """
     if radar.sample_rate_hz != cellular.sample_rate_hz:
         raise InvalidParamsError("component sample rates differ")
     if radar.n_samples != cellular.n_samples:
         raise InvalidParamsError("component durations differ")
     fs = radar.sample_rate_hz
-    fs_mhz = fs / 1e6
-    duration_s = radar.duration_s
-
-    noise_density = dbm_to_linear(spec.p_noise_dbm_mhz)
-    noise = gen_awgn(noise_density * fs_mhz, duration_s, fs, seed)
-
-    radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
-    radar_scaled = np.zeros(radar.n_samples, dtype=np.complex128)
-    if radar_target > 0.0:
-        d_now, on = _radar_peak_density(radar)
-        if d_now == 0.0:
-            raise SilentComponentError("radar component has zero power but p_radar is finite")
-        radar_scaled[on] = radar.samples[on] * np.sqrt(radar_target / d_now)
-    else:
-        on = np.zeros(radar.n_samples, dtype=bool)
+    n = radar.n_samples
 
     cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
     if cell_target > 0.0:
@@ -401,36 +411,46 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
             d_now, _ = _occupied_density(cellular)
         if d_now == 0.0:
             raise SilentComponentError("cellular component has zero power but p_cellular is finite")
-        cell_scaled = cellular.samples * np.sqrt(cell_target / d_now)
+        mix = cellular.samples * np.sqrt(cell_target / d_now)
     else:
-        cell_scaled = np.zeros(cellular.n_samples, dtype=np.complex128)
+        mix = np.zeros(n, dtype=np.complex128)
+    radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
+    measure = measure_achieved and radar_target > 0.0
+    # The mix holds the scaled cellular alone until the radar is added.
+    cell_meas = 0.0
+    if measure and cell_target > 0.0:
+        cell_meas, _ = _occupied_density(IqBuffer(mix, fs))
 
-    mix = np.add(radar_scaled, cell_scaled)
-    mix += noise.samples
-    out = IqBuffer(mix, fs)
-
-    if not measure_achieved:
-        return out, float("nan")
-
-    # Measure what was actually achieved, per component.
-    noise_meas = measure_band_power(noise, -fs / 2, fs / 2)
-    if cell_target > 0.0:
-        cell_meas, _ = _occupied_density(IqBuffer(cell_scaled, fs))
-    else:
-        cell_meas = 0.0
     if radar_target > 0.0:
-        # Average density over the whole buffer relates to the peak density
-        # through the on-time fraction, so no gated FFT is needed.
-        carrier = _psd_argmax_hz(IqBuffer(radar_scaled, fs))
-        lo = max(carrier - RADAR_REF_BANDWIDTH_HZ / 2, -fs / 2)
-        hi = min(carrier + RADAR_REF_BANDWIDTH_HZ / 2, fs / 2)
-        avg_density = measure_band_power(IqBuffer(radar_scaled, fs), lo, hi)
-        duty = on.sum() / on.size
-        radar_meas = avg_density / duty
-        achieved = 10.0 * float(np.log10(radar_meas / (cell_meas + noise_meas)))
-    else:
-        achieved = float("-inf")
-    return out, achieved
+        d_now, on = _radar_peak_density(radar)
+        if d_now == 0.0:
+            raise SilentComponentError("radar component has zero power but p_radar is finite")
+        radar_on = radar.samples[on] * np.sqrt(radar_target / d_now)
+        mix[on] += radar_on
+
+    noise_power = dbm_to_linear(spec.p_noise_dbm_mhz) * (fs / 1e6)
+    if not measure:
+        _add_awgn(mix, noise_power, seed)
+        return IqBuffer(mix, fs), float("-inf") if measure_achieved else float("nan")
+
+    noise = gen_awgn(noise_power, radar.duration_s, fs, seed).samples
+    mix += noise
+    # Measure what was actually achieved, per component.  The noise is
+    # transformed in place, and its array then holds the scaled radar.
+    noise_meas = _band_density(_fft_power(noise, overwrite=True), fs, -fs / 2, fs / 2)
+    # Average density over the whole buffer relates to the peak density
+    # through the on-time fraction, so no gated FFT is needed.  One spectrum
+    # gives both the carrier and the band power around it.
+    radar_scaled = noise
+    radar_scaled.fill(0.0)
+    radar_scaled[on] = radar_on
+    p_bins = _fft_power(radar_scaled, overwrite=True)
+    carrier = float(np.fft.fftfreq(n, d=1.0 / fs)[int(np.argmax(p_bins))])
+    lo = max(carrier - RADAR_REF_BANDWIDTH_HZ / 2, -fs / 2)
+    hi = min(carrier + RADAR_REF_BANDWIDTH_HZ / 2, fs / 2)
+    radar_meas = _band_density(p_bins, fs, lo, hi) / (on.size / n)
+    achieved = 10.0 * float(np.log10(radar_meas / (cell_meas + noise_meas)))
+    return IqBuffer(mix, fs), achieved
 
 
 def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz: float,
@@ -454,12 +474,6 @@ def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz:
     composite, achieved = mix_at_sinr(radar_iq, cell, powers, seed=noise_seed,
                                       measure_achieved=measure_achieved)
     return composite, radar_iq, achieved
-
-
-def _psd_argmax_hz(iq: IqBuffer) -> float:
-    spectrum = np.abs(np.fft.fft(iq.samples)) ** 2
-    freqs = np.fft.fftfreq(iq.n_samples, d=1.0 / iq.sample_rate_hz)
-    return float(freqs[int(np.argmax(spectrum))])
 
 
 def write_iq_file(path, iq: IqBuffer, extra_meta: dict | None = None) -> None:

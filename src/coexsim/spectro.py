@@ -25,8 +25,9 @@ WINDOW_HANN = "hann"
 POWER_FLOOR_DB = -120.0  # STFT power clamp, which keeps the dB form finite
 PGM_DB_RANGE = (-120.0, -20.0)  # save_pgm's black and white levels
 
-# Frames per block of the STFT's transposed write.  128 frames of 1024 bins
-# are 1 MB, half a 2 MB L2 cache; of 48, 64, 128 and 256 it was the fastest.
+# Frames per block of the STFT's transform and transposed write.  128 frames
+# of 1024 bins are 1 MB of power, half a 2 MB L2 cache; of 48, 64, 128 and
+# 256 it was the fastest for the write.
 _BLOCK_FRAMES = 128
 
 
@@ -88,32 +89,50 @@ class Spectrogram:
 
 
 def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectrogram:
-    """Magnitude-squared STFT, DC-centered rows, clamped at the floor."""
+    """Magnitude-squared STFT, DC-centered rows, clamped at the floor.
+
+    A frame of zeros has zero power, which clamps to the floor exactly, so
+    only runs of frames that hold a non-zero sample are windowed and
+    transformed.  The clean radar of a dataset item is such a signal: most
+    of its frames lie between pulses.
+    """
     n = iq.n_samples
     fft_size = config.fft_size
     if n < fft_size:
         raise TooShortInputError(f"need at least {fft_size} samples, got {n}")
     hop = config.hop_size
     w = config.window_values()
+    frames = sliding_window_view(iq.samples, fft_size)[::hop]  # a view, no copy
+    n_frames = frames.shape[0]
+    if iq.samples.all():  # a composite: every frame holds signal
+        live = np.ones(n_frames, dtype=bool)
+    else:
+        live = sliding_window_view(iq.samples != 0, fft_size)[::hop].any(axis=1)
 
-    # The FFT overwrites the windowed frames, which are freed before the
-    # output is allocated: the output never adds to the frames' peak.
-    frames = sliding_window_view(iq.samples, fft_size)[::hop] * w
-    magnitude = np.abs(np.fft.fft(frames, axis=1, out=frames))  # [time, freq]
-    del frames
-
-    # Square, scale and clamp one cache-sized block of frames at a time and
-    # write it transposed, with fftshift's half swap, into C-order [freq, time].
+    # Window, transform, square, scale and clamp one cache-sized block of
+    # frames at a time in reused buffers, and write it transposed, with
+    # fftshift's half swap, into C-order [freq, time].
     floor_lin = 10.0 ** (POWER_FLOOR_DB / 10.0)
     half = fft_size // 2
-    power = np.empty((fft_size, magnitude.shape[0]))
-    for t0 in range(0, magnitude.shape[0], _BLOCK_FRAMES):
-        block = magnitude[t0:t0 + _BLOCK_FRAMES]
-        np.square(block, out=block)
-        block /= fft_size
-        np.maximum(block, floor_lin, out=block)
-        power[:half, t0:t0 + _BLOCK_FRAMES] = block[:, half:].T  # row 0 = -fs/2
-        power[half:, t0:t0 + _BLOCK_FRAMES] = block[:, :half].T
+    power = np.empty((fft_size, n_frames))
+    spectra = np.empty((min(_BLOCK_FRAMES, n_frames), fft_size), dtype=np.complex128)
+    magnitude = np.empty(spectra.shape)
+    dead_from = 0
+    runs = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2)
+    for start, stop in runs.tolist():
+        power[:, dead_from:start] = floor_lin
+        dead_from = stop
+        for t0 in range(start, stop, _BLOCK_FRAMES):
+            t1 = min(t0 + _BLOCK_FRAMES, stop)
+            block = np.multiply(frames[t0:t1], w, out=spectra[:t1 - t0])
+            np.fft.fft(block, axis=1, out=block)
+            mag = np.abs(block, out=magnitude[:t1 - t0])
+            np.square(mag, out=mag)
+            mag /= fft_size
+            np.maximum(mag, floor_lin, out=mag)
+            power[:half, t0:t1] = mag[:, half:].T  # row 0 = -fs/2
+            power[half:, t0:t1] = mag[:, :half].T
+    power[:, dead_from:] = floor_lin
 
     fs = iq.sample_rate_hz
     return Spectrogram(

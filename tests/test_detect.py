@@ -27,7 +27,8 @@ def make_record(t, thr, bler, mcs, bsr):
 
 
 def toy_dataset(n_per_class=300, n_stack=1, seed=0):
-    """Linearly separable: radar windows (throughput 0, BLER 100) vs clean."""
+    """Linearly separable: radar windows (throughput 0, BLER 100) vs clean,
+    stacked into one matrix."""
     rng = np.random.default_rng(seed)
     windows, labels = [], []
     for label in (0, 1):
@@ -41,33 +42,37 @@ def toy_dataset(n_per_class=300, n_stack=1, seed=0):
             feats = np.tile(feats, n_stack)
             windows.append(KpmWindow(np.abs(feats), n_stack))
             labels.append(label)
-    return windows, labels
+    return np.stack([w.features for w in windows]), labels
+
+
+def features_of(records):
+    return np.stack([record_features(r) for r in records])
 
 
 class TestWindowing:
     def test_identity_stack(self):
         rec = make_record(0.01, 4.2, 1.5, 27, 123)
-        windows = window_kpms([rec], 1)
+        windows = window_kpms(features_of([rec]), 1)
         assert len(windows) == 1
-        assert np.array_equal(windows[0].features, [4.2, 1.5, 27.0, 123.0])
+        assert np.array_equal(windows[0], [4.2, 1.5, 27.0, 123.0])
 
     def test_k_equals_n_times_m(self):
         recs = [make_record(0.01 * i, 1.0, 0.0, 10, 0) for i in range(2)]
-        windows = window_kpms(recs, 2)
-        assert windows[0].features.size == 8
+        windows = window_kpms(features_of(recs), 2)
+        assert windows[0].size == 8
 
     def test_window_count(self):
         recs = [make_record(0.01 * i, 1.0, 0.0, 10, 0) for i in range(10)]
-        assert len(window_kpms(recs, 4)) == 7
+        assert len(window_kpms(features_of(recs), 4)) == 7
 
     def test_warm_up_yields_nothing(self):
         recs = [make_record(0.01, 1.0, 0.0, 10, 0)]
-        assert window_kpms(recs, 4) == []
+        assert window_kpms(features_of(recs), 4).shape == (0, 16)
 
     def test_oldest_first_order(self):
         recs = [make_record(0.01 * (i + 1), float(i), 0.0, 10, 0) for i in range(3)]
-        w = window_kpms(recs, 3)[0]
-        assert w.features[0] == 0.0 and w.features[4] == 1.0 and w.features[8] == 2.0
+        w = window_kpms(features_of(recs), 3)[0]
+        assert w[0] == 0.0 and w[4] == 1.0 and w[8] == 2.0
 
     def test_bad_window_shape(self):
         with pytest.raises(InvalidParamsError):
@@ -150,8 +155,7 @@ class TestTraining:
         # scaling a raw feature and refitting normalization leaves the
         # normalized training matrix unchanged, hence identical training
         windows, labels = toy_dataset()
-        scaled = [KpmWindow(w.features * np.tile([1e3, 1, 1, 1], w.n_stack),
-                            w.n_stack) for w in windows]
+        scaled = windows * np.tile([1e3, 1, 1, 1], windows.shape[1] // 4)
         a = train_detector(windows, labels, TrainConfig(epochs=5, seed=3))
         b = train_detector(scaled, labels, TrainConfig(epochs=5, seed=3))
         for wa, wb in zip(a.model.weights, b.model.weights):

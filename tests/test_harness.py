@@ -10,8 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.detect import ClassifierModel, TrainConfig, train_detector
-from coexsim.errors import InvalidConfigError, MissingDataError, MissingModelError
+from coexsim.detect import (
+    ClassifierModel,
+    KpmWindow,
+    TrainConfig,
+    record_features,
+    train_detector,
+)
+from coexsim.errors import (
+    InvalidConfigError,
+    InvalidParamsError,
+    MissingDataError,
+    MissingModelError,
+)
 from coexsim.harness import cli, datasets
 from coexsim.harness.datasets import (
     KpmDatasetConfig,
@@ -35,8 +46,9 @@ from coexsim.harness.scenario import (
     run_scenario,
     scenario_from_yaml,
 )
-from coexsim.fileio import read_csv
-from coexsim.ranlink import LinkConfig, read_kpm_csv
+from coexsim.fileio import read_csv, write_csv
+from coexsim.localize import RADAR, LocalizerConfig, evaluate_localizer, localize
+from coexsim.ranlink import KpmRecord, LinkConfig, read_kpm_csv, write_kpm_csv
 from coexsim.signals import DEFAULT_SAMPLE_RATE_HZ, RadarParams, SinrSpec
 
 
@@ -88,6 +100,69 @@ class TestKpmDataset:
         with pytest.raises(MissingDataError):
             load_kpm_windows(tmp_path / "nope", 1)
 
+
+
+def per_record_windows(dataset_dir, n_stack):
+    """``load_kpm_windows`` as it was before it parsed one matrix: a
+    ``KpmRecord`` per row and a ``KpmWindow`` per stacked window."""
+    records, _ = read_kpm_csv(dataset_dir / "kpm_dataset.csv")
+    windows, labels, sinrs = [], [], []
+    for row in read_csv(dataset_dir / "items.csv"):
+        start, n = int(row["row_start"]), int(row["n_records"])
+        feats = [record_features(r) for r in records[start:start + n]]
+        for end in range(n_stack, len(feats) + 1):
+            windows.append(KpmWindow(np.concatenate(feats[end - n_stack:end]), n_stack))
+            labels.append(int(row["label"]))
+            sinrs.append(float(row["sinr_db"]))
+    return windows, np.asarray(labels), np.asarray(sinrs)
+
+
+class TestKpmMatrix:
+    """The KPM windows as one matrix equal the stacked per-record windows."""
+
+    @pytest.mark.parametrize("n_stack", [1, 2, 3, 4])
+    def test_generated_set_equals_per_record_windows(self, kpm_dataset, n_stack):
+        x, labels, sinrs = load_kpm_windows(kpm_dataset, n_stack)
+        windows, ref_labels, ref_sinrs = per_record_windows(kpm_dataset, n_stack)
+        assert x.tobytes() == np.stack([w.features for w in windows]).tobytes()
+        assert x.shape == (len(windows), 4 * n_stack) and x.flags.c_contiguous
+        assert np.array_equal(labels, ref_labels) and labels.dtype == ref_labels.dtype
+        assert sinrs.tobytes() == ref_sinrs.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_stack=st.integers(1, 4),
+           lengths=st.lists(st.integers(0, 9), min_size=1, max_size=12))
+    def test_random_records_equal_per_record_windows(self, tmp_path_factory, seed, n_stack,
+                                                     lengths):
+        rng = np.random.default_rng(seed)
+        out = tmp_path_factory.mktemp("kpm")
+        n = sum(lengths)
+        records = [KpmRecord(float(rng.uniform(0, 1)), float(rng.uniform(0, 20)),
+                             float(rng.uniform(0, 100)), int(rng.integers(0, 29)),
+                             int(rng.integers(0, 10 ** 7)), float(rng.normal(20, 10)))
+                   for _ in range(n)]
+        write_kpm_csv(out / "kpm_dataset.csv", records, [0] * n)
+        starts = np.cumsum([0] + lengths[:-1])
+        write_csv(out / "items.csv", ["item_id", "row_start", "n_records", "sinr_db", "label"],
+                  [[i, s, k, float(rng.choice([-4.0, 0.5, 12.0])), int(rng.integers(2))]
+                   for i, (s, k) in enumerate(zip(starts, lengths))])
+        x, labels, sinrs = load_kpm_windows(out, n_stack)
+        windows, ref_labels, ref_sinrs = per_record_windows(out, n_stack)
+        assert len(x) == len(windows)
+        if windows:
+            assert x.tobytes() == np.stack([w.features for w in windows]).tobytes()
+            assert np.array_equal(labels, ref_labels)
+            assert sinrs.tobytes() == ref_sinrs.tobytes()
+
+    def test_non_finite_feature_rejected_by_name(self, kpm_dataset, tmp_path):
+        text = (kpm_dataset / "kpm_dataset.csv").read_text().splitlines(keepends=True)
+        row = text[5].split(",")
+        row[2] = "nan"  # bler_pct
+        text[5] = ",".join(row)
+        (tmp_path / "kpm_dataset.csv").write_text("".join(text))
+        (tmp_path / "items.csv").write_bytes((kpm_dataset / "items.csv").read_bytes())
+        with pytest.raises(InvalidParamsError, match="bler_pct holds a non-finite value"):
+            load_kpm_windows(tmp_path, 1)
 
 
 class TestSpectrogramDataset:
@@ -149,6 +224,55 @@ class TestEvaluate:
     def test_pooled_empty_slice(self, spectro_dataset):
         with pytest.raises(MissingDataError):
             pooled_localizer_metrics(spectro_dataset, min_sinr_db=99.0)
+
+
+def load_all_pooled_metrics(dataset_dir, config, min_sinr_db):
+    """``pooled_localizer_metrics`` as it was before it read items.csv first:
+    it loaded every item and kept the slice."""
+    preds, truths = [], []
+    for _, sinr, has_radar, sgram, truth in load_spectrogram_items(dataset_dir):
+        if sinr < min_sinr_db or not has_radar:
+            continue
+        preds.append([b for b in localize(sgram, config) if b.label == RADAR])
+        truths.append(truth)
+    if not preds:
+        raise MissingDataError("no items in requested SINR slice")
+    return evaluate_localizer(preds, truths)
+
+
+@pytest.fixture(scope="module")
+def sweep_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "sweep"
+    gen_spectrogram_dataset(out, SpectrogramDatasetConfig(
+        sinr_sweep_db=(4.0, 8.0, 12.0), items_per_sinr=2, absent_fraction=0.5, seed=13))
+    return out
+
+
+class TestPooledSlice:
+    """The pooled metrics load only the slice's items and equal the load-all loop."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(min_sinr_db=st.sampled_from([-np.inf, 3.9, 4.0, 8.0, 8.5, 12.0, 12.1, np.nan])
+           | st.floats(0.0, 14.0))
+    def test_equals_load_all_loop(self, sweep_dataset, min_sinr_db):
+        loaded = []
+        load = datasets.load_spectrogram
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(datasets, "load_spectrogram",
+                          lambda path: loaded.append(path) or load(path))
+            try:
+                got = pooled_localizer_metrics(sweep_dataset, LocalizerConfig(), min_sinr_db)
+            except MissingDataError:
+                got = None
+        n_slice = sum(1 for row in read_csv(sweep_dataset / "items.csv")
+                      if row["has_radar"] == "1"
+                      and not float(row["sinr_db"]) < min_sinr_db)
+        assert len(loaded) == n_slice
+        try:
+            want = load_all_pooled_metrics(sweep_dataset, LocalizerConfig(), min_sinr_db)
+        except MissingDataError:
+            want = None
+        assert repr(got) == repr(want)
 
 
 SCENARIO_PARAMS = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6)
@@ -312,6 +436,35 @@ class TestScenario:
             sc.validate()
         with pytest.raises(InvalidConfigError, match=message):
             run_scenario(sc, small_model)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sinr_schedule": [(0.0, 5000.0)]},
+         r"sinr_schedule\[0\].sinr_db 5000.0 with coupling_db 52.0 puts a radar power"),
+        ({"sinr_schedule": [(0.0, 8.0), (0.05, 4000.0)]}, r"sinr_schedule\[1\].sinr_db 4000.0"),
+        ({"coupling_db": 4000.0}, "coupling_db sets a level of 4000.0 dB"),
+        ({"combined_dbm_mhz": -4000.0}, "combined_dbm_mhz sets a level"),
+        ({"coupling_db": 3000.0, "sinr_schedule": [(0.0, 100.0)]},
+         r"sinr_schedule\[0\].sinr_db 100.0 with coupling_db 3000.0 puts a radar power"),
+    ])
+    def test_level_without_finite_power_rejected_by_name(self, small_model, kwargs, message):
+        sc = ScenarioConfig(duration_s=0.05, radar_schedule=[RadarWindow(0.0, 0.05,
+                                                                         SCENARIO_PARAMS)],
+                            **kwargs)
+        with pytest.raises(InvalidConfigError, match=message):
+            sc.validate()
+        for policy, model in ((POLICY_BASELINE, None), (POLICY_FULL, small_model)):
+            with pytest.raises(InvalidConfigError, match=message):
+                run_scenario(replace(sc, policy=policy), model)
+
+    def test_n_stack_against_detector_rejected_before_window_0(self, small_model):
+        sc = ScenarioConfig(duration_s=0.05, n_stack=2,
+                            radar_schedule=[RadarWindow(0.0, 0.05, SCENARIO_PARAMS)])
+        sc.validate()
+        with pytest.raises(InvalidConfigError,
+                           match="n_stack 2 stacks 8 features, but the detector takes 4"):
+            run_scenario(sc, small_model)
+        # the baseline policy never infers, so it does not check
+        assert run_scenario(replace(sc, policy=POLICY_BASELINE), small_model).records
 
     @pytest.mark.parametrize("duration_s, period_s", [(0.16, 0.01), (0.3, 0.1), (0.7, 0.1)])
     def test_rounded_whole_windows_accepted(self, duration_s, period_s):
@@ -567,6 +720,32 @@ class TestCli:
         assert cli.main(["run-scenario", "--config", str(yaml_path), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: InvalidConfigError: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("sinr_schedule:\n  - {t_start_s: 0.0, sinr_db: 5000.0}\n",
+         r"sinr_schedule\[0\].sinr_db 5000.0 with coupling_db 52.0 puts a radar power"),
+        ("coupling_db: 4000.0\n", "coupling_db sets a level of 4000.0 dB"),
+    ])
+    def test_error_line_on_level_without_finite_power(self, tmp_path, capsys, text, message):
+        yaml_path = tmp_path / "huge.yaml"
+        yaml_path.write_text("duration_s: 0.05\npolicy: baseline\n"
+                             "radar_schedule:\n  - {t_on_s: 0.0, t_off_s: 0.05}\n" + text)
+        assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"error: InvalidConfigError: {message}", err)
+        assert len(err.strip().splitlines()) == 1
+
+    def test_error_line_on_n_stack_against_detector(self, small_model, tmp_path, capsys):
+        model_path = tmp_path / "detector.npz"
+        small_model.save(model_path)
+        yaml_path = tmp_path / "stack.yaml"
+        yaml_path.write_text("duration_s: 0.05\nn_stack: 2\n"
+                             "radar_schedule:\n  - {t_on_s: 0.0, t_off_s: 0.05}\n")
+        assert cli.main(["run-scenario", "--config", str(yaml_path),
+                         "--model", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfigError: n_stack 2 stacks 8 features")
         assert len(err.strip().splitlines()) == 1
 
     def test_period_from_yaml_stamps_kpms_and_commands(self, small_model, tmp_path):

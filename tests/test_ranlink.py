@@ -2,6 +2,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy import special
 from hypothesis import given, settings, strategies as st
 
 from coexsim.errors import InvalidParamsError
@@ -94,6 +95,44 @@ class TestRadarPsdPerPrb:
     def test_duty_cycle(self):
         p = radar_psd_per_prb(RadarParams(13e-6, 500.0, 5, 10e-3), 1.0, LinkConfig())
         assert p.duty_cycle == pytest.approx(5 * 13e-6 / 10e-3)
+
+
+def per_prb_psd(radar, p_radar_linear, link):
+    """``radar_psd_per_prb`` as it was before it shared PRB edges: both
+    antiderivative terms taken again for every PRB."""
+    def antideriv(x):
+        if x == 0.0:
+            return 0.0
+        si, _ = special.sici(2.0 * np.pi * x)
+        return (si - np.sin(np.pi * x) ** 2 / (np.pi * x)) / np.pi
+
+    edges = link.prb_edges_hz()
+    out = np.zeros(link.n_prbs)
+    if p_radar_linear > 0.0:
+        pw = radar.pulse_width_s
+        fc = radar.carrier_hz
+        for i in range(link.n_prbs):
+            a = (edges[i] - fc) * pw
+            b = (edges[i + 1] - fc) * pw
+            out[i] = p_radar_linear * (antideriv(b) - antideriv(a))
+    return out
+
+
+class TestSharedPrbEdges:
+    """One antiderivative per PRB edge equals the per-PRB pair bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pw=st.floats(13e-6, 52e-6), power=st.floats(0.0, 1e9),
+           edge=st.integers(0, 50), off_edge=st.sampled_from([0.0])
+           | st.floats(-180e3, 180e3), doppler=st.sampled_from([0.0]) | st.floats(-5e4, 5e4))
+    def test_equals_per_prb_pairs(self, pw, power, edge, off_edge, doppler):
+        link = LinkConfig()
+        # the carrier on PRB edge ``edge`` when off_edge and doppler are 0
+        offset = float(link.prb_edges_hz()[edge]) + off_edge
+        params = RadarParams(pw, 1000.0, 10, 10e-3, center_offset_hz=offset,
+                             doppler_shift_hz=doppler)
+        got = radar_psd_per_prb(params, power, link).per_prb_interference
+        assert got.tobytes() == per_prb_psd(params, power, link).tobytes()
 
 
 class TestApplyPrbMask:

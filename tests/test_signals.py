@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coexsim.errors import (
     EmptyBandError,
@@ -13,6 +13,7 @@ from coexsim.signals import (
     RadarParams,
     SinrSpec,
     compute_sinr,
+    dbm_to_linear,
     gen_awgn,
     gen_cellular_baseband,
     gen_radar_pulse_train,
@@ -413,6 +414,112 @@ class TestSensingCapture:
         measured, _, _ = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 1, 2)
         assert np.isnan(achieved)
         assert np.array_equal(out.samples, measured.samples)
+
+
+def two_array_mix_at_sinr(radar, cellular, spec, seed=None, measure_achieved=True):
+    """``mix_at_sinr`` as it was before it built the mix in one array: the
+    scaled radar, the scaled cellular and the noise as three arrays, and the
+    radar spectrum taken twice, once for its peak and once for its band."""
+    fs = radar.sample_rate_hz
+    fs_mhz = fs / 1e6
+
+    def awgn(power_linear, n):
+        if power_linear == 0.0:
+            return np.zeros(n, dtype=np.complex128)
+        rng = np.random.default_rng(seed)
+        x = np.empty(n, dtype=np.complex128)
+        x.real = rng.standard_normal(n)
+        x.imag = rng.standard_normal(n)
+        x *= np.sqrt(power_linear / 2.0)
+        return x
+
+    def band_power(samples, f_low, f_high):
+        n = samples.size
+        spectrum = np.fft.fft(samples)
+        freqs = np.fft.fftfreq(n, d=1.0 / fs)
+        sel = (freqs >= f_low) & (freqs < f_high)
+        return float(np.sum(np.abs(spectrum[sel]) ** 2)) / (n * n) / ((f_high - f_low) / 1e6)
+
+    def psd_argmax_hz(samples):
+        spectrum = np.abs(np.fft.fft(samples)) ** 2
+        return float(np.fft.fftfreq(samples.size, d=1.0 / fs)[int(np.argmax(spectrum))])
+
+    noise = awgn(dbm_to_linear(spec.p_noise_dbm_mhz) * fs_mhz, radar.n_samples)
+    radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
+    radar_scaled = np.zeros(radar.n_samples, dtype=np.complex128)
+    on = radar.samples != 0
+    if radar_target > 0.0:
+        d_now = float(np.mean(np.abs(radar.samples[on]) ** 2))
+        radar_scaled[on] = radar.samples[on] * np.sqrt(radar_target / d_now)
+    cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
+    if cell_target > 0.0:
+        cell_scaled = cellular.samples * np.sqrt(cell_target / cellular.occupied_density)
+    else:
+        cell_scaled = np.zeros(cellular.n_samples, dtype=np.complex128)
+    mix = np.add(radar_scaled, cell_scaled)
+    mix += noise
+    if not measure_achieved:
+        return mix, float("nan")
+    noise_meas = band_power(noise, -fs / 2, fs / 2)
+    cell_meas = _occupied_density(IqBuffer(cell_scaled, fs))[0] if cell_target > 0.0 else 0.0
+    if radar_target <= 0.0:
+        return mix, float("-inf")
+    carrier = psd_argmax_hz(radar_scaled)
+    lo = max(carrier - 0.5e6, -fs / 2)
+    hi = min(carrier + 0.5e6, fs / 2)
+    radar_meas = band_power(radar_scaled, lo, hi) / (on.sum() / on.size)
+    return mix, 10.0 * float(np.log10(radar_meas / (cell_meas + noise_meas)))
+
+
+class TestOneArrayMix:
+    """The mix built in one array, with one radar FFT when measured, equals the
+    three-array mix bit for bit, and its achieved SINR has the same repr."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sinr=st.floats(-4.0, 12.0),
+           radar_on=st.booleans(), measure=st.booleans(),
+           offset=st.sampled_from([-2.5e6, 0.0, 2.5e6]), mask_frac=st.floats(0.05, 1.0),
+           pw=st.floats(13e-6, 52e-6), prr=st.floats(500.0, 1100.0))
+    def test_sensing_capture_equals_three_array_mix(self, seed, sinr, radar_on, measure,
+                                                    offset, mask_frac, pw, prr):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(50) < mask_frac
+        mask[rng.integers(50)] = True
+        params = RadarParams(pw, prr, int(0.005 * prr), 10e-3, center_offset_hz=offset,
+                             burst_start_s=float(rng.uniform(0.0, 4e-3)))
+        radar = params if radar_on else None
+        out, radar_iq, achieved = sensing_capture(radar, sinr, -109.0, 10e-3, seed, seed + 1,
+                                                  prb_mask=mask, measure_achieved=measure)
+        cell = gen_cellular_baseband(CellularParams(active_prb_mask=mask), 10e-3, seed=seed)
+        spec = SinrSpec.from_target(sinr, -109.0)
+        if not radar_on:
+            spec = SinrSpec(float("-inf"), spec.p_cellular_dbm_mhz, spec.p_noise_dbm_mhz)
+        mix, ref_achieved = two_array_mix_at_sinr(radar_iq, cell, spec, seed + 1, measure)
+        assert out.samples.tobytes() == mix.tobytes()
+        assert repr(achieved) == repr(ref_achieved)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1024, 20000),
+           present=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           measure=st.booleans(), zero_frac=st.floats(0.0, 1.0))
+    def test_mix_equals_three_array_mix(self, seed, n, present, measure, zero_frac):
+        rng = np.random.default_rng(seed)
+        radar = rng.normal(size=n) + 1j * rng.normal(size=n)
+        radar[rng.random(n) < zero_frac] = 0.0
+        radar[rng.integers(n)] = 1.0
+        cell = IqBuffer(rng.normal(size=n) + 1j * rng.normal(size=n), FS,
+                        occupied_density=float(rng.uniform(0.5, 2.0)))
+        levels = [float(rng.uniform(-120.0, -90.0)) if on else float("-inf")
+                  for on in present]
+        # the radar alone, measured, divides by zero interference on both sides
+        assume(not (measure and present == (True, False, False)))
+        spec = SinrSpec(*levels)
+        out, achieved = mix_at_sinr(IqBuffer(radar, FS), cell, spec, seed=seed,
+                                    measure_achieved=measure)
+        mix, ref_achieved = two_array_mix_at_sinr(IqBuffer(radar, FS), cell, spec, seed,
+                                                  measure)
+        assert out.samples.tobytes() == mix.tobytes()
+        assert repr(achieved) == repr(ref_achieved)
 
 
 class TestIqFileRoundTrip:

@@ -171,6 +171,83 @@ class TestBlockedLayout:
             assert np.ascontiguousarray(power) is power
 
 
+def dense_stft_power(iq, config):
+    """The STFT as it was before it skipped empty frames: every frame
+    windowed and transformed in one matrix, then squared, scaled, clamped
+    and written transposed block by block."""
+    fft_size = config.fft_size
+    hop = config.hop_size
+    w = config.window_values()
+    frames = sliding_window_view(iq.samples, fft_size)[::hop] * w
+    magnitude = np.abs(np.fft.fft(frames, axis=1, out=frames))
+    del frames
+    floor_lin = 10.0 ** (POWER_FLOOR_DB / 10.0)
+    half = fft_size // 2
+    power = np.empty((fft_size, magnitude.shape[0]))
+    for t0 in range(0, magnitude.shape[0], _BLOCK_FRAMES):
+        block = magnitude[t0:t0 + _BLOCK_FRAMES]
+        np.square(block, out=block)
+        block /= fft_size
+        np.maximum(block, floor_lin, out=block)
+        power[:half, t0:t0 + _BLOCK_FRAMES] = block[:, half:].T
+        power[half:, t0:t0 + _BLOCK_FRAMES] = block[:, :half].T
+    return power
+
+
+@st.composite
+def signals_with_zero_runs(draw):
+    """(samples, StftConfig): dense, all-zero, zero-run or pulsed inputs."""
+    fft_size = 2 ** draw(st.integers(1, 10))
+    hop = draw(st.sampled_from([fft_size, max(1, fft_size // 4)])
+               | st.integers(1, fft_size))
+    window = draw(st.sampled_from(["hann", "rectangular"]))
+    n_frames = draw(st.sampled_from([1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1])
+                    | st.integers(1, 2 * _BLOCK_FRAMES + 3))
+    n = fft_size + (n_frames - 1) * hop + draw(st.integers(0, hop - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    kind = draw(st.sampled_from(["dense", "zeros", "zero runs", "pulses"]))
+    if kind == "zeros":
+        samples[:] = 0.0
+    elif kind == "zero runs":
+        for a, b in np.sort(rng.integers(0, n + 1, 2 * int(rng.integers(1, 6)))).reshape(-1, 2):
+            samples[a:b] = 0.0
+    elif kind == "pulses":
+        keep = np.zeros(n, dtype=bool)
+        for start in rng.integers(0, n, int(rng.integers(1, 6))):
+            keep[start:start + int(rng.integers(1, 2 * fft_size))] = True
+        samples[~keep] = 0.0
+        # a sample with one zero part is still non-zero
+        part = keep & (rng.random(n) < 0.2)
+        samples[part] = np.where(rng.random(part.sum()) < 0.5, samples[part].real,
+                                 1j * samples[part].imag)
+    return samples, StftConfig(fft_size=fft_size, hop=hop, window=window)
+
+
+class TestLiveFrames:
+    """The STFT transforms only frames with a non-zero sample, block by block,
+    and equals the dense STFT bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=signals_with_zero_runs())
+    def test_equals_dense_stft(self, case):
+        samples, cfg = case
+        iq = IqBuffer(samples, FS)
+        power = stft_spectrogram(iq, cfg).power
+        assert power.flags.c_contiguous
+        assert power.tobytes() == dense_stft_power(iq, cfg).tobytes()
+
+    def test_clean_radar_equals_dense_stft(self):
+        radar = IqBuffer(np.zeros(153600, dtype=np.complex128), FS)
+        t = np.arange(400) / FS
+        for start in (0, 20000, 76000, 153200):
+            radar.samples[start:start + 400] = np.exp(2j * np.pi * 2.5e6 * t)
+        cfg = StftConfig(fft_size=1024, hop=256)
+        power = stft_spectrogram(radar, cfg).power
+        assert power.tobytes() == dense_stft_power(radar, cfg).tobytes()
+        assert (power == 10.0 ** (POWER_FLOOR_DB / 10.0)).all(axis=0).sum() > 500
+
+
 class TestImageScaling:
     @pytest.fixture
     def spec(self):
