@@ -147,6 +147,10 @@ def _read_columns(path: Path, names) -> np.ndarray:
         missing = [name for name in names if name not in header]
         if missing:
             raise InvalidParamsError(f"{path} lacks the column(s) {', '.join(missing)}")
+        body = fh.tell()
+        if not fh.readline():  # a header and no rows
+            return np.empty((0, len(names)))
+        fh.seek(body)
         return np.loadtxt(fh, delimiter=",", usecols=[header.index(n) for n in names],
                           ndmin=2)
 

@@ -121,8 +121,9 @@ class ScenarioConfig:
         _level(self.coupling_db, "coupling_db")
         for i, (_, sinr) in enumerate(self.sinr_schedule):
             try:
-                units = interference_units(sinr, self.link, self.combined_dbm_mhz,
-                                           self.coupling_db)
+                with np.errstate(over="ignore"):
+                    units = interference_units(sinr, self.link, self.combined_dbm_mhz,
+                                               self.coupling_db)
             except OverflowError:
                 units = math.inf
             if not math.isfinite(units):

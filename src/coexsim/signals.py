@@ -288,7 +288,9 @@ def gen_cellular_baseband(params: CellularParams, duration_s: float,
 
     bins = np.flatnonzero(np.append(mask, False)[prb_of_bin])
     n_active_bins = bins.size
-    mags = np.sqrt(params.per_prb_power * n * n / counts[prb_of_bin[bins]])
+    prb_mag = np.zeros(params.n_prbs)
+    prb_mag[mask] = np.sqrt(params.per_prb_power * n * n / counts[mask])
+    mags = prb_mag[prb_of_bin[bins]]  # held to the end: freed early, it lifted peak RSS
     phases = rng.uniform(0.0, 2.0 * np.pi, n_active_bins)
     tones = np.exp(1j * phases)
     tones *= mags
@@ -377,7 +379,7 @@ def _occupied_density(iq: IqBuffer) -> tuple[float, float]:
 
 def _radar_peak_density(iq: IqBuffer) -> tuple[float, np.ndarray]:
     """Pulse-on power density in the 1 MHz reference bandwidth, plus the on-sample indices."""
-    on = np.flatnonzero(iq.samples)
+    on = np.flatnonzero(iq.samples != 0)
     if not on.size:
         return 0.0, on
     on_power = float(np.mean(np.abs(iq.samples[on]) ** 2))

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim.detect import (
+    KPM_FEATURES,
     ClassifierModel,
     KpmWindow,
     TrainConfig,
@@ -153,6 +155,19 @@ class TestKpmMatrix:
             assert x.tobytes() == np.stack([w.features for w in windows]).tobytes()
             assert np.array_equal(labels, ref_labels)
             assert sinrs.tobytes() == ref_sinrs.tobytes()
+
+    @pytest.mark.parametrize("n_stack", [1, 4])
+    def test_empty_record_set_loads_without_a_warning(self, tmp_path, n_stack):
+        write_kpm_csv(tmp_path / "kpm_dataset.csv", [], [])
+        write_csv(tmp_path / "items.csv", ["item_id", "row_start", "n_records", "sinr_db", "label"],
+                  [[0, 0, 0, 12.0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            features = datasets._read_columns(tmp_path / "kpm_dataset.csv", KPM_FEATURES)
+            x, labels, sinrs = load_kpm_windows(tmp_path, n_stack)
+        assert features.shape == (0, len(KPM_FEATURES)) and features.dtype == np.float64
+        assert x.shape == (0, len(KPM_FEATURES) * n_stack)
+        assert labels.size == sinrs.size == 0
 
     def test_non_finite_feature_rejected_by_name(self, kpm_dataset, tmp_path):
         text = (kpm_dataset / "kpm_dataset.csv").read_text().splitlines(keepends=True)
@@ -455,6 +470,17 @@ class TestScenario:
         for policy, model in ((POLICY_BASELINE, None), (POLICY_FULL, small_model)):
             with pytest.raises(InvalidConfigError, match=message):
                 run_scenario(replace(sc, policy=policy), model)
+
+    @pytest.mark.parametrize("sinr_db", [3050.0, 3100.0])
+    def test_level_overflowing_in_the_division_rejected_without_a_warning(self, sinr_db):
+        # the radar power and the coupling are finite; their ratio to the
+        # per-PRB noise is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match=rf"sinr_schedule\[0\].sinr_db {sinr_db} "
+                               "with coupling_db 52.0 puts a radar power") as info:
+                ScenarioConfig(sinr_schedule=[(0.0, sinr_db)]).validate()
+        assert "\n" not in str(info.value)
 
     def test_n_stack_against_detector_rejected_before_window_0(self, small_model):
         sc = ScenarioConfig(duration_s=0.05, n_stack=2,

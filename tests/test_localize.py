@@ -2,15 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from coexsim.errors import InvalidParamsError
 from coexsim.localize import (
     CELLULAR,
+    NOISE_FLOOR_PERCENTILE,
     RADAR,
     FreqTimeBox,
     LocalizerConfig,
+    _ROW_BLOCK,
     _component_members,
     _dilate_square,
     _extract_components,
@@ -221,15 +223,18 @@ class TestExactRewrites:
             assert got.dtype == bool
             assert np.array_equal(got, expected)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
+           rows=st.sampled_from([1, 7, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 1024]),
            width=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 597]),
            pct=st.sampled_from([20.0, 50.0, 25, 12.5, 0.5, 99.5])
            | st.floats(0.001, 99.999),
            ties=st.booleans())
-    def test_one_partition_equals_percentile_and_median(self, seed, width, pct, ties):
+    @example(seed=0, rows=1024, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    def test_one_partition_equals_percentile_and_median(self, seed, rows, width, pct, ties):
+        # row counts around the block size: a short last block, none, one row
         rng = np.random.default_rng(seed)
-        lin = 10.0 ** (rng.normal(-9.0, 1.5, (7, width)))
+        lin = 10.0 ** (rng.normal(-9.0, 1.5, (rows, width)))
         if ties:
             lin = np.round(lin, 10)
         for layout in (lin, np.asfortranarray(lin)):
@@ -286,6 +291,32 @@ class TestExactRewrites:
                 assert got_rows.dtype == exp_rows.dtype
                 assert got_rows.tobytes() == exp_rows.tobytes()
                 assert got_cols.tobytes() == exp_cols.tobytes()
+
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), radius=st.integers(1, 4),
+           n_scattered=st.integers(0, 300), n_blobs=st.integers(0, 4),
+           borders=st.booleans())
+    def test_spectrogram_sized_members_equal_2d_nonzero(self, seed, radius, n_scattered,
+                                                        n_blobs, borders):
+        # the Mode-2 grid: 1024 bins by 597 columns, a few hundred cells active
+        rng = np.random.default_rng(seed)
+        mask = np.zeros((1024, 597), dtype=bool)
+        mask.flat[rng.integers(mask.size, size=n_scattered)] = True
+        for _ in range(n_blobs):
+            r0, c0 = rng.integers(1024), rng.integers(597)
+            sub = mask[r0:r0 + rng.integers(1, 40), c0:c0 + rng.integers(1, 12)]
+            sub |= rng.random(sub.shape) < 0.5
+        if borders:
+            mask[0, rng.integers(597)] = mask[-1, rng.integers(597)] = True
+            mask[rng.integers(1024), 0] = mask[rng.integers(1024), -1] = True
+        expected = full_grid_members(mask, radius)
+        got = _component_members(mask, radius)
+        assert len(got) == len(expected)
+        for (got_rows, got_cols), (exp_rows, exp_cols) in zip(got, expected):
+            assert got_rows.dtype == exp_rows.dtype and got_cols.dtype == exp_cols.dtype
+            assert got_rows.tobytes() == exp_rows.tobytes()
+            assert got_cols.tobytes() == exp_cols.tobytes()
 
 
 class TestRecallSweep:

@@ -1,7 +1,9 @@
-"""Smoke test of tools/output_digest.py at tiny sizes."""
+"""tools/output_digest.py at tiny sizes, and the small set's committed digests."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from coexsim.detect import ClassifierModel
 
@@ -15,10 +17,20 @@ def load_tool():
     return module
 
 
-def test_small_standard_set_has_one_digest_per_file(tmp_path):
-    tool = load_tool()
-    out = tmp_path / "set"
-    tool.write_standard_set(out, kpm_items=6, spec_items=1, time_scale=0.05)
+@pytest.fixture(scope="module")
+def tool():
+    return load_tool()
+
+
+@pytest.fixture(scope="module")
+def small_set(tool, tmp_path_factory):
+    out = tmp_path_factory.mktemp("digest") / "set"
+    tool.write_standard_set(out, **tool.SMALL_SET)
+    return out
+
+
+def test_small_standard_set_has_one_digest_per_file(tool, small_set, tmp_path):
+    out = small_set
     names = dict(tool.digests(out))
     for name in ("kpm/kpm_dataset.csv", "detector_n1.npz", "detector_n4.npz",
                  "det_eval_n4.csv", "specs/truth_boxes.csv", "specs/specs/item_00002.bin",
@@ -31,3 +43,16 @@ def test_small_standard_set_has_one_digest_per_file(tmp_path):
     copy = tmp_path / "copy.npz"
     ClassifierModel.load(out / "detector_n4.npz").save(copy)
     assert tool.file_sha256(copy) == tool.file_sha256(out / "detector_n4.npz")
+
+
+def test_small_standard_set_equals_committed_digests(tool, small_set):
+    made_with, expected = tool.read_golden()
+    here = tool.versions()
+    assert made_with == here, (
+        f"{tool.GOLDEN.name} was made with {made_with}, this environment has {here}; "
+        f"check the outputs on both, then regenerate it with write_golden()")
+    got = dict(tool.digests(small_set))
+    differ = sorted(name for name in expected.keys() | got.keys()
+                    if expected.get(name) != got.get(name))
+    assert not differ, (f"{len(differ)} of {len(expected)} files differ from "
+                        f"{tool.GOLDEN.name}: {', '.join(differ)}")

@@ -19,6 +19,13 @@ The standard set, at the acceptance suite's sizes and seeds:
 
 Latency reports time the wall clock, so they are left out.  It takes a
 couple of minutes on a laptop-class CPU.
+
+The small set (``SMALL_SET``, a few seconds) has its digests committed in
+``tests/output_digest_small.txt`` with the numpy and scipy versions that made
+them, and ``tests/test_output_digest.py`` checks them.  A change that names an
+output change regenerates that file and lists the changed files:
+
+    PYTHONPATH=src python tools/output_digest.py --write-golden
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 from coexsim.detect import ClassifierModel, TrainConfig, train_detector
 from coexsim.fileio import write_sidecar
@@ -63,6 +71,8 @@ ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_CONFIG = ROOT / "configs" / "scenario_example.yaml"
 LOOP_RADAR = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6)
 NOT_DETERMINISTIC = {"latency_report.txt"}
+SMALL_SET = {"kpm_items": 6, "spec_items": 1, "time_scale": 0.05}
+GOLDEN = ROOT / "tests" / "output_digest_small.txt"
 
 
 def write_standard_set(out: Path, kpm_items: int = 80, spec_items: int = 250,
@@ -137,7 +147,38 @@ def digests(out: Path) -> list[tuple[str, str]]:
             if p.is_file() and p.name not in NOT_DETERMINISTIC]
 
 
-def main() -> int:
+def versions() -> dict[str, str]:
+    """The versions of the libraries whose arithmetic the digests rest on."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def write_golden() -> None:
+    """Regenerate the small set's committed digests, versions first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_standard_set(Path(tmp), **SMALL_SET)
+        listing = digests(Path(tmp))
+    lines = [f"# {lib} {version}" for lib, version in versions().items()]
+    lines += [f"{sha}  {name}" for name, sha in listing]
+    GOLDEN.write_text("\n".join(lines) + "\n")
+
+
+def read_golden() -> tuple[dict[str, str], dict[str, str]]:
+    """(library versions, digest by relative path) as ``write_golden`` wrote them."""
+    libs, shas = {}, {}
+    for line in GOLDEN.read_text().splitlines():
+        if line.startswith("# "):
+            lib, version = line[2:].split(" ", 1)
+            libs[lib] = version
+        else:
+            sha, name = line.split("  ", 1)
+            shas[name] = sha
+    return libs, shas
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--write-golden"]:
+        write_golden()
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         write_standard_set(Path(tmp))
         for name, sha in digests(Path(tmp)):
@@ -146,4 +187,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
