@@ -2,7 +2,7 @@
 
 Modules
 -------
-signals   radar/cellular/noise synthesis, SINR calibration, I/Q files
+signals   radar/cellular/noise synthesis, SINR calibration, the PRB grid
 spectro   STFT spectrograms and their file formats
 ranlink   abstract uplink (SINR -> BLER -> throughput) and KPM telemetry
 detect    KPM-window radar detector (numpy MLP) and its training loop
@@ -23,7 +23,7 @@ from .signals import (
     measure_band_power,
     mix_at_sinr,
 )
-from .spectro import Spectrogram, StftConfig, spectrogram_to_image, stft_spectrogram
+from .spectro import Spectrogram, StftConfig, stft_spectrogram
 from .ranlink import (
     KpmRecord,
     LinkConfig,

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .fileio import write_csv
 from .localize import FreqTimeBox, radar_freq_extent
-from .ranlink import LinkConfig, MCS_MAX, MCS_MIN
+from .ranlink import BAND_LOW_HZ, MCS_MAX, MCS_MIN
+from .signals import N_PRBS, PRB_BANDWIDTH_HZ
 
 
 class Action(Enum):
@@ -75,11 +76,10 @@ def mcs_update(state: McsControllerState, bler: float) -> McsControllerState:
     return replace(state, mcs=new_mcs, bler_prev=bler, last_action=Action.INCR)
 
 
-def map_extent_to_prbs(extent: tuple[float, float], link: LinkConfig,
-                       guard_prbs: int = 1) -> set[int]:
+def map_extent_to_prbs(extent: tuple[float, float], guard_prbs: int = 1) -> set[int]:
     """PRBs whose span overlaps the extent, dilated by guard_prbs each side.
 
-    PRB i spans [band_low + i*bw, band_low + (i+1)*bw) with the band
+    PRB i spans [BAND_LOW_HZ + i*bw, BAND_LOW_HZ + (i+1)*bw) with the band
     DC-centered; overlap requires positive measure, so an extent exactly on
     a PRB boundary does not drag in the neighbor.
     """
@@ -88,13 +88,9 @@ def map_extent_to_prbs(extent: tuple[float, float], link: LinkConfig,
         raise EmptyExtentError("extent must have positive width")
     if guard_prbs < 0:
         raise InvalidParamsError("guard_prbs must be >= 0")
-    bw = link.prb_bandwidth_hz
-    band_low = link.band_low_hz
-    first = math.floor((f_low - band_low) / bw)
-    last = math.ceil((f_high - band_low) / bw) - 1
-    first -= guard_prbs
-    last += guard_prbs
-    return set(range(max(first, 0), min(last, link.n_prbs - 1) + 1))
+    first = math.floor((f_low - BAND_LOW_HZ) / PRB_BANDWIDTH_HZ) - guard_prbs
+    last = math.ceil((f_high - BAND_LOW_HZ) / PRB_BANDWIDTH_HZ) - 1 + guard_prbs
+    return set(range(max(first, 0), min(last, N_PRBS - 1) + 1))
 
 
 # Command kinds on the control output stream
@@ -118,7 +114,7 @@ class ModeState:
 
 
 def mode_step(state: ModeState, detection, localization: list[FreqTimeBox] | None,
-              link: LinkConfig, guard_prbs: int = 1) -> tuple[ModeState, list[Command]]:
+              guard_prbs: int = 1) -> tuple[ModeState, list[Command]]:
     """Mode transitions and blanking commands for one observation window.
 
     ``detection`` is the KPM detector output (``.radar_present``);
@@ -141,7 +137,7 @@ def mode_step(state: ModeState, detection, localization: list[FreqTimeBox] | Non
     if extent is not None:
         # Radar boxes outrank the KPM detector: blanking hides the radar
         # from KPMs but the sensing path still sees it.
-        prbs = frozenset(map_extent_to_prbs(extent, link, guard_prbs))
+        prbs = frozenset(map_extent_to_prbs(extent, guard_prbs))
         if prbs != state.blanked_prbs:
             commands.append(Command(CMD_BLANK, prbs))
             state = replace(state, blanked_prbs=prbs)
@@ -239,11 +235,8 @@ class XappController:
     emitted whenever the AIMD step changes the index, in both modes.
     """
 
-    def __init__(self, link: LinkConfig = LinkConfig(),
-                 guard_prbs: int = 1,
-                 mcs_adaptation: bool = True,
+    def __init__(self, guard_prbs: int = 1, mcs_adaptation: bool = True,
                  blanking: bool = True):
-        self.link = link
         self.mcs_state = McsControllerState()
         self.mode_state = ModeState()
         self.guard_prbs = guard_prbs
@@ -255,7 +248,7 @@ class XappController:
         commands: list[Command] = []
         if self.blanking:
             self.mode_state, commands = mode_step(
-                self.mode_state, detection, localization, self.link, self.guard_prbs)
+                self.mode_state, detection, localization, self.guard_prbs)
         if self.mcs_adaptation:
             new_state = mcs_update(self.mcs_state, bler_pct)
             if new_state.mcs != self.mcs_state.mcs:

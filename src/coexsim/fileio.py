@@ -1,8 +1,8 @@
 """Small helpers for sidecar metadata files and CSV tables.
 
 Sidecars are line-delimited ``key=value`` text files written next to binary
-artifacts (I/Q captures, spectrogram matrices) so every file is
-self-describing without a database.  Each CSV table is a header row, then rows.
+artifacts (spectrogram matrices) so every file is self-describing without a
+database.  Each CSV table is a header row, then rows.
 """
 
 from __future__ import annotations

@@ -183,8 +183,8 @@ def main(argv=None) -> int:
     except CoexsimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFoundError: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, a permission
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

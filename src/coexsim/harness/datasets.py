@@ -31,7 +31,15 @@ from ..ranlink import (
 )
 from ..detect import KPM_FEATURES, window_kpms
 from ..fileio import read_csv, write_csv, write_sidecar
-from ..signals import COMBINED_DBM_MHZ, RadarParams, SinrSpec, dbm_to_linear, sensing_capture
+from ..signals import (
+    COMBINED_DBM_MHZ,
+    N_PRBS,
+    PRB_BANDWIDTH_HZ,
+    RadarParams,
+    SinrSpec,
+    dbm_to_linear,
+    sensing_capture,
+)
 from ..spectro import StftConfig, save_spectrogram, load_spectrogram, stft_spectrogram
 
 DEFAULT_SINR_SWEEP = (-4.0, 0.0, 4.0, 8.0, 12.0)
@@ -60,14 +68,12 @@ def draw_radar_params(rng: np.random.Generator) -> RadarParams:
                        burst_start_s=start)
 
 
-def interference_units(sinr_db: float, link: LinkConfig,
-                       combined_dbm_mhz: float = COMBINED_DBM_MHZ,
+def interference_units(sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ,
                        coupling_db: float = DEFAULT_COUPLING_DB) -> float:
     """Radar pulse-on power at the base station, in per-PRB-noise units."""
     spec = SinrSpec.from_target(sinr_db, combined_dbm_mhz)
     d_radar = dbm_to_linear(spec.p_radar_dbm_mhz)          # mW/MHz peak
-    noise_per_prb = (dbm_to_linear(spec.p_noise_dbm_mhz)
-                     * link.prb_bandwidth_hz / 1e6)        # mW
+    noise_per_prb = dbm_to_linear(spec.p_noise_dbm_mhz) * PRB_BANDWIDTH_HZ / 1e6  # mW
     return dbm_to_linear(coupling_db) * d_radar / noise_per_prb
 
 
@@ -106,17 +112,14 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
                 # radar-free BLER stays under ~5%.
                 mcs = int(rng.integers(4, 29))
                 margin_db = float(rng.uniform(6.0, 14.0))
-                base_sinr = -6.0 + mcs + margin_db
-                link = LinkConfig(base_sinr_db=base_sinr)
                 offered = float(rng.uniform(1.0, 5.0))
                 if label:
                     params = draw_radar_params(rng)
-                    units = interference_units(sinr, link)
-                    profile = radar_psd_per_prb(params, units, link)
+                    profile = radar_psd_per_prb(params, interference_units(sinr))
                 else:
-                    profile = RadarInterferenceProfile.silent(link.n_prbs)
-                sim = UplinkSimulator(link)
-                mask = np.ones(link.n_prbs, dtype=bool)
+                    profile = RadarInterferenceProfile.silent()
+                sim = UplinkSimulator(LinkConfig(base_sinr_db=-6.0 + mcs + margin_db))
+                mask = np.ones(N_PRBS, dtype=bool)
                 row_start = len(records)
                 for _ in range(config.records_per_item):
                     seed = int(rng.integers(2 ** 63))

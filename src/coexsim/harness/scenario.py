@@ -122,8 +122,7 @@ class ScenarioConfig:
         for i, (_, sinr) in enumerate(self.sinr_schedule):
             try:
                 with np.errstate(over="ignore"):
-                    units = interference_units(sinr, self.link, self.combined_dbm_mhz,
-                                               self.coupling_db)
+                    units = interference_units(sinr, self.combined_dbm_mhz, self.coupling_db)
             except OverflowError:
                 units = math.inf
             if not math.isfinite(units):
@@ -196,11 +195,11 @@ def _sinr_at(config: ScenarioConfig, t0: float) -> float:
     return current
 
 
-def ground_truth_radar_prbs(params: RadarParams, link: LinkConfig) -> set[int]:
+def ground_truth_radar_prbs(params: RadarParams) -> set[int]:
     """PRBs overlapped by the pulse main lobe (no guard)."""
     lobe = params.main_lobe_half_width_hz
     return map_extent_to_prbs((params.carrier_hz - lobe, params.carrier_hz + lobe),
-                              link, guard_prbs=0)
+                              guard_prbs=0)
 
 
 def _delay_s(event_idx: int | None, start_idx: int | None, ts: float) -> float | None:
@@ -214,8 +213,8 @@ class _World:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.uplink = UplinkSimulator(config.link, config.telemetry_period_s)
-        self.silent = RadarInterferenceProfile.silent(config.link.n_prbs)
-        self.mask = np.ones(config.link.n_prbs, dtype=bool)
+        self.silent = RadarInterferenceProfile.silent()
+        self.mask = apply_prb_mask(())
         self.mcs = MCS_MAX
 
     def step(self, k: int, sense: bool
@@ -229,9 +228,8 @@ class _World:
         sinr_db = _sinr_at(config, t0)
         profile = self.silent
         if radar_win is not None:
-            units = interference_units(sinr_db, config.link, config.combined_dbm_mhz,
-                                       config.coupling_db)
-            profile = radar_psd_per_prb(radar_win.params, units, config.link)
+            units = interference_units(sinr_db, config.combined_dbm_mhz, config.coupling_db)
+            profile = radar_psd_per_prb(radar_win.params, units)
         offered = float(rng.uniform(*config.offered_load_range_mbps))
         kpm = self.uplink.step(self.mcs, self.mask, profile, offered,
                                seed=int(rng.integers(2 ** 63)))
@@ -251,9 +249,9 @@ class _World:
         """The RAN reconfigures the link for the next window."""
         for cmd in commands:
             if cmd.kind == CMD_BLANK:
-                self.mask = apply_prb_mask(self.config.link, cmd.payload)
+                self.mask = apply_prb_mask(cmd.payload)
             elif cmd.kind == CMD_UNBLANK_ALL:
-                self.mask = np.ones(self.config.link.n_prbs, dtype=bool)
+                self.mask = apply_prb_mask(())
             elif cmd.kind == CMD_SET_MCS:
                 self.mcs = int(cmd.payload)
 
@@ -295,7 +293,6 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
     ledger = LatencyLedger()
     world = _World(config)
     controller = XappController(
-        link=config.link,
         guard_prbs=config.guard_prbs,
         mcs_adaptation=(config.policy == POLICY_FULL),
         blanking=(config.policy in (POLICY_BLANKING, POLICY_FULL)),
@@ -325,7 +322,7 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
         if detection.radar_present and detected is None:
             detected = k
         if radar_win is not None and evacuated is None:
-            truth_prbs = ground_truth_radar_prbs(radar_win.params, config.link)
+            truth_prbs = ground_truth_radar_prbs(radar_win.params)
             if truth_prbs and truth_prbs <= set(np.nonzero(~world.mask)[0]):
                 evacuated = k
         if offset is not None and restored is None and world.mask.all():
@@ -448,8 +445,11 @@ def scenario_from_yaml(path) -> ScenarioConfig:
     Each mapping's keys are checked against the known ones, so a misspelt
     key fails by name rather than falling back to its default.
     """
-    with open(str(path)) as fh:
-        raw = yaml.safe_load(fh) or {}
+    with open(str(path), "rb") as fh:  # the YAML reader decodes, and rejects bad bytes
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:  # its message spans lines; the error is one
+            raise InvalidConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     try:
         values = _mapping(raw, "scenario config", _SCENARIO_KEYS)
         link = values.pop("link", {})

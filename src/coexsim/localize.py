@@ -272,16 +272,12 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
     global_floor = np.percentile(row_med, pct)
     persistent = row_med > global_floor * thr_lin
     if persistent.any():
-        gaps = np.nonzero(np.diff(np.nonzero(persistent)[0]) > config.merge_gap_bins)[0]
-        runs = np.split(np.nonzero(persistent)[0], gaps + 1)
-        for run in runs:
-            if run.size == 0:
-                continue
+        rows = np.flatnonzero(persistent)
+        for run in np.split(rows, np.flatnonzero(np.diff(rows) > config.merge_gap_bins) + 1):
             rmin, rmax = int(run[0]), int(run[-1])
+            # A full-duration run meets the duty rule, so its width sets the class.
             bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
-            duty = 1.0  # persistent by construction
-            label = (CELLULAR if duty >= CELLULAR_DUTY_THRESHOLD
-                     and bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR)
+            label = CELLULAR if bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR
             excess = np.mean(10.0 * np.log10(row_med[run] / (global_floor * thr_lin)))
             box = _bins_to_box(spec, rmin, rmax, 0, n_cols - 1, label,
                                _squash_confidence(float(excess)))

@@ -20,11 +20,18 @@ from scipy import special
 
 from .errors import InvalidParamsError
 from .fileio import read_csv, write_csv
-from .signals import RadarParams
+from .signals import N_PRBS, PRB_BANDWIDTH_HZ, RadarParams
 
 MCS_MIN = 0
 MCS_MAX = 28
 WINDOW_S = 0.01  # default KPM reporting period, which is also the I/Q capture length
+SYMBOL_OVERHEAD = 0.75  # share of a PRB's resource elements that carry data
+BLER_SLOPE = 0.5  # logistic BLER waterfall, per dB of SINR shortfall
+
+# signals' PRB grid: PRB i spans [PRB_EDGES_HZ[i], PRB_EDGES_HZ[i + 1]).
+BAND_LOW_HZ = -N_PRBS * PRB_BANDWIDTH_HZ / 2.0
+PRB_EDGES_HZ = BAND_LOW_HZ + np.arange(N_PRBS + 1) * PRB_BANDWIDTH_HZ
+PRB_EDGES_HZ.setflags(write=False)
 
 
 # LTE-shaped MCS table, indexed by MCS 0..28: spectral efficiency climbs
@@ -43,27 +50,12 @@ def check_mcs(mcs: int) -> int:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    n_prbs: int = 50
-    prb_bandwidth_hz: float = 180e3
-    symbol_overhead: float = 0.75
     base_sinr_db: float = 30.0
-    bler_slope: float = 0.5          # per dB of SINR shortfall
     sinr_jitter_db: float = 0.5      # per-period wideband fading jitter
 
     def __post_init__(self):
-        if self.n_prbs <= 0:
-            raise InvalidParamsError("n_prbs must be > 0")
-        if not 0.0 < self.symbol_overhead <= 1.0:
-            raise InvalidParamsError("symbol_overhead must be in (0, 1]")
         if not self.sinr_jitter_db >= 0:  # also rejects NaN
             raise InvalidParamsError(f"sinr_jitter_db must be >= 0, got {self.sinr_jitter_db}")
-
-    @property
-    def band_low_hz(self) -> float:
-        return -self.n_prbs * self.prb_bandwidth_hz / 2.0
-
-    def prb_edges_hz(self) -> np.ndarray:
-        return self.band_low_hz + np.arange(self.n_prbs + 1) * self.prb_bandwidth_hz
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,8 @@ class RadarInterferenceProfile:
         object.__setattr__(self, "per_prb_interference", arr)
 
     @classmethod
-    def silent(cls, n_prbs: int) -> "RadarInterferenceProfile":
-        return cls(np.zeros(n_prbs), 0.0)
+    def silent(cls) -> "RadarInterferenceProfile":
+        return cls(np.zeros(N_PRBS), 0.0)
 
 
 def _sinc_sq_antiderivative(x: float) -> float:
@@ -114,8 +106,7 @@ def _sinc_sq_antiderivative(x: float) -> float:
     return (si - np.sin(np.pi * x) ** 2 / (np.pi * x)) / np.pi
 
 
-def radar_psd_per_prb(radar: RadarParams, p_radar_linear: float,
-                      link: LinkConfig) -> RadarInterferenceProfile:
+def radar_psd_per_prb(radar: RadarParams, p_radar_linear: float) -> RadarInterferenceProfile:
     """Integrate the analytic pulse PSD, sinc^2((f - fc) * pw), over each PRB.
 
     ``p_radar_linear`` is the pulse-on (peak) radar power at the receiver in
@@ -125,22 +116,22 @@ def radar_psd_per_prb(radar: RadarParams, p_radar_linear: float,
     """
     if p_radar_linear < 0:
         raise InvalidParamsError("p_radar_linear must be >= 0")
-    out = np.zeros(link.n_prbs)
+    out = np.zeros(N_PRBS)
     if p_radar_linear > 0.0:
         pw = radar.pulse_width_s
         fc = radar.carrier_hz
-        cdf = [_sinc_sq_antiderivative((edge - fc) * pw) for edge in link.prb_edges_hz()]
-        for i in range(link.n_prbs):
+        cdf = [_sinc_sq_antiderivative((edge - fc) * pw) for edge in PRB_EDGES_HZ]
+        for i in range(N_PRBS):
             out[i] = p_radar_linear * (cdf[i + 1] - cdf[i])
     return RadarInterferenceProfile(out, radar.duty_cycle())
 
 
-def apply_prb_mask(link: LinkConfig, prbs_to_blank) -> np.ndarray:
+def apply_prb_mask(prbs_to_blank) -> np.ndarray:
     """All-active mask with exactly the listed PRBs blanked; idempotent."""
-    mask = np.ones(link.n_prbs, dtype=bool)
+    mask = np.ones(N_PRBS, dtype=bool)
     for prb in prbs_to_blank:
-        if not 0 <= prb < link.n_prbs:
-            raise InvalidParamsError(f"PRB index {prb} out of range 0..{link.n_prbs - 1}")
+        if not 0 <= prb < N_PRBS:
+            raise InvalidParamsError(f"PRB index {prb} out of range 0..{N_PRBS - 1}")
         mask[prb] = False
     return mask
 
@@ -171,10 +162,10 @@ class UplinkSimulator:
         link = self.link
         mcs = check_mcs(mcs)
         prb_mask = np.asarray(prb_mask, dtype=bool)
-        if prb_mask.size != link.n_prbs:
-            raise InvalidParamsError("prb_mask length != n_prbs")
-        if profile.per_prb_interference.size != link.n_prbs:
-            raise InvalidParamsError("profile length != n_prbs")
+        if prb_mask.size != N_PRBS:
+            raise InvalidParamsError(f"prb_mask length != {N_PRBS} PRBs")
+        if profile.per_prb_interference.size != N_PRBS:
+            raise InvalidParamsError(f"profile length != {N_PRBS} PRBs")
 
         rng = np.random.default_rng(seed)
         base_db = link.base_sinr_db + rng.normal(0.0, link.sinr_jitter_db)
@@ -194,11 +185,11 @@ class UplinkSimulator:
         # per-call dispatch.
         sinr_active = sinr_eff_db[prb_mask]
         required = float(SINR_REQUIRED_DB[mcs])
-        per_prb_bler = _logistic(link.bler_slope * (required - sinr_active))
+        per_prb_bler = _logistic(BLER_SLOPE * (required - sinr_active))
         bler = float(per_prb_bler.sum() / n_active)
 
         capacity_mbps = (float(SPECTRAL_EFFICIENCY[mcs]) * n_active
-                         * link.prb_bandwidth_hz * link.symbol_overhead
+                         * PRB_BANDWIDTH_HZ * SYMBOL_OVERHEAD
                          * (1.0 - bler)) / 1e6
         throughput = min(offered_load_mbps, capacity_mbps)
         self.backlog_bits += max(0.0, (offered_load_mbps - throughput)

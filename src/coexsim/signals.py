@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from .errors import InvalidParamsError, SilentComponentError, EmptyBandError
-from .fileio import write_sidecar, read_sidecar
 
 DEFAULT_SAMPLE_RATE_HZ = 15.36e6
 RADAR_REF_BANDWIDTH_HZ = 1e6  # reference bandwidth for peak radar density
@@ -34,6 +33,11 @@ COMBINED_DBM_MHZ = -109.0  # regulatory cap on cellular + noise density
 PULSE_WIDTH_RANGE_S = (13e-6, 52e-6)
 PRR_RANGE_HZ = (500.0, 1100.0)
 OCCUPIED_REL_FLOOR_DB = -20.0  # occupied bins lie within this of the peak bin
+
+# The PRB grid, DC-centred: the one the sensed cellular waveform occupies and
+# the uplink model (ranlink) and PRB blanking (control) count in.
+N_PRBS = 50
+PRB_BANDWIDTH_HZ = 180e3
 
 
 def dbm_to_linear(dbm: float) -> float:
@@ -70,11 +74,6 @@ class IqBuffer:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
-
-    def mean_power(self) -> float:
-        if self.n_samples == 0:
-            return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,8 @@ class RadarParams:
 class CellularParams:
     """Spectral occupancy of the cellular uplink stand-in."""
 
-    n_prbs: int = 50
-    prb_bandwidth_hz: float = 180e3
+    n_prbs: int = N_PRBS
+    prb_bandwidth_hz: float = PRB_BANDWIDTH_HZ
     active_prb_mask: np.ndarray | None = None  # None means all PRBs active
     per_prb_power: float = 1.0
 
@@ -363,18 +362,17 @@ def _band_density(p_bins: np.ndarray, fs: float, f_low_hz: float, f_high_hz: flo
     return band_power / width_mhz
 
 
-def _occupied_density(iq: IqBuffer) -> tuple[float, float]:
-    """(density per MHz, occupied bandwidth Hz) over bins within OCCUPIED_REL_FLOOR_DB of peak."""
+def _occupied_density(iq: IqBuffer) -> float:
+    """Density per MHz over the bins within OCCUPIED_REL_FLOOR_DB of the peak bin."""
     n = iq.n_samples
     p_bins = _fft_power(iq.samples)
     p_bins /= n * n
     peak = p_bins.max()
     if peak <= 0.0:
-        return 0.0, 0.0
+        return 0.0
     occ = p_bins >= peak * 10.0 ** (OCCUPIED_REL_FLOOR_DB / 10.0)
     bw_hz = occ.sum() * iq.sample_rate_hz / n
-    density = float(p_bins[occ].sum()) / (bw_hz / 1e6)
-    return density, float(bw_hz)
+    return float(p_bins[occ].sum()) / (bw_hz / 1e6)
 
 
 def _radar_peak_density(iq: IqBuffer) -> tuple[float, np.ndarray]:
@@ -410,7 +408,7 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     if cell_target > 0.0:
         d_now = cellular.occupied_density
         if d_now is None:
-            d_now, _ = _occupied_density(cellular)
+            d_now = _occupied_density(cellular)
         if d_now == 0.0:
             raise SilentComponentError("cellular component has zero power but p_cellular is finite")
         mix = cellular.samples * np.sqrt(cell_target / d_now)
@@ -421,7 +419,7 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     # The mix holds the scaled cellular alone until the radar is added.
     cell_meas = 0.0
     if measure and cell_target > 0.0:
-        cell_meas, _ = _occupied_density(IqBuffer(mix, fs))
+        cell_meas = _occupied_density(IqBuffer(mix, fs))
 
     if radar_target > 0.0:
         d_now, on = _radar_peak_density(radar)
@@ -477,26 +475,3 @@ def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz:
                                       measure_achieved=measure_achieved)
     return composite, radar_iq, achieved
 
-
-def write_iq_file(path, iq: IqBuffer, extra_meta: dict | None = None) -> None:
-    """Little-endian interleaved float32 I/Q pairs plus a key=value sidecar."""
-    inter = np.empty(2 * iq.n_samples, dtype="<f4")
-    inter[0::2] = iq.samples.real.astype(np.float32)
-    inter[1::2] = iq.samples.imag.astype(np.float32)
-    inter.tofile(str(path))
-    meta = {
-        "format": "iq_float32_interleaved_le",
-        "sample_rate_hz": repr(iq.sample_rate_hz),
-        "n_samples": iq.n_samples,
-        "duration_s": repr(iq.duration_s),
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    write_sidecar(str(path) + ".meta", meta)
-
-
-def read_iq_file(path) -> tuple[IqBuffer, dict]:
-    meta = read_sidecar(str(path) + ".meta")
-    raw = np.fromfile(str(path), dtype="<f4")
-    samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
-    return IqBuffer(samples, float(meta["sample_rate_hz"])), meta

@@ -4,7 +4,7 @@ Columns are DC-centered (row 0 is -fs/2, row fft_size/2 is DC) and stored as
 linear power clamped at POWER_FLOOR_DB, in a C-order ``[freq, time]``
 matrix as both ``stft_spectrogram`` and ``load_spectrogram`` produce it, so
 row passes run over contiguous memory.  The dB form is derived where a
-spectrogram is written, read or drawn.  Linear column energy is normalized so
+spectrogram is written or read.  Linear column energy is normalized so
 that ``sum_k |X_k|^2 / fft_size`` equals the windowed time-domain energy of
 the frame (Parseval), which the tests rely on.
 """
@@ -23,7 +23,6 @@ from .signals import IqBuffer
 WINDOW_RECTANGULAR = "rectangular"
 WINDOW_HANN = "hann"
 POWER_FLOOR_DB = -120.0  # STFT power clamp, which keeps the dB form finite
-PGM_DB_RANGE = (-120.0, -20.0)  # save_pgm's black and white levels
 
 # Frames per block of the STFT's transform and transposed write.  128 frames
 # of 1024 bins are 1 MB of power, half a 2 MB L2 cache; of 48, 64, 128 and
@@ -84,9 +83,6 @@ class Spectrogram:
     def n_time_bins(self) -> int:
         return self.power.shape[1]
 
-    def freqs_hz(self) -> np.ndarray:
-        return self.f_start_hz + np.arange(self.n_freq_bins) * self.freq_resolution_hz
-
 
 def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectrogram:
     """Magnitude-squared STFT, DC-centered rows, clamped at the floor.
@@ -144,13 +140,6 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
     )
 
 
-def spectrogram_to_image(spec: Spectrogram, db_min: float, db_max: float) -> np.ndarray:
-    """Affine clamp-and-scale of power_db into [0, 1]."""
-    if db_min >= db_max:
-        raise InvalidParamsError("db_min must be < db_max")
-    return np.clip((spec.power_db - db_min) / (db_max - db_min), 0.0, 1.0)
-
-
 def save_spectrogram(path, spec: Spectrogram, extra_meta: dict | None = None) -> None:
     """Row-major float32 dB matrix plus a key=value sidecar."""
     spec.power_db.astype("<f4", order="C").tofile(str(path))
@@ -182,12 +171,3 @@ def load_spectrogram(path) -> tuple[Spectrogram, dict]:
     )
     return spec, meta
 
-
-def save_pgm(path, spec: Spectrogram) -> None:
-    """Binary PGM grayscale export for visual inspection (freq rows, top = +fs/2)."""
-    img = spectrogram_to_image(spec, *PGM_DB_RANGE)
-    pixels = (img[::-1, :] * 255).astype(np.uint8)
-    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
-    with open(str(path), "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())

@@ -29,8 +29,10 @@ from coexsim.harness.scenario import (
     run_scenario,
 )
 from coexsim.localize import LocalizerConfig
-from coexsim.ranlink import LinkConfig
+from coexsim.ranlink import BAND_LOW_HZ
 from coexsim.signals import (
+    N_PRBS,
+    PRB_BANDWIDTH_HZ,
     CellularParams,
     RadarParams,
     SinrSpec,
@@ -224,17 +226,15 @@ def test_criterion_5_aimd_fidelity():
 
 
 def test_criterion_6_prb_mapping():
-    link = LinkConfig()
-
     def brute(extent, guard):
         f_low, f_high = extent
         hit = set()
-        for i in range(link.n_prbs):
-            lo = link.band_low_hz + i * link.prb_bandwidth_hz
-            if max(lo, f_low) < min(lo + link.prb_bandwidth_hz, f_high):
+        for i in range(N_PRBS):
+            lo = BAND_LOW_HZ + i * PRB_BANDWIDTH_HZ
+            if max(lo, f_low) < min(lo + PRB_BANDWIDTH_HZ, f_high):
                 hit.add(i)
         return {j for i in hit for j in range(i - guard, i + guard + 1)
-                if 0 <= j < link.n_prbs}
+                if 0 <= j < N_PRBS}
 
     rng = np.random.default_rng(10)
     exact = True
@@ -243,7 +243,7 @@ def test_criterion_6_prb_mapping():
         if a == b:
             continue
         guard = int(rng.integers(0, 3))
-        if map_extent_to_prbs((float(a), float(b)), link, guard) != brute((a, b), guard):
+        if map_extent_to_prbs((float(a), float(b)), guard) != brute((a, b), guard):
             exact = False
     report("criterion 6 (PRB mapping vs brute force, 1000 extents)", exact,
            "exact set equality" if exact else "mismatch found")

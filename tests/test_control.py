@@ -34,7 +34,14 @@ from coexsim.errors import (
     ProtocolViolationError,
 )
 from coexsim.localize import CELLULAR, RADAR, FreqTimeBox
-from coexsim.ranlink import LinkConfig
+from coexsim.ranlink import BAND_LOW_HZ, PRB_EDGES_HZ, WINDOW_S
+from coexsim.signals import (
+    DEFAULT_SAMPLE_RATE_HZ,
+    N_PRBS,
+    PRB_BANDWIDTH_HZ,
+    CellularParams,
+    _prb_bin_layout,
+)
 
 
 def aimd_oracle(mcs, bler_prev, bler, gamma=1.0, beta=2, thresh=5.0,
@@ -118,47 +125,45 @@ class TestMcsUpdate:
             mcs_update(McsControllerState(), -0.5)
 
 
-def brute_force_prbs(extent, link, guard):
+def brute_force_prbs(extent, guard):
     """Oracle: loop every PRB and test positive-measure interval overlap."""
     f_low, f_high = extent
     hit = set()
-    for i in range(link.n_prbs):
-        lo = link.band_low_hz + i * link.prb_bandwidth_hz
-        hi = lo + link.prb_bandwidth_hz
+    for i in range(N_PRBS):
+        lo = BAND_LOW_HZ + i * PRB_BANDWIDTH_HZ
+        hi = lo + PRB_BANDWIDTH_HZ
         if max(lo, f_low) < min(hi, f_high):
             hit.add(i)
     out = set()
     for i in hit:
         for g in range(-guard, guard + 1):
-            if 0 <= i + g < link.n_prbs:
+            if 0 <= i + g < N_PRBS:
                 out.add(i + g)
     return out
 
 
 class TestMapExtentToPrbs:
-    LINK = LinkConfig()
-
     def test_full_band(self):
-        out = map_extent_to_prbs((-4.5e6, 4.5e6), self.LINK, guard_prbs=0)
+        out = map_extent_to_prbs((-4.5e6, 4.5e6), guard_prbs=0)
         assert out == set(range(50))
 
     def test_exact_prb_span(self):
         lo = -4.5e6 + 10 * 180e3
-        out = map_extent_to_prbs((lo, lo + 180e3), self.LINK, guard_prbs=0)
+        out = map_extent_to_prbs((lo, lo + 180e3), guard_prbs=0)
         assert out == {10}
 
     def test_straddling_boundary(self):
         edge = -4.5e6 + 11 * 180e3
-        out = map_extent_to_prbs((edge - 1.0, edge + 1.0), self.LINK, guard_prbs=0)
+        out = map_extent_to_prbs((edge - 1.0, edge + 1.0), guard_prbs=0)
         assert out == {10, 11}
 
     def test_guard_dilation(self):
         lo = -4.5e6 + 10 * 180e3
-        out = map_extent_to_prbs((lo, lo + 180e3), self.LINK, guard_prbs=1)
+        out = map_extent_to_prbs((lo, lo + 180e3), guard_prbs=1)
         assert out == {9, 10, 11}
 
     def test_guard_clamped_at_band_edges(self):
-        out = map_extent_to_prbs((-4.5e6, -4.5e6 + 180e3), self.LINK, guard_prbs=2)
+        out = map_extent_to_prbs((-4.5e6, -4.5e6 + 180e3), guard_prbs=2)
         assert out == {0, 1, 2}
 
     def test_matches_brute_force_oracle_1000_random(self):
@@ -168,8 +173,8 @@ class TestMapExtentToPrbs:
             if a == b:
                 continue
             guard = int(rng.integers(0, 3))
-            got = map_extent_to_prbs((float(a), float(b)), self.LINK, guard)
-            want = brute_force_prbs((float(a), float(b)), self.LINK, guard)
+            got = map_extent_to_prbs((float(a), float(b)), guard)
+            want = brute_force_prbs((float(a), float(b)), guard)
             assert got == want
 
     def test_blanked_superset_contains_radar_extent_prbs(self):
@@ -178,13 +183,37 @@ class TestMapExtentToPrbs:
             a, b = np.sort(rng.uniform(-4.4e6, 4.4e6, 2))
             if a == b:
                 continue
-            base = map_extent_to_prbs((float(a), float(b)), self.LINK, 0)
-            guarded = map_extent_to_prbs((float(a), float(b)), self.LINK, 1)
+            base = map_extent_to_prbs((float(a), float(b)), 0)
+            guarded = map_extent_to_prbs((float(a), float(b)), 1)
             assert base <= guarded
 
     def test_empty_extent(self):
         with pytest.raises(EmptyExtentError):
-            map_extent_to_prbs((1e6, 1e6), self.LINK)
+            map_extent_to_prbs((1e6, 1e6))
+
+
+class TestOnePrbGrid:
+    """The sensed cellular waveform, the link model's edges and blanking
+    count in one PRB grid, at the Mode-2 capture length."""
+
+    def test_waveform_bins_lie_in_their_prb(self):
+        n = round(WINDOW_S * DEFAULT_SAMPLE_RATE_HZ)
+        assert n == 153600
+        params = CellularParams()
+        prb_of_bin, counts = _prb_bin_layout(n, DEFAULT_SAMPLE_RATE_HZ, params.n_prbs,
+                                             params.prb_bandwidth_hz)
+        freqs = np.fft.fftfreq(n, d=1.0 / DEFAULT_SAMPLE_RATE_HZ)
+        assert not PRB_EDGES_HZ.flags.writeable and PRB_EDGES_HZ.size == N_PRBS + 1
+        for i in range(N_PRBS):
+            f = freqs[prb_of_bin == i]
+            assert f.size == counts[i] > 0
+            assert (PRB_EDGES_HZ[i] <= f).all() and (f < PRB_EDGES_HZ[i + 1]).all()
+        outside = freqs[prb_of_bin == N_PRBS]
+        assert ((outside < PRB_EDGES_HZ[0]) | (outside >= PRB_EDGES_HZ[-1])).all()
+
+    def test_each_prb_span_maps_to_its_prb(self):
+        for i in range(N_PRBS):
+            assert map_extent_to_prbs((PRB_EDGES_HZ[i], PRB_EDGES_HZ[i + 1]), 0) == {i}
 
 
 def radar_box(f0=2.4e6, f1=2.6e6):
@@ -192,27 +221,25 @@ def radar_box(f0=2.4e6, f1=2.6e6):
 
 
 class TestModeStep:
-    LINK = LinkConfig()
-
     def test_mode1_idle(self):
-        state, cmds = mode_step(ModeState(), Detection(False, 0.9), None, self.LINK)
+        state, cmds = mode_step(ModeState(), Detection(False, 0.9), None)
         assert state.mode == Mode.MODE1
         assert cmds == []
 
     def test_mode1_idle_returns_incoming_state(self):
         st = ModeState()
-        state, cmds = mode_step(st, Detection(False, 0.9), None, self.LINK)
+        state, cmds = mode_step(st, Detection(False, 0.9), None)
         assert state is st
         assert cmds == []
 
     def test_mode2_no_boxes_while_detected_returns_incoming_state(self):
         st = ModeState(mode=Mode.MODE2, blanked_prbs=frozenset({24, 25, 26}))
-        state, cmds = mode_step(st, Detection(True, 0.9), [], self.LINK)
+        state, cmds = mode_step(st, Detection(True, 0.9), [])
         assert state is st
         assert cmds == []
 
     def test_mode1_detection_escalates(self):
-        state, cmds = mode_step(ModeState(), Detection(True, 0.95), None, self.LINK)
+        state, cmds = mode_step(ModeState(), Detection(True, 0.95), None)
         assert state.mode == Mode.MODE2
         assert [c.kind for c in cmds] == [CMD_REQUEST_IQ]
 
@@ -220,7 +247,7 @@ class TestModeStep:
         # box over PRBs 24-26: extent [-180e3, 360e3) in the DC-centered band
         box = FreqTimeBox(-180e3 + 1, 360e3 - 1, 0.0, 1e-3, RADAR, 0.9)
         st = ModeState(mode=Mode.MODE2)
-        state, cmds = mode_step(st, Detection(True, 0.9), [box], self.LINK,
+        state, cmds = mode_step(st, Detection(True, 0.9), [box],
                                 guard_prbs=0)
         assert state.mode == Mode.MODE2
         blank = [c for c in cmds if c.kind == CMD_BLANK]
@@ -229,7 +256,7 @@ class TestModeStep:
 
     def test_mode2_absence_returns_to_mode1(self):
         st = ModeState(mode=Mode.MODE2, blanked_prbs=frozenset({24, 25}))
-        state, cmds = mode_step(st, Detection(False, 0.9), [], self.LINK)
+        state, cmds = mode_step(st, Detection(False, 0.9), [])
         assert state.mode == Mode.MODE1
         assert state.blanked_prbs == frozenset()
         assert [c.kind for c in cmds] == [CMD_UNBLANK_ALL, CMD_STOP_IQ]
@@ -237,13 +264,13 @@ class TestModeStep:
     def test_mode2_boxes_outrank_detector_absence(self):
         # blanking hides radar from KPMs; boxes must keep the system in MODE2
         st = ModeState(mode=Mode.MODE2, blanked_prbs=frozenset({30}))
-        state, cmds = mode_step(st, Detection(False, 0.9), [radar_box()], self.LINK)
+        state, cmds = mode_step(st, Detection(False, 0.9), [radar_box()])
         assert state.mode == Mode.MODE2
         assert state.blanked_prbs  # still blanked
 
     def test_mode2_disagreement_keeps_blank_set(self):
         st = ModeState(mode=Mode.MODE2, blanked_prbs=frozenset({24, 25, 26}))
-        state, cmds = mode_step(st, Detection(True, 0.9), [], self.LINK)
+        state, cmds = mode_step(st, Detection(True, 0.9), [])
         assert state.mode == Mode.MODE2
         assert state.blanked_prbs == frozenset({24, 25, 26})
         assert cmds == []
@@ -251,19 +278,19 @@ class TestModeStep:
     def test_cellular_boxes_do_not_blank(self):
         st = ModeState(mode=Mode.MODE2)
         cell_box = FreqTimeBox(-4.5e6, 4.5e6, 0.0, 10e-3, CELLULAR, 0.8)
-        state, cmds = mode_step(st, Detection(False, 0.9), [cell_box], self.LINK)
+        state, cmds = mode_step(st, Detection(False, 0.9), [cell_box])
         assert state.mode == Mode.MODE1  # no radar boxes, detector absent
 
     def test_localization_in_mode1_rejected(self):
         with pytest.raises(ProtocolViolationError):
-            mode_step(ModeState(), Detection(False, 0.9), [], self.LINK)
+            mode_step(ModeState(), Detection(False, 0.9), [])
 
     def test_no_duplicate_blank_commands(self):
         box = radar_box()
         st = ModeState(mode=Mode.MODE2)
-        st, cmds1 = mode_step(st, Detection(True, 0.9), [box], self.LINK)
+        st, cmds1 = mode_step(st, Detection(True, 0.9), [box])
         assert any(c.kind == CMD_BLANK for c in cmds1)
-        st, cmds2 = mode_step(st, Detection(True, 0.9), [box], self.LINK)
+        st, cmds2 = mode_step(st, Detection(True, 0.9), [box])
         assert not any(c.kind == CMD_BLANK for c in cmds2)
 
     def test_liveness_radar_absence_restores_mode1(self):
@@ -271,9 +298,9 @@ class TestModeStep:
         st = ModeState(mode=Mode.MODE2, blanked_prbs=frozenset({24}))
         for _ in range(2):
             if st.mode == Mode.MODE2:
-                st, _ = mode_step(st, Detection(False, 0.9), [], self.LINK)
+                st, _ = mode_step(st, Detection(False, 0.9), [])
             else:
-                st, _ = mode_step(st, Detection(False, 0.9), None, self.LINK)
+                st, _ = mode_step(st, Detection(False, 0.9), None)
         assert st.mode == Mode.MODE1
         assert st.blanked_prbs == frozenset()
 

@@ -679,6 +679,27 @@ class TestCli:
         assert r.stderr.startswith("error: InvalidConfigError:")
         assert len(r.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("content", [b"duration_s: [0.1\n", b"duration_s: 0.1\n# caf\xe9\n"],
+                             ids=["malformed-yaml", "not-utf-8"])
+    def test_error_line_on_unreadable_config(self, tmp_path, capsys, content):
+        yaml_path = tmp_path / "bad.yaml"
+        yaml_path.write_bytes(content)
+        assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidConfigError: {yaml_path}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    # "" names tmp_path itself, a directory
+    @pytest.mark.parametrize("config, model", [("", "model.npz"), ("ok.yaml", "")],
+                             ids=["config", "model"])
+    def test_error_line_on_directory_argument(self, tmp_path, capsys, config, model):
+        (tmp_path / "ok.yaml").write_text("duration_s: 0.05\n")
+        assert cli.main(["run-scenario", "--config", str(tmp_path / config),
+                         "--model", str(tmp_path / model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_error_line_on_non_mapping_link(self, tmp_path, capsys):
         yaml_path = tmp_path / "link.yaml"
         yaml_path.write_text("duration_s: 1.0\nlink: [35.0]\n")

@@ -1,5 +1,6 @@
 """Source hygiene: no module under src/coexsim imports a name it never uses,
-and no function, class or annotated field under it goes unreferenced."""
+no function, class or annotated field under it goes unreferenced, and no
+public one is referenced from the tests alone."""
 
 import ast
 from collections import Counter
@@ -94,3 +95,17 @@ def test_no_unreferenced_definitions():
     texts = [p.read_text() for d in ("src", "tests", "perfbench")
              for p in (ROOT / d).rglob("*.py")]
     assert unreferenced(defined, texts) == []
+
+
+# Public names that only tests read, on purpose: criterion 2's closed-form
+# SINR, and the supporting bins a localizer component keeps for the tests.
+TEST_ONLY_PUBLIC = {"compute_sinr", "support_rows", "support_cols"}
+
+
+def test_no_public_definition_only_tests_reference():
+    defined = sum((defined_names(p.read_text()) for p in SRC.rglob("*.py")), Counter())
+    public = Counter({n: k for n, k in defined.items() if not n.startswith("_")})
+    assert TEST_ONLY_PUBLIC <= set(public)
+    texts = [p.read_text() for d in ("src", "tools", "perfbench")
+             for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"]
+    assert [n for n in unreferenced(public, texts) if n not in TEST_ONLY_PUBLIC] == []

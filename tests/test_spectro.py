@@ -11,9 +11,7 @@ from coexsim.spectro import (
     Spectrogram,
     StftConfig,
     load_spectrogram,
-    save_pgm,
     save_spectrogram,
-    spectrogram_to_image,
     stft_spectrogram,
 )
 
@@ -49,7 +47,7 @@ class TestStft:
         assert spec.freq_resolution_hz == pytest.approx(FS / 1024)
         assert spec.time_resolution_s == pytest.approx(512 / FS)
         assert spec.f_start_hz == -FS / 2
-        freqs = spec.freqs_hz()
+        freqs = spec.f_start_hz + np.arange(spec.n_freq_bins) * spec.freq_resolution_hz
         assert freqs[512] == pytest.approx(0.0)
         assert np.all(np.diff(freqs) > 0)
 
@@ -248,27 +246,6 @@ class TestLiveFrames:
         assert (power == 10.0 ** (POWER_FLOOR_DB / 10.0)).all(axis=0).sum() > 500
 
 
-class TestImageScaling:
-    @pytest.fixture
-    def spec(self):
-        db = np.array([[-100.0, -50.0], [0.0, -75.0]])
-        return Spectrogram(10.0 ** (db / 10.0), 15e3, 1e-3, -FS / 2)
-
-    def test_endpoints_and_midpoint(self, spec):
-        img = spectrogram_to_image(spec, -100.0, 0.0)
-        assert img[0, 0] == 0.0
-        assert img[1, 0] == 1.0
-        assert img[0, 1] == 0.5
-
-    def test_clamping(self, spec):
-        img = spectrogram_to_image(spec, -60.0, -55.0)
-        assert img[0, 0] == 0.0 and img[1, 0] == 1.0
-
-    def test_invalid_range(self, spec):
-        with pytest.raises(InvalidParamsError):
-            spectrogram_to_image(spec, 0.0, -10.0)
-
-
 class TestExport:
     def test_round_trip(self, tmp_path):
         spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=5), StftConfig())
@@ -279,10 +256,3 @@ class TestExport:
         assert np.allclose(back.power_db, spec.power_db, atol=1e-3)
         assert meta["seed"] == "5"
 
-    def test_pgm_header(self, tmp_path):
-        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=6), StftConfig())
-        path = tmp_path / "spec.pgm"
-        save_pgm(path, spec)
-        data = path.read_bytes()
-        assert data.startswith(b"P5\n15 1024\n255\n")
-        assert len(data) == len(b"P5\n15 1024\n255\n") + 1024 * 15
