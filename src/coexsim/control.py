@@ -79,9 +79,9 @@ def mcs_update(state: McsControllerState, bler: float) -> McsControllerState:
 def map_extent_to_prbs(extent: tuple[float, float], guard_prbs: int = 1) -> set[int]:
     """PRBs whose span overlaps the extent, dilated by guard_prbs each side.
 
-    PRB i spans [BAND_LOW_HZ + i*bw, BAND_LOW_HZ + (i+1)*bw) with the band
-    DC-centered; overlap requires positive measure, so an extent exactly on
-    a PRB boundary does not drag in the neighbor.
+    PRB i spans [ranlink.PRB_EDGES_HZ[i], PRB_EDGES_HZ[i + 1]) of the
+    DC-centered band; overlap requires positive measure, so an extent exactly
+    on a PRB boundary does not drag in the neighbor.
     """
     f_low, f_high = extent
     if not f_low < f_high:
