@@ -3,7 +3,9 @@
 A small fully connected ReLU network (input K -> 32 -> 16 -> 2 softmax)
 trained with mini-batch RMSprop on z-score-normalized features.  Everything
 is plain numpy so the analytic gradients can be checked against finite
-differences, and training is bit-deterministic for a fixed seed.
+differences, and training is bit-deterministic for a fixed seed.  RMSprop
+updates one flat parameter vector in place (the weights and biases are
+views into it), in the per-array update's operation order.
 
 Feature order per KPM record: throughput_mbps, bler_pct, mcs, bsr_bytes.
 Windows stack the latest N records oldest-first.
@@ -154,6 +156,12 @@ class ClassifierModel:
         return model
 
 
+def check_seed(seed) -> None:
+    """A seed for ``np.random.default_rng``: a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParamsError(f"seed must be a non-negative integer, not {seed!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -166,6 +174,7 @@ class TrainConfig:
             raise InvalidParamsError(f"learning_rate must be finite, got {self.learning_rate}")
         if min(self.learning_rate, self.epochs, self.batch_size) <= 0:
             raise InvalidParamsError("hyperparameters must be positive")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -187,13 +196,14 @@ def _forward_cached(weights, biases, x):
     cache = [(None, a)]
     n_layers = len(weights)
     for i in range(n_layers):
-        z = a @ weights[i].T + biases[i]
+        z = a @ weights[i].T
+        z += biases[i]
         a = np.maximum(z, 0.0) if i < n_layers - 1 else z
         cache.append((z, a))
     logits = cache[-1][0]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs, cache
 
 
@@ -203,31 +213,37 @@ def loss_and_grads(weights, biases, x_norm, y):
     y = np.asarray(y, dtype=int)
     n = x_norm.shape[0]
     probs, cache = _forward_cached(weights, biases, x_norm)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+    rows = np.arange(n)
+    loss = float(-np.mean(np.log(probs[rows, y] + 1e-300)))
 
-    d_logits = probs.copy()
-    d_logits[np.arange(n), y] -= 1.0
-    d_logits /= n
+    delta = probs  # the loss has read probs; they become d loss / d logits
+    delta[rows, y] -= 1.0
+    delta /= n
 
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
-    delta = d_logits
     for i in range(len(weights) - 1, -1, -1):
-        a_prev = cache[i][1]
-        grads_w[i] = delta.T @ a_prev
+        grads_w[i] = delta.T @ cache[i][1]
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            z_prev = cache[i][0]
-            delta = (delta @ weights[i]) * (z_prev > 0)
+            delta = delta @ weights[i]
+            delta *= cache[i][0] > 0
     return loss, grads_w, grads_b
 
 
 def _init_params(layer_sizes, rng):
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+    """(flat parameter vector, weight views, bias views), layer by layer:
+    He-normal weights, then zero biases."""
+    pairs = list(zip(layer_sizes, layer_sizes[1:]))
+    params = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs))
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in pairs:
+        w = params[start:start + fan_out * fan_in].reshape(fan_out, fan_in)
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), w.shape)
+        start += w.size + fan_out
+        weights.append(w)
+        biases.append(params[start - fan_out:start])
+    return params, weights, biases
 
 
 def train_detector(x: np.ndarray, labels, config: TrainConfig = TrainConfig()
@@ -235,6 +251,10 @@ def train_detector(x: np.ndarray, labels, config: TrainConfig = TrainConfig()
     """Shuffle, split, fit normalization on the training split, run RMSprop.
 
     ``x`` holds one stacked window per row, ``[windows, n_stack * N_FEATURES]``.
+    Each step joins ``loss_and_grads``' gradients into one flat vector and
+    updates the flat parameter vector in place, in the per-array order:
+    ``c = RMS_DECAY * c + (1 - RMS_DECAY) * g**2``, then
+    ``w -= lr * g / (sqrt(c) + RMS_EPSILON)``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -262,22 +282,28 @@ def train_detector(x: np.ndarray, labels, config: TrainConfig = TrainConfig()
     xn_val = (x_val - mean) / std
 
     layer_sizes = (x.shape[1], *HIDDEN_SIZES, 2)
-    weights, biases = _init_params(layer_sizes, rng)
-    cache_w = [np.zeros_like(w) for w in weights]
-    cache_b = [np.zeros_like(b) for b in biases]
+    params, weights, biases = _init_params(layer_sizes, rng)
+    cache = np.zeros_like(params)
+    step = np.empty_like(params)
+    denom = np.empty_like(params)
+    new_share = 1 - RMS_DECAY  # 0.09999999999999998, as the per-array step had it
 
     for _ in range(config.epochs):
         perm = rng.permutation(n_train)
+        xs, ys = xn_train[perm], y_train[perm]
         for start in range(0, n_train, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            _, gw, gb = loss_and_grads(weights, biases, xn_train[idx], y_train[idx])
-            for i in range(len(weights)):
-                cache_w[i] = RMS_DECAY * cache_w[i] + (1 - RMS_DECAY) * gw[i] ** 2
-                cache_b[i] = RMS_DECAY * cache_b[i] + (1 - RMS_DECAY) * gb[i] ** 2
-                weights[i] -= (config.learning_rate * gw[i]
-                               / (np.sqrt(cache_w[i]) + RMS_EPSILON))
-                biases[i] -= (config.learning_rate * gb[i]
-                              / (np.sqrt(cache_b[i]) + RMS_EPSILON))
+            batch = slice(start, start + config.batch_size)
+            _, gw, gb = loss_and_grads(weights, biases, xs[batch], ys[batch])
+            grad = np.concatenate([a.ravel() for pair in zip(gw, gb) for a in pair])
+            cache *= RMS_DECAY
+            np.square(grad, out=step)
+            step *= new_share
+            cache += step
+            np.sqrt(cache, out=denom)
+            denom += RMS_EPSILON
+            np.multiply(config.learning_rate, grad, out=step)
+            step /= denom
+            params -= step
 
     model = ClassifierModel(layer_sizes, weights, biases, mean, std)
     train_acc = _accuracy(model, xn_train, y_train)

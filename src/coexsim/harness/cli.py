@@ -102,9 +102,9 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_train_detector(args) -> int:
-    x, labels, _ = load_kpm_windows(args.data, args.n_stack)
     cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
+    x, labels, _ = load_kpm_windows(args.data, args.n_stack)
     result = train_detector(x, labels, cfg)
     result.model.save(args.out)
     print(f"trained on {len(x)} windows (n_stack={args.n_stack}): "

@@ -29,7 +29,7 @@ from ..ranlink import (
     radar_psd_per_prb,
     write_kpm_csv,
 )
-from ..detect import KPM_FEATURES, window_kpms
+from ..detect import KPM_FEATURES, check_seed, window_kpms
 from ..fileio import read_csv, write_csv, write_sidecar
 from ..signals import (
     COMBINED_DBM_MHZ,
@@ -87,6 +87,7 @@ class KpmDatasetConfig:
     def __post_init__(self):
         if self.items_per_class_per_sinr < 1:
             raise InvalidParamsError("items_per_class_per_sinr must be >= 1")
+        check_seed(self.seed)
 
 
 def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> Path:
@@ -196,6 +197,7 @@ class SpectrogramDatasetConfig:
     def __post_init__(self):
         if self.items_per_sinr < 1:
             raise InvalidParamsError("items_per_sinr must be >= 1")
+        check_seed(self.seed)
 
 
 def gen_spectrogram_dataset(out_dir,
@@ -264,6 +266,12 @@ def load_spectrogram_items(dataset_dir, keep=lambda sinr_db, has_radar: True):
     if truth_path.exists():
         for file_id, box in read_box_records(truth_path):
             truth_by_id.setdefault(file_id, []).append(box)
+    with open(items_path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    missing = [name for name in ("file_id", "sinr_db", "has_radar") if name not in header]
+    if missing:
+        raise MissingDataError(f"{items_path} is not a spectrogram item list: it lacks the "
+                               f"column(s) {', '.join(missing)}")
     for row in read_csv(items_path):
         file_id = row["file_id"]
         sinr_db, has_radar = float(row["sinr_db"]), bool(int(row["has_radar"]))

@@ -439,15 +439,35 @@ _SCENARIO_KEYS = {
 }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key given twice in one mapping, where
+    PyYAML would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        # its own keys, before ``<<`` merge keys are flattened into it
+        key_nodes = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in key_nodes:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found the key {key!r} twice", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def scenario_from_yaml(path) -> ScenarioConfig:
     """Load a scenario config from a YAML file; see README for the schema.
 
     Each mapping's keys are checked against the known ones, so a misspelt
-    key fails by name rather than falling back to its default.
+    key fails by name rather than falling back to its default, and a key
+    given twice fails by name rather than keeping its last value.
     """
     with open(str(path), "rb") as fh:  # the YAML reader decodes, and rejects bad bytes
         try:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
         except yaml.YAMLError as exc:  # its message spans lines; the error is one
             raise InvalidConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     try:

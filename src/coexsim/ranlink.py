@@ -83,7 +83,7 @@ class RadarInterferenceProfile:
 
     def __post_init__(self):
         arr = np.asarray(self.per_prb_interference, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise InvalidParamsError("interference entries must be >= 0")
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise InvalidParamsError("duty_cycle must be in [0, 1]")
@@ -94,16 +94,20 @@ class RadarInterferenceProfile:
         return cls(np.zeros(N_PRBS), 0.0)
 
 
-def _sinc_sq_antiderivative(x: float) -> float:
+def _sinc_sq_antiderivative(x: np.ndarray) -> np.ndarray:
     """An antiderivative of sinc^2(x) = (sin(pi x)/(pi x))^2, zero at 0; total mass 1.
 
-    Takes a scalar: numpy squares a scalar through ``pow`` and an array
-    through ``square``, which differ in the last bit for some inputs.
+    Takes and returns a float array; entries where x == 0 are 0.  The sine
+    is squared one element at a time with Python's ``**``: numpy squares a
+    scalar through ``pow`` and an array through ``square``, which differ in
+    the last bit for some inputs, and the scalar form is the one kept.
     """
-    if x == 0.0:
-        return 0.0
     si, _ = special.sici(2.0 * np.pi * x)
-    return (si - np.sin(np.pi * x) ** 2 / (np.pi * x)) / np.pi
+    sin_sq = np.array([v ** 2 for v in np.sin(np.pi * x).tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at x == 0
+        out = (si - sin_sq / (np.pi * x)) / np.pi
+    out[x == 0.0] = 0.0
+    return out
 
 
 def radar_psd_per_prb(radar: RadarParams, p_radar_linear: float) -> RadarInterferenceProfile:
@@ -112,17 +116,16 @@ def radar_psd_per_prb(radar: RadarParams, p_radar_linear: float) -> RadarInterfe
     ``p_radar_linear`` is the pulse-on (peak) radar power at the receiver in
     whatever linear unit the caller works in; the profile entries come out
     in the same unit.  Total mass over all frequencies equals
-    ``p_radar_linear``.  The antiderivative is taken once per PRB edge.
+    ``p_radar_linear``.  The antiderivative is taken once per PRB edge, in
+    one array pass.
     """
     if p_radar_linear < 0:
         raise InvalidParamsError("p_radar_linear must be >= 0")
-    out = np.zeros(N_PRBS)
     if p_radar_linear > 0.0:
-        pw = radar.pulse_width_s
-        fc = radar.carrier_hz
-        cdf = [_sinc_sq_antiderivative((edge - fc) * pw) for edge in PRB_EDGES_HZ]
-        for i in range(N_PRBS):
-            out[i] = p_radar_linear * (cdf[i + 1] - cdf[i])
+        cdf = _sinc_sq_antiderivative((PRB_EDGES_HZ - radar.carrier_hz) * radar.pulse_width_s)
+        out = p_radar_linear * (cdf[1:] - cdf[:-1])
+    else:
+        out = np.zeros(N_PRBS)
     return RadarInterferenceProfile(out, radar.duty_cycle())
 
 

@@ -351,13 +351,41 @@ def _fft_power(samples: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return np.square(power, out=power)
 
 
+def _bin_hz(n: int, fs: float) -> float:
+    """``np.fft.fftfreq(n, 1 / fs)``'s bin spacing: signed bin k sits at k * _bin_hz."""
+    return 1.0 / (n * (1.0 / fs))
+
+
+def _first_bin_at_or_above(f_hz: float, bin_hz: float, lo: int, hi: int) -> int:
+    """The least signed bin k in [lo, hi) with k * bin_hz >= f_hz, else hi."""
+    q = f_hz / bin_hz
+    k = min(max(math.ceil(q), lo), hi) if math.isfinite(q) else (lo if q < 0 else hi)
+    while k > lo and (k - 1) * bin_hz >= f_hz:
+        k -= 1
+    while k < hi and k * bin_hz < f_hz:
+        k += 1
+    return k
+
+
 def _band_density(p_bins: np.ndarray, fs: float, f_low_hz: float, f_high_hz: float
                   ) -> float:
-    """``measure_band_power`` from the squared FFT magnitudes ``p_bins``."""
+    """``measure_band_power`` from the squared FFT magnitudes ``p_bins``.
+
+    The band holds the bins whose ``fftfreq`` frequency, k * _bin_hz for
+    signed bin k, lies in [f_low, f_high).  That frequency rises with k, so
+    the band is one run of bins k >= 0 (at index k) and one of bins k < 0 (at
+    index n + k); their powers are summed as one array, the non-negative run
+    first, which is the order of ``p_bins[mask]`` over the ``fftfreq`` grid.
+    """
     n = p_bins.size
-    freqs = np.fft.fftfreq(n, d=1.0 / fs)
-    sel = (freqs >= f_low_hz) & (freqs < f_high_hz)
-    band_power = float(np.sum(p_bins[sel])) / (n * n)
+    bin_hz = _bin_hz(n, fs)
+    n_pos = (n + 1) // 2  # bins k = 0 .. n_pos - 1 at index k, n_pos - n .. -1 at n + k
+    band = []
+    for lo, hi, offset in ((0, n_pos, 0), (n_pos - n, 0, n)):
+        start = _first_bin_at_or_above(f_low_hz, bin_hz, lo, hi)
+        stop = _first_bin_at_or_above(f_high_hz, bin_hz, lo, hi)
+        band.append(p_bins[offset + start:offset + stop])
+    band_power = float(np.sum(np.concatenate(band))) / (n * n)
     width_mhz = (f_high_hz - f_low_hz) / 1e6
     return band_power / width_mhz
 
@@ -445,7 +473,8 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     radar_scaled.fill(0.0)
     radar_scaled[on] = radar_on
     p_bins = _fft_power(radar_scaled, overwrite=True)
-    carrier = float(np.fft.fftfreq(n, d=1.0 / fs)[int(np.argmax(p_bins))])
+    peak = int(np.argmax(p_bins))
+    carrier = (peak if peak < (n + 1) // 2 else peak - n) * _bin_hz(n, fs)  # signed bin
     lo = max(carrier - RADAR_REF_BANDWIDTH_HZ / 2, -fs / 2)
     hi = min(carrier + RADAR_REF_BANDWIDTH_HZ / 2, fs / 2)
     radar_meas = _band_density(p_bins, fs, lo, hi) / (on.size / n)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coexsim.detect import (
+    HIDDEN_SIZES,
+    RMS_DECAY,
+    RMS_EPSILON,
+    TRAIN_FRACTION,
     ClassifierModel,
     Detection,
     KpmWindow,
@@ -151,6 +155,11 @@ class TestTraining:
         mcs_stds = result.model.feat_std[2::4]
         assert np.all(mcs_stds == 1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_bad_seed_rejected_by_name(self, seed):
+        with pytest.raises(InvalidParamsError, match="seed must be a non-negative integer"):
+            TrainConfig(seed=seed)
+
     def test_normalized_inputs_identical_under_affine_feature_transform(self):
         # scaling a raw feature and refitting normalization leaves the
         # normalized training matrix unchanged, hence identical training
@@ -160,6 +169,88 @@ class TestTraining:
         b = train_detector(scaled, labels, TrainConfig(epochs=5, seed=3))
         for wa, wb in zip(a.model.weights, b.model.weights):
             assert np.allclose(wa, wb, atol=1e-10)
+
+
+def per_array_train_detector(x, labels, config):
+    """``train_detector`` as it was before RMSprop ran on one flat parameter
+    vector: separate weight, bias and cache arrays per layer, each updated
+    through its own temporaries, and one row gather per batch.  The
+    reference for the flat step.  Returns (model, train acc, val acc)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(y.size)
+    x, y = x[order], y[order]
+    n_train = int(round(TRAIN_FRACTION * y.size))
+    x_train, y_train = x[:n_train], y[:n_train]
+    x_val, y_val = x[n_train:], y[n_train:]
+    mean = x_train.mean(axis=0)
+    std = x_train.std(axis=0)
+    std[std == 0.0] = 1.0
+    xn_train = (x_train - mean) / std
+    xn_val = (x_val - mean) / std
+
+    layer_sizes = (x.shape[1], *HIDDEN_SIZES, 2)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    cache_w = [np.zeros_like(w) for w in weights]
+    cache_b = [np.zeros_like(b) for b in biases]
+    for _ in range(config.epochs):
+        perm = rng.permutation(n_train)
+        for start in range(0, n_train, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            _, gw, gb = loss_and_grads(weights, biases, xn_train[idx], y_train[idx])
+            for i in range(len(weights)):
+                cache_w[i] = RMS_DECAY * cache_w[i] + (1 - RMS_DECAY) * gw[i] ** 2
+                cache_b[i] = RMS_DECAY * cache_b[i] + (1 - RMS_DECAY) * gb[i] ** 2
+                weights[i] -= (config.learning_rate * gw[i]
+                               / (np.sqrt(cache_w[i]) + RMS_EPSILON))
+                biases[i] -= (config.learning_rate * gb[i]
+                              / (np.sqrt(cache_b[i]) + RMS_EPSILON))
+
+    model = ClassifierModel(layer_sizes, weights, biases, mean, std)
+
+    def accuracy(xn, yy):
+        return float(np.mean(np.argmax(model.forward(xn), axis=1) == yy))
+
+    train_acc = accuracy(xn_train, y_train)
+    return model, train_acc, accuracy(xn_val, y_val) if y_val.size else train_acc
+
+
+class TestFlatRmsprop:
+    """RMSprop on one flat parameter vector trains the per-array loop's model
+    bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_stack=st.integers(1, 4),
+           batch_size=st.integers(2, 200), extra=st.integers(0, 300),
+           epochs=st.integers(1, 4), log_scale=st.floats(-3.0, 4.0),
+           constant_feature=st.booleans())
+    @example(seed=1, n_stack=4, batch_size=128, extra=45, epochs=2, log_scale=2.0,
+             constant_feature=True)  # 226 training windows: a last batch of 98
+    def test_equals_per_array_loop(self, seed, n_stack, batch_size, extra, epochs,
+                                   log_scale, constant_feature):
+        n = 2 * batch_size + extra
+        # a partial last batch in every epoch
+        assume(int(round(TRAIN_FRACTION * n)) % batch_size != 0)
+        rng = np.random.default_rng(seed)
+        k = 4 * n_stack
+        x = rng.normal(0.0, 1.0, (n, k)) * 10.0 ** rng.uniform(log_scale - 2.0, log_scale, k)
+        if constant_feature:
+            x[:, rng.integers(k)] = 28.0
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        config = TrainConfig(learning_rate=float(10.0 ** rng.uniform(-4.0, -1.0)),
+                             epochs=epochs, batch_size=batch_size, seed=seed)
+        got = train_detector(x, labels, config)
+        model, train_acc, val_acc = per_array_train_detector(x, labels, config)
+        pairs = [*zip(got.model.weights, model.weights), *zip(got.model.biases, model.biases),
+                 (got.model.feat_mean, model.feat_mean), (got.model.feat_std, model.feat_std)]
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
+        assert (got.train_accuracy, got.val_accuracy) == (train_acc, val_acc)
 
 
 @pytest.fixture(scope="module")

@@ -102,6 +102,12 @@ class TestKpmDataset:
         with pytest.raises(MissingDataError):
             load_kpm_windows(tmp_path / "nope", 1)
 
+    @pytest.mark.parametrize("config", [KpmDatasetConfig, SpectrogramDatasetConfig])
+    @pytest.mark.parametrize("seed", [-1, 2.5, False, np.int64(-3)])
+    def test_bad_seed_rejected_by_name(self, config, seed):
+        with pytest.raises(InvalidParamsError, match="seed must be a non-negative integer"):
+            config(seed=seed)
+
 
 
 def per_record_windows(dataset_dir, n_stack):
@@ -209,6 +215,10 @@ class TestSpectrogramDataset:
     def test_missing_dataset(self, tmp_path):
         with pytest.raises(MissingDataError):
             list(load_spectrogram_items(tmp_path / "nope"))
+
+    def test_kpm_item_list_rejected_before_any_item(self, kpm_dataset):
+        with pytest.raises(MissingDataError, match="lacks the column.s. file_id, has_radar"):
+            next(load_spectrogram_items(kpm_dataset))
 
     def test_combined_density_has_one_owner(self):
         default = inspect.signature(SinrSpec.from_target).parameters["combined_dbm_mhz"]
@@ -604,6 +614,18 @@ link: {base_sinr_db: 35.0}
             with pytest.raises(InvalidConfigError, match=where + r": unknown key"):
                 scenario_from_yaml(path)
 
+    @pytest.mark.parametrize("text, key", [
+        ("duration_s: 0.05\npolicy: baseline\nduration_s: 0.1\n", "duration_s"),
+        ("duration_s: 0.05\nlink: {base_sinr_db: 30.0, base_sinr_db: 31.0}\n", "base_sinr_db"),
+        ("duration_s: 0.05\nradar_schedule:\n"
+         "  - {t_on_s: 0.0, t_off_s: 0.05}\n  - {t_on_s: 0.0, t_on_s: 0.01}\n", "t_on_s"),
+    ], ids=["top-level", "link", "radar-window"])
+    def test_duplicated_key_rejected_by_name(self, tmp_path, text, key):
+        path = tmp_path / "twice.yaml"
+        path.write_text(text)
+        with pytest.raises(InvalidConfigError, match=f"found the key '{key}' twice"):
+            scenario_from_yaml(path)
+
     def test_list_root_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- duration_s: 1.0\n- policy: full\n")
@@ -821,6 +843,40 @@ class TestCli:
             assert err.startswith(f"error: InvalidParamsError: {field}")
             assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_error_line_on_duplicated_config_key(self, tmp_path, capsys):
+        yaml_path = tmp_path / "twice.yaml"
+        yaml_path.write_text("duration_s: 0.05\npolicy: baseline\nduration_s: 0.1\n")
+        assert cli.main(["run-scenario", "--config", str(yaml_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidConfigError: {yaml_path}: ")
+        assert "found the key 'duration_s' twice" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [["gen-dataset", "--kind", "kpm"],
+                                      ["gen-dataset", "--kind", "spectrogram"],
+                                      ["train-detector", "--data", "{kpm}"]],
+                             ids=["kpm", "spectrogram", "train"])
+    def test_error_line_on_negative_seed(self, kpm_dataset, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        argv = [a.format(kpm=kpm_dataset) for a in args]
+        target = out / "m.npz" if args[0] == "train-detector" else out
+        assert cli.main([*argv, "--out", str(target), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParamsError: seed must be a non-negative "
+                              "integer, not -1")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("min_sinr", [[], ["--min-sinr", "8"]], ids=["all", "min-sinr"])
+    def test_error_line_on_kpm_set_given_to_eval_localizer(self, kpm_dataset, capsys,
+                                                           min_sinr):
+        assert cli.main(["eval-localizer", "--data", str(kpm_dataset), *min_sinr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MissingDataError: {kpm_dataset / 'items.csv'} is not "
+                              "a spectrogram item list")
+        assert "file_id, has_radar" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_scenario_and_latency_report(self, tmp_path):
         data = tmp_path / "kpm"

@@ -222,6 +222,41 @@ class TestMeasureBandPower:
             measure_band_power(iq, 1e6, -1e6)
 
 
+def fftfreq_band_density(samples, fs, f_low, f_high):
+    """``measure_band_power`` as it was with an ``fftfreq`` mask: the reference
+    for its bin index ranges."""
+    n = samples.size
+    p_bins = np.abs(np.fft.fft(samples)) ** 2
+    freqs = np.fft.fftfreq(n, d=1.0 / fs)
+    sel = (freqs >= f_low) & (freqs < f_high)
+    return float(np.sum(p_bins[sel])) / (n * n) / ((f_high - f_low) / 1e6)
+
+
+class TestBandIndexRanges:
+    """Band power read from signed-bin index ranges equals the ``fftfreq``
+    mask's, by repr: edges on bin frequencies, at +-fs/2, anywhere between,
+    and bands that hold no bin."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([153600]) | st.integers(4, 5000).map(lambda v: 2 * v + 1)
+           | st.integers(1, 7),
+           fs=st.sampled_from([FS, 1e6]) | st.floats(1.0, 1e8),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_equals_fftfreq_mask(self, n, fs, seed, data):
+        freqs = np.fft.fftfreq(n, d=1.0 / fs)
+        on_bin = st.integers(0, n - 1).map(lambda i: float(freqs[i]))
+        edge = on_bin | st.sampled_from([-fs / 2, fs / 2]) | st.floats(-fs / 2, fs / 2)
+        bin_hz = fs / n
+        between_bins = st.integers(0, n - 1).map(
+            lambda i: (float(freqs[i]) + bin_hz / 4, float(freqs[i]) + bin_hz / 2))
+        f_low, f_high = sorted(data.draw(st.tuples(edge, edge) | between_bins))
+        assume(f_low < f_high and f_high > -fs / 2 and f_low < fs / 2)
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = measure_band_power(IqBuffer(samples, fs), f_low, f_high)
+        assert repr(got) == repr(fftfreq_band_density(samples, fs, f_low, f_high))
+
+
 class TestMixAtSinr:
     @staticmethod
     def composite_sinr_oracle(out, radar_input, carrier_hz):
