@@ -127,13 +127,16 @@ def _cmd_eval_detector(args) -> int:
 
 
 def _cmd_eval_localizer(args) -> int:
+    # The pooled slice is computed first, so a bad --min-sinr fails before the table.
+    m = None
+    if args.min_sinr is not None:
+        m = pooled_localizer_metrics(args.data, LocalizerConfig(), args.min_sinr)
     rows = eval_localizer(args.data, LocalizerConfig())
     print("sinr_db  recall  precision  mean_iou  n_truth")
     for r in rows:
         print(f"{r.sinr_db:+7.1f}  {r.recall:6.4f}  {r.precision:9.4f}  "
               f"{r.mean_iou:8.4f}  {r.n_truth:7d}")
-    if args.min_sinr is not None:
-        m = pooled_localizer_metrics(args.data, LocalizerConfig(), args.min_sinr)
+    if m is not None:
         print(f"pooled sinr >= {args.min_sinr:+.1f}: recall {m.recall:.4f}, "
               f"precision {m.precision:.4f}, mean IoU {m.mean_iou:.4f} "
               f"({m.n_truth} truth boxes)")

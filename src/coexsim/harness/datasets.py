@@ -14,6 +14,8 @@ the same seed is byte-identical regardless of chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,35 @@ def interference_units(sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MH
     return dbm_to_linear(coupling_db) * d_radar / noise_per_prb
 
 
+def interference_is_finite(sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ,
+                           coupling_db: float = DEFAULT_COUPLING_DB) -> bool:
+    """Whether ``interference_units`` is finite, computed without its overflow
+    warning or error."""
+    try:
+        with np.errstate(over="ignore"):
+            return math.isfinite(interference_units(sinr_db, combined_dbm_mhz, coupling_db))
+    except OverflowError:
+        return False
+
+
+def _finite_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _check_sinr_sweep(sinr_sweep_db) -> None:
+    """Each sweep SINR is a finite number with a finite radar power at the base
+    station, so a bad level fails here, before any item, and not as an
+    overflow or an infinite achieved SINR items later."""
+    for i, sinr in enumerate(sinr_sweep_db):
+        if not _finite_number(sinr):
+            raise InvalidParamsError(f"sinr_sweep_db[{i}] must be a finite number, not {sinr!r}")
+        if not interference_is_finite(sinr):
+            raise InvalidParamsError(
+                f"sinr_sweep_db[{i}] {sinr} with coupling_db {DEFAULT_COUPLING_DB} puts a radar "
+                f"power at the base station that is not finite")
+
+
 @dataclass(frozen=True)
 class KpmDatasetConfig:
     sinr_sweep_db: tuple = DEFAULT_SINR_SWEEP
@@ -88,6 +119,7 @@ class KpmDatasetConfig:
         if self.items_per_class_per_sinr < 1:
             raise InvalidParamsError("items_per_class_per_sinr must be >= 1")
         check_seed(self.seed)
+        _check_sinr_sweep(self.sinr_sweep_db)
 
 
 def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> Path:
@@ -197,7 +229,11 @@ class SpectrogramDatasetConfig:
     def __post_init__(self):
         if self.items_per_sinr < 1:
             raise InvalidParamsError("items_per_sinr must be >= 1")
+        if not (_finite_number(self.absent_fraction) and self.absent_fraction >= 0):
+            raise InvalidParamsError(f"absent_fraction must be a finite number >= 0, "
+                                     f"not {self.absent_fraction!r}")
         check_seed(self.seed)
+        _check_sinr_sweep(self.sinr_sweep_db)
 
 
 def gen_spectrogram_dataset(out_dir,

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from ..detect import ClassifierModel, radar_present
-from ..errors import MissingDataError
+from ..errors import InvalidParamsError, MissingDataError
 from ..fileio import write_csv
 from ..localize import RADAR, LocalizerConfig, evaluate_localizer, localize
 from .datasets import load_kpm_windows, load_spectrogram_items
@@ -70,6 +71,9 @@ def eval_localizer(dataset_dir, config: LocalizerConfig = LocalizerConfig()
 def pooled_localizer_metrics(dataset_dir, config: LocalizerConfig = LocalizerConfig(),
                              min_sinr_db: float = float("-inf")):
     """Metrics over the radar items at or above min_sinr_db; loads no other item."""
+    if math.isnan(min_sinr_db):
+        raise InvalidParamsError("min_sinr_db is nan, which no SINR compares to, so it "
+                                 "names no slice")
     preds, truths = [], []
     for _, _, _, sgram, truth in load_spectrogram_items(
             dataset_dir, lambda sinr, has_radar: has_radar and not sinr < min_sinr_db):

@@ -63,6 +63,7 @@ from .datasets import (
     COMBINED_DBM_MHZ,
     DEFAULT_COUPLING_DB,
     MODE2_STFT,
+    interference_is_finite,
     interference_units,
 )
 
@@ -120,12 +121,7 @@ class ScenarioConfig:
         _level(self.combined_dbm_mhz, "combined_dbm_mhz")
         _level(self.coupling_db, "coupling_db")
         for i, (_, sinr) in enumerate(self.sinr_schedule):
-            try:
-                with np.errstate(over="ignore"):
-                    units = interference_units(sinr, self.combined_dbm_mhz, self.coupling_db)
-            except OverflowError:
-                units = math.inf
-            if not math.isfinite(units):
+            if not interference_is_finite(sinr, self.combined_dbm_mhz, self.coupling_db):
                 raise InvalidConfigError(
                     f"sinr_schedule[{i}].sinr_db {sinr} with coupling_db {self.coupling_db} "
                     f"puts a radar power at the base station that is not finite")

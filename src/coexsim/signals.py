@@ -199,11 +199,17 @@ class SinrSpec:
 
 
 def compute_sinr(spec: SinrSpec) -> float:
-    """Closed-form SINR in dB with the radar as the desired signal."""
+    """Closed-form SINR in dB with the radar as the desired signal.
+
+    An absent radar gives -inf; a present radar against no cellular and no
+    noise gives +inf.
+    """
     num = dbm_to_linear(spec.p_radar_dbm_mhz)
     den = dbm_to_linear(spec.p_cellular_dbm_mhz) + dbm_to_linear(spec.p_noise_dbm_mhz)
     if num == 0.0:
         return float("-inf")
+    if den == 0.0:
+        return float("inf")
     return 10.0 * float(np.log10(num / den))
 
 
@@ -311,14 +317,18 @@ def gen_awgn(power_linear: float, duration_s: float,
     return IqBuffer(x, sample_rate_hz)
 
 
-def _add_awgn(x: np.ndarray, power_linear: float, seed) -> None:
+def _add_awgn(x: np.ndarray, power_linear: float, seed, measure: bool = False) -> float:
     """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place.
 
     The real and then the imaginary normal draws pass through one reused
-    float buffer, scaled there; ``power_linear == 0`` adds nothing.
+    float buffer, scaled there; ``power_linear == 0`` adds nothing.  With
+    ``measure`` it returns the energy of the noise it added, the sum of the
+    squared scaled draws of both parts, which by Parseval is the noise's
+    full-band periodogram sum divided by ``x.size``; without it, 0.0.
     """
+    energy = 0.0
     if power_linear == 0.0:
-        return
+        return energy
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power_linear / 2.0)
     half = np.empty(x.size)
@@ -326,6 +336,9 @@ def _add_awgn(x: np.ndarray, power_linear: float, seed) -> None:
         rng.standard_normal(out=half)
         half *= scale
         part += half
+        if measure:
+            energy += float(np.square(half, out=half).sum())
+    return energy
 
 
 def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float:
@@ -334,8 +347,8 @@ def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float
     Integrates the full-length periodogram over the band and divides by the
     requested band width.  Frequency resolution is sample_rate / n_samples.
     """
-    if f_low_hz >= f_high_hz:
-        raise InvalidParamsError("f_low_hz must be < f_high_hz")
+    if not (f_high_hz - f_low_hz) / 1e6 > 0.0:  # also a width that underflows to 0 MHz
+        raise InvalidParamsError("f_low_hz must be < f_high_hz by a width in MHz above 0")
     fs = iq.sample_rate_hz
     if f_high_hz <= -fs / 2 or f_low_hz >= fs / 2:
         raise EmptyBandError("band lies outside the representable spectrum")
@@ -419,11 +432,23 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     Radar is scaled so its pulse-on density in a 1 MHz reference bandwidth
     equals p_radar; cellular so its occupied-band density equals p_cellular;
     fresh AWGN is generated at p_noise over the full sample bandwidth.  The
-    returned SINR is re-measured from the scaled components, not the nominal
-    target; ``measure_achieved=False`` skips that verification pass (three
-    full-length FFTs) and returns NaN instead, for hot loops that only need
-    the waveform.  The mix is built in one array: the scaled cellular, then
-    the scaled radar on its support, then the noise.
+    mix is built in one array: the scaled cellular, then the scaled radar on
+    its support, then the noise.
+
+    The returned SINR is measured from the scaled components, not taken from
+    the nominal target, with one full-length FFT, the radar's:
+
+    * radar: the scaled radar's periodogram over the 1 MHz band around its
+      peak bin, divided by the on-time fraction to give the pulse-on density;
+    * cellular: the occupied-band density before scaling times the power
+      gain of the scaling, which scales every bin alike and so keeps the
+      bins within OCCUPIED_REL_FLOOR_DB of the peak;
+    * noise: the energy of the added draws over n samples and fs, which by
+      Parseval is the full-band periodogram density.
+
+    It is +inf when the cellular and noise terms are both 0 and -inf for an
+    absent radar.  ``measure_achieved=False`` skips the measurement, for hot
+    loops that only need the waveform, and returns NaN instead.
     """
     if radar.sample_rate_hz != cellular.sample_rate_hz:
         raise InvalidParamsError("component sample rates differ")
@@ -433,22 +458,20 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     n = radar.n_samples
 
     cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
+    cell_meas = 0.0
     if cell_target > 0.0:
         d_now = cellular.occupied_density
         if d_now is None:
             d_now = _occupied_density(cellular)
         if d_now == 0.0:
             raise SilentComponentError("cellular component has zero power but p_cellular is finite")
-        mix = cellular.samples * np.sqrt(cell_target / d_now)
+        gain = np.sqrt(cell_target / d_now)
+        mix = cellular.samples * gain
+        cell_meas = float(d_now * gain ** 2)
     else:
         mix = np.zeros(n, dtype=np.complex128)
-    radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
-    measure = measure_achieved and radar_target > 0.0
-    # The mix holds the scaled cellular alone until the radar is added.
-    cell_meas = 0.0
-    if measure and cell_target > 0.0:
-        cell_meas = _occupied_density(IqBuffer(mix, fs))
 
+    radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
     if radar_target > 0.0:
         d_now, on = _radar_peak_density(radar)
         if d_now == 0.0:
@@ -456,21 +479,17 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
         radar_on = radar.samples[on] * np.sqrt(radar_target / d_now)
         mix[on] += radar_on
 
+    measure = measure_achieved and radar_target > 0.0
     noise_power = dbm_to_linear(spec.p_noise_dbm_mhz) * (fs / 1e6)
+    noise_energy = _add_awgn(mix, noise_power, seed, measure)
     if not measure:
-        _add_awgn(mix, noise_power, seed)
         return IqBuffer(mix, fs), float("-inf") if measure_achieved else float("nan")
 
-    noise = gen_awgn(noise_power, radar.duration_s, fs, seed).samples
-    mix += noise
-    # Measure what was actually achieved, per component.  The noise is
-    # transformed in place, and its array then holds the scaled radar.
-    noise_meas = _band_density(_fft_power(noise, overwrite=True), fs, -fs / 2, fs / 2)
+    noise_meas = noise_energy / n / (fs / 1e6)
     # Average density over the whole buffer relates to the peak density
     # through the on-time fraction, so no gated FFT is needed.  One spectrum
     # gives both the carrier and the band power around it.
-    radar_scaled = noise
-    radar_scaled.fill(0.0)
+    radar_scaled = np.zeros(n, dtype=np.complex128)
     radar_scaled[on] = radar_on
     p_bins = _fft_power(radar_scaled, overwrite=True)
     peak = int(np.argmax(p_bins))
@@ -478,8 +497,10 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     lo = max(carrier - RADAR_REF_BANDWIDTH_HZ / 2, -fs / 2)
     hi = min(carrier + RADAR_REF_BANDWIDTH_HZ / 2, fs / 2)
     radar_meas = _band_density(p_bins, fs, lo, hi) / (on.size / n)
-    achieved = 10.0 * float(np.log10(radar_meas / (cell_meas + noise_meas)))
-    return IqBuffer(mix, fs), achieved
+    interference = cell_meas + noise_meas
+    if interference == 0.0:
+        return IqBuffer(mix, fs), float("inf")
+    return IqBuffer(mix, fs), 10.0 * float(np.log10(radar_meas / interference))
 
 
 def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz: float,

@@ -108,6 +108,16 @@ class TestKpmDataset:
         with pytest.raises(InvalidParamsError, match="seed must be a non-negative integer"):
             config(seed=seed)
 
+    @pytest.mark.parametrize("config", [KpmDatasetConfig, SpectrogramDatasetConfig])
+    @pytest.mark.parametrize("sinr", [math.nan, math.inf, -math.inf, 1e308, 3100.0, "8", True])
+    def test_bad_sweep_sinr_rejected_by_name(self, config, sinr):
+        with pytest.raises(InvalidParamsError, match=r"^sinr_sweep_db\[1\] "):
+            config(sinr_sweep_db=(8.0, sinr))
+
+    def test_sweep_sinr_below_overflow_accepted(self):
+        for config in (KpmDatasetConfig, SpectrogramDatasetConfig):
+            config(sinr_sweep_db=(-1e308, 3000.0, np.float64(8.0), 12))
+
 
 
 def per_record_windows(dataset_dir, n_stack):
@@ -220,6 +230,11 @@ class TestSpectrogramDataset:
         with pytest.raises(MissingDataError, match="lacks the column.s. file_id, has_radar"):
             next(load_spectrogram_items(kpm_dataset))
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -0.1, "0.2", True])
+    def test_bad_absent_fraction_rejected_by_name(self, fraction):
+        with pytest.raises(InvalidParamsError, match="^absent_fraction must be a finite number"):
+            SpectrogramDatasetConfig(absent_fraction=fraction)
+
     def test_combined_density_has_one_owner(self):
         default = inspect.signature(SinrSpec.from_target).parameters["combined_dbm_mhz"]
         assert default.default is datasets.COMBINED_DBM_MHZ
@@ -285,6 +300,11 @@ class TestPooledSlice:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(datasets, "load_spectrogram",
                           lambda path: loaded.append(path) or load(path))
+            if math.isnan(min_sinr_db):  # names no slice: rejected before any item loads
+                with pytest.raises(InvalidParamsError, match="min_sinr_db is nan"):
+                    pooled_localizer_metrics(sweep_dataset, LocalizerConfig(), min_sinr_db)
+                assert loaded == []
+                return
             try:
                 got = pooled_localizer_metrics(sweep_dataset, LocalizerConfig(), min_sinr_db)
             except MissingDataError:
@@ -898,3 +918,22 @@ class TestCli:
         r = self.run_cli("report-latency", "--scenario-out", str(out_dir))
         assert r.returncode == 0
         assert "mode2 total" in r.stdout
+
+    @pytest.mark.parametrize("kind", ["kpm", "spectrogram"])
+    @pytest.mark.parametrize("sinr", ["1e308", "3100", "nan"])
+    def test_error_line_on_bad_sweep_sinr(self, tmp_path, capsys, kind, sinr):
+        out = tmp_path / "out"
+        assert cli.main(["gen-dataset", "--kind", kind, "--out", str(out),
+                         "--sinrs", sinr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParamsError: sinr_sweep_db[0] ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_error_line_on_nan_min_sinr(self, spectro_dataset, capsys):
+        assert cli.main(["eval-localizer", "--data", str(spectro_dataset),
+                         "--min-sinr", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvalidParamsError: min_sinr_db is nan")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""

@@ -19,6 +19,7 @@ from coexsim.signals import (
     gen_radar_pulse_train,
     measure_band_power,
     mix_at_sinr,
+    _add_awgn,
     _occupied_density,
     _prb_bin_layout,
     sensing_capture,
@@ -194,6 +195,9 @@ class TestComputeSinr:
     def test_absent_radar(self):
         assert compute_sinr(SinrSpec(float("-inf"), -112.0, -112.0)) == float("-inf")
 
+    def test_zero_interference_is_inf(self):
+        assert compute_sinr(SinrSpec(-100.0, float("-inf"), float("-inf"))) == float("inf")
+
 
 class TestMeasureBandPower:
     def test_tone_density(self):
@@ -253,6 +257,10 @@ class TestBandIndexRanges:
         assume(f_low < f_high and f_high > -fs / 2 and f_low < fs / 2)
         rng = np.random.default_rng(seed)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if (f_high - f_low) / 1e6 == 0.0:  # e.g. [0, 5e-324): no density, rejected by name
+            with pytest.raises(InvalidParamsError, match="width in MHz above 0"):
+                measure_band_power(IqBuffer(samples, fs), f_low, f_high)
+            return
         got = measure_band_power(IqBuffer(samples, fs), f_low, f_high)
         assert repr(got) == repr(fftfreq_band_density(samples, fs, f_low, f_high))
 
@@ -297,6 +305,14 @@ class TestMixAtSinr:
         noise_only = SinrSpec(float("-inf"), float("-inf"), -112.0)
         base, _ = mix_at_sinr(radar, cell, noise_only, seed=9)
         assert mean_power(out) > mean_power(base)
+
+    def test_zero_interference_is_inf(self):
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
+        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=1)
+        spec = SinrSpec(-100.0, float("-inf"), float("-inf"))
+        out, achieved = mix_at_sinr(radar, cell, spec, seed=2)
+        assert achieved == float("inf")
+        assert np.array_equal(out.samples != 0, radar.samples != 0)
 
     def test_silent_radar_rejected(self):
         radar = IqBuffer(np.zeros(15360), FS)
@@ -453,59 +469,75 @@ class TestSensingCapture:
         assert np.array_equal(out.samples, measured.samples)
 
 
-def two_array_mix_at_sinr(radar, cellular, spec, seed=None, measure_achieved=True):
-    """``mix_at_sinr`` as it was before it built the mix in one array: the
-    scaled radar, the scaled cellular and the noise as three arrays, and the
-    radar spectrum taken twice, once for its peak and once for its band."""
+def three_array_components(radar, cellular, spec, seed):
+    """The scaled radar, its support, the scaled cellular, the cellular power
+    gain and the noise, each as its own array."""
     fs = radar.sample_rate_hz
-    fs_mhz = fs / 1e6
-
-    def awgn(power_linear, n):
-        if power_linear == 0.0:
-            return np.zeros(n, dtype=np.complex128)
+    n = radar.n_samples
+    noise = np.zeros(n, dtype=np.complex128)
+    noise_power = dbm_to_linear(spec.p_noise_dbm_mhz) * (fs / 1e6)
+    if noise_power != 0.0:
         rng = np.random.default_rng(seed)
-        x = np.empty(n, dtype=np.complex128)
-        x.real = rng.standard_normal(n)
-        x.imag = rng.standard_normal(n)
-        x *= np.sqrt(power_linear / 2.0)
-        return x
-
-    def band_power(samples, f_low, f_high):
-        n = samples.size
-        spectrum = np.fft.fft(samples)
-        freqs = np.fft.fftfreq(n, d=1.0 / fs)
-        sel = (freqs >= f_low) & (freqs < f_high)
-        return float(np.sum(np.abs(spectrum[sel]) ** 2)) / (n * n) / ((f_high - f_low) / 1e6)
-
-    def psd_argmax_hz(samples):
-        spectrum = np.abs(np.fft.fft(samples)) ** 2
-        return float(np.fft.fftfreq(samples.size, d=1.0 / fs)[int(np.argmax(spectrum))])
-
-    noise = awgn(dbm_to_linear(spec.p_noise_dbm_mhz) * fs_mhz, radar.n_samples)
+        noise.real = rng.standard_normal(n)
+        noise.imag = rng.standard_normal(n)
+        noise *= np.sqrt(noise_power / 2.0)
     radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
-    radar_scaled = np.zeros(radar.n_samples, dtype=np.complex128)
+    radar_scaled = np.zeros(n, dtype=np.complex128)
     on = radar.samples != 0
     if radar_target > 0.0:
         d_now = float(np.mean(np.abs(radar.samples[on]) ** 2))
         radar_scaled[on] = radar.samples[on] * np.sqrt(radar_target / d_now)
     cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
-    if cell_target > 0.0:
-        cell_scaled = cellular.samples * np.sqrt(cell_target / cellular.occupied_density)
-    else:
-        cell_scaled = np.zeros(cellular.n_samples, dtype=np.complex128)
+    gain = np.sqrt(cell_target / cellular.occupied_density) if cell_target > 0.0 else 0.0
+    cell_scaled = cellular.samples * gain if cell_target > 0.0 else np.zeros(n, np.complex128)
+    return radar_scaled, on, cell_scaled, gain, noise
+
+
+def radar_band_density(radar_scaled, on, fs):
+    """The scaled radar's pulse-on density in the 1 MHz band around its PSD
+    argmax, from two FFTs and an ``fftfreq`` grid."""
+    spectrum = np.abs(np.fft.fft(radar_scaled)) ** 2
+    carrier = float(np.fft.fftfreq(radar_scaled.size, d=1.0 / fs)[int(np.argmax(spectrum))])
+    lo = max(carrier - 0.5e6, -fs / 2)
+    hi = min(carrier + 0.5e6, fs / 2)
+    return float(band_density_oracle(radar_scaled, fs, lo, hi)) / (on.sum() / on.size)
+
+
+def two_array_mix_at_sinr(radar, cellular, spec, seed=None, measure_achieved=True):
+    """``mix_at_sinr`` as it was before it built the mix in one array: the
+    scaled radar, the scaled cellular and the noise as three arrays, and the
+    radar spectrum taken twice, once for its peak and once for its band.  The
+    achieved SINR's cellular term is the carried density times the power gain
+    and its noise term the noise energy over n samples and fs (Parseval)."""
+    fs = radar.sample_rate_hz
+    radar_scaled, on, cell_scaled, gain, noise = three_array_components(
+        radar, cellular, spec, seed)
     mix = np.add(radar_scaled, cell_scaled)
     mix += noise
     if not measure_achieved:
         return mix, float("nan")
-    noise_meas = band_power(noise, -fs / 2, fs / 2)
-    cell_meas = _occupied_density(IqBuffer(cell_scaled, fs)) if cell_target > 0.0 else 0.0
-    if radar_target <= 0.0:
+    if dbm_to_linear(spec.p_radar_dbm_mhz) <= 0.0:
         return mix, float("-inf")
-    carrier = psd_argmax_hz(radar_scaled)
-    lo = max(carrier - 0.5e6, -fs / 2)
-    hi = min(carrier + 0.5e6, fs / 2)
-    radar_meas = band_power(radar_scaled, lo, hi) / (on.sum() / on.size)
+    cell_meas = float(cellular.occupied_density * gain ** 2) if gain else 0.0
+    energy = float(np.sum(noise.real ** 2)) + float(np.sum(noise.imag ** 2))
+    noise_meas = energy / noise.size / (fs / 1e6)
+    if cell_meas + noise_meas == 0.0:
+        return mix, float("inf")
+    radar_meas = radar_band_density(radar_scaled, on, fs)
     return mix, 10.0 * float(np.log10(radar_meas / (cell_meas + noise_meas)))
+
+
+def three_fft_achieved_sinr(radar, cellular, spec, seed):
+    """The achieved SINR as ``mix_at_sinr`` measured it with three full-length
+    FFTs: the occupied-band density of the scaled cellular, the full-band
+    periodogram density of the noise and the radar's band density."""
+    fs = radar.sample_rate_hz
+    radar_scaled, on, cell_scaled, _, noise = three_array_components(
+        radar, cellular, spec, seed)
+    cell_meas = _occupied_density(IqBuffer(cell_scaled, fs))
+    noise_meas = band_density_oracle(noise, fs, -fs / 2, fs / 2)
+    radar_meas = radar_band_density(radar_scaled, on, fs)
+    return 10.0 * float(np.log10(radar_meas / (cell_meas + noise_meas)))
 
 
 class TestOneArrayMix:
@@ -548,8 +580,6 @@ class TestOneArrayMix:
                         occupied_density=float(rng.uniform(0.5, 2.0)))
         levels = [float(rng.uniform(-120.0, -90.0)) if on else float("-inf")
                   for on in present]
-        # the radar alone, measured, divides by zero interference on both sides
-        assume(not (measure and present == (True, False, False)))
         spec = SinrSpec(*levels)
         out, achieved = mix_at_sinr(IqBuffer(radar, FS), cell, spec, seed=seed,
                                     measure_achieved=measure)
@@ -558,3 +588,42 @@ class TestOneArrayMix:
         assert out.samples.tobytes() == mix.tobytes()
         assert repr(achieved) == repr(ref_achieved)
 
+
+class TestOneFftMeasurement:
+    """The achieved SINR from one FFT, the radar's, against the three-FFT
+    measurement it replaced, and the Parseval noise density against the
+    noise's full-band periodogram density."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sinr=st.floats(-4.0, 12.0),
+           offset=st.sampled_from([-2.5e6, 0.0, 2.5e6]), mask_frac=st.floats(0.05, 1.0),
+           pw=st.floats(13e-6, 52e-6), prr=st.floats(500.0, 1100.0))
+    def test_sensing_capture_within_1e9_db_of_three_fft_measurement(
+            self, seed, sinr, offset, mask_frac, pw, prr):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(50) < mask_frac
+        mask[rng.integers(50)] = True
+        params = RadarParams(pw, prr, int(0.005 * prr), 10e-3, center_offset_hz=offset,
+                             burst_start_s=float(rng.uniform(0.0, 4e-3)))
+        _, radar_iq, achieved = sensing_capture(params, sinr, -109.0, 10e-3, seed, seed + 1,
+                                                prb_mask=mask)
+        cell = gen_cellular_baseband(CellularParams(active_prb_mask=mask), 10e-3, seed=seed)
+        want = three_fft_achieved_sinr(radar_iq, cell, SinrSpec.from_target(sinr, -109.0),
+                                       seed + 1)
+        assert achieved == pytest.approx(want, abs=1e-9, rel=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20000),
+           power=st.floats(1e-14, 1e2))
+    def test_parseval_density_equals_full_band_fft_density(self, seed, n, power):
+        base = np.array([1.0, 1j]) @ np.random.default_rng(seed + 1).normal(size=(2, n))
+        x = base.copy()
+        energy = _add_awgn(x, power, seed, measure=True)
+        noise = gen_awgn(power, n / FS, FS, seed).samples
+        assert noise.size == n
+        # Every bin: for some even n, fftfreq puts the Nyquist bin just below -fs/2.
+        want = np.sum(np.abs(np.fft.fft(noise)) ** 2) / (n * n) / (FS / 1e6)
+        assert energy / n / (FS / 1e6) == pytest.approx(want, rel=1e-12, abs=0.0)
+        unmeasured = base.copy()
+        assert _add_awgn(unmeasured, power, seed) == 0.0
+        assert unmeasured.tobytes() == x.tobytes()
