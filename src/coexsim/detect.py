@@ -162,6 +162,12 @@ def check_seed(seed) -> None:
         raise InvalidParamsError(f"seed must be a non-negative integer, not {seed!r}")
 
 
+def check_count(name: str, value) -> None:
+    """A count of items, records, epochs or rows: an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParamsError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -172,8 +178,10 @@ class TrainConfig:
     def __post_init__(self):
         if not math.isfinite(self.learning_rate):
             raise InvalidParamsError(f"learning_rate must be finite, got {self.learning_rate}")
-        if min(self.learning_rate, self.epochs, self.batch_size) <= 0:
-            raise InvalidParamsError("hyperparameters must be positive")
+        if self.learning_rate <= 0:
+            raise InvalidParamsError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_count("epochs", self.epochs)
+        check_count("batch_size", self.batch_size)
         check_seed(self.seed)
 
 

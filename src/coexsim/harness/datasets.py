@@ -31,7 +31,7 @@ from ..ranlink import (
     radar_psd_per_prb,
     write_kpm_csv,
 )
-from ..detect import KPM_FEATURES, check_seed, window_kpms
+from ..detect import KPM_FEATURES, check_count, check_seed, window_kpms
 from ..fileio import read_csv, write_csv, write_sidecar
 from ..signals import (
     COMBINED_DBM_MHZ,
@@ -116,8 +116,8 @@ class KpmDatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.items_per_class_per_sinr < 1:
-            raise InvalidParamsError("items_per_class_per_sinr must be >= 1")
+        check_count("items_per_class_per_sinr", self.items_per_class_per_sinr)
+        check_count("records_per_item", self.records_per_item)
         check_seed(self.seed)
         _check_sinr_sweep(self.sinr_sweep_db)
 
@@ -128,13 +128,16 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
     Each item is a fresh short uplink run under one steady condition, so
     sliding windows never straddle a label change.  Link operating point
     (base SINR, MCS, offered load) is drawn per item to cover realistic
-    spread; the radar parameters are drawn per radar item.
+    spread; the radar parameters are drawn per radar item.  An item's
+    records come from one ``UplinkSimulator.run`` over seeds drawn in one
+    call, ``records_per_item`` values of ``rng.integers(2**63)``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records: list[KpmRecord] = []
     labels: list[int] = []
     items: list[list] = []
+    mask = np.ones(N_PRBS, dtype=bool)
     item_idx = 0
     for sinr in config.sinr_sweep_db:
         for label in (0, 1):
@@ -152,13 +155,10 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
                 else:
                     profile = RadarInterferenceProfile.silent()
                 sim = UplinkSimulator(LinkConfig(base_sinr_db=-6.0 + mcs + margin_db))
-                mask = np.ones(N_PRBS, dtype=bool)
-                row_start = len(records)
-                for _ in range(config.records_per_item):
-                    seed = int(rng.integers(2 ** 63))
-                    records.append(sim.step(mcs, mask, profile, offered, seed))
-                    labels.append(label)
-                items.append([item_idx, row_start, config.records_per_item, sinr, label])
+                seeds = rng.integers(2 ** 63, size=config.records_per_item).tolist()
+                items.append([item_idx, len(records), config.records_per_item, sinr, label])
+                records.extend(sim.run(mcs, mask, profile, offered, seeds))
+                labels.extend([label] * config.records_per_item)
                 item_idx += 1
 
     write_kpm_csv(out_dir / KPM_DATA_FILE, records, labels)
@@ -227,8 +227,7 @@ class SpectrogramDatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.items_per_sinr < 1:
-            raise InvalidParamsError("items_per_sinr must be >= 1")
+        check_count("items_per_sinr", self.items_per_sinr)
         if not (_finite_number(self.absent_fraction) and self.absent_fraction >= 0):
             raise InvalidParamsError(f"absent_fraction must be a finite number >= 0, "
                                      f"not {self.absent_fraction!r}")

@@ -8,12 +8,14 @@ load capped by the surviving capacity.  Interference profile entries are
 expressed in units of the link's per-PRB noise floor.
 
 Telemetry comes out as KpmRecord rows (one per reporting period) and can be
-logged to CSV with an optional trailing label column.
+logged to CSV with an optional trailing label column.  ``UplinkSimulator.run``
+evaluates the link model once per steady condition for a run of periods;
+``step`` is its one-period case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -76,18 +78,28 @@ class KpmRecord:
 
 @dataclass(frozen=True)
 class RadarInterferenceProfile:
-    """Per-PRB radar interference (units of the per-PRB noise floor) and duty."""
+    """Per-PRB radar interference (units of the per-PRB noise floor) and duty.
+
+    ``sinr_loss_db`` is the per-PRB SINR loss the interference causes,
+    ``10 log10(1 + I * duty)`` against a noise floor of 1 per PRB.  Both
+    arrays are read-only copies, so the loss cannot go stale.
+    """
 
     per_prb_interference: np.ndarray
     duty_cycle: float
+    sinr_loss_db: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.per_prb_interference, dtype=float)
+        arr = np.array(self.per_prb_interference, dtype=float)
         if (arr < 0).any():
             raise InvalidParamsError("interference entries must be >= 0")
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise InvalidParamsError("duty_cycle must be in [0, 1]")
+        loss = 10.0 * np.log10(1.0 + arr * self.duty_cycle)
+        arr.setflags(write=False)
+        loss.setflags(write=False)
         object.__setattr__(self, "per_prb_interference", arr)
+        object.__setattr__(self, "sinr_loss_db", loss)
 
     @classmethod
     def silent(cls) -> "RadarInterferenceProfile":
@@ -144,11 +156,14 @@ def _logistic(x):
 
 
 class UplinkSimulator:
-    """Single-writer state machine; each step emits one KPM record.
+    """Single-writer state machine; each reporting period emits one KPM record.
 
-    Each step covers one reporting period of ``period_s`` seconds.  State is
-    the elapsed time and the uplink buffer backlog; everything else is a
-    pure function of the step inputs and the seed.
+    Each period lasts ``period_s`` seconds.  State is the elapsed time and
+    the uplink buffer backlog; everything else is a pure function of the
+    inputs and the period's seed.  ``run`` covers a run of periods under one
+    steady condition (MCS, PRB mask, radar profile, offered load) and
+    evaluates the link model once for all of them; ``step`` is its
+    one-period case.
     """
 
     def __init__(self, link: LinkConfig = LinkConfig(), period_s: float = WINDOW_S):
@@ -162,6 +177,20 @@ class UplinkSimulator:
     def step(self, mcs: int, prb_mask: np.ndarray,
              profile: RadarInterferenceProfile,
              offered_load_mbps: float, seed=None) -> KpmRecord:
+        """One period: ``run`` with one seed."""
+        return self.run(mcs, prb_mask, profile, offered_load_mbps, [seed])[0]
+
+    def run(self, mcs: int, prb_mask: np.ndarray,
+            profile: RadarInterferenceProfile,
+            offered_load_mbps: float, seeds) -> list[KpmRecord]:
+        """One record per seed, in order, each as ``step`` would give it for
+        that seed after the records before it.
+
+        Each period draws its wideband jitter from ``default_rng(seed)``.
+        The per-PRB SINR and BLER of all periods are one ``[2, periods,
+        active PRBs]`` array; the backlog and the clock advance period by
+        period.
+        """
         link = self.link
         mcs = check_mcs(mcs)
         prb_mask = np.asarray(prb_mask, dtype=bool)
@@ -170,42 +199,46 @@ class UplinkSimulator:
         if profile.per_prb_interference.size != N_PRBS:
             raise InvalidParamsError(f"profile length != {N_PRBS} PRBs")
 
-        rng = np.random.default_rng(seed)
-        base_db = link.base_sinr_db + rng.normal(0.0, link.sinr_jitter_db)
-
-        # duty-weighted interference, linear-domain, noise floor = 1 per PRB
-        i_over_n = profile.per_prb_interference * profile.duty_cycle
-        sinr_eff_db = base_db - 10.0 * np.log10(1.0 + i_over_n)
-
+        jitter_db = link.sinr_jitter_db
+        base_db = [link.base_sinr_db + np.random.default_rng(seed).normal(0.0, jitter_db)
+                   for seed in seeds]
+        period_s = self.period_s
+        records = []
         n_active = int(np.count_nonzero(prb_mask))
         if n_active == 0:
-            self.backlog_bits += offered_load_mbps * 1e6 * self.period_s
-            self.t_s += self.period_s
-            return KpmRecord(self.t_s, 0.0, 0.0, mcs,
-                             int(self.backlog_bits / 8), base_db)
+            for base in base_db:
+                self.backlog_bits += offered_load_mbps * 1e6 * period_s
+                self.t_s += period_s
+                records.append(KpmRecord(self.t_s, 0.0, 0.0, mcs,
+                                         int(self.backlog_bits / 8), base))
+            return records
 
-        # Means as sum / count: numpy's own np.mean arithmetic, without its
-        # per-call dispatch.
-        sinr_active = sinr_eff_db[prb_mask]
-        required = float(SINR_REQUIRED_DB[mcs])
-        per_prb_bler = _logistic(BLER_SLOPE * (required - sinr_active))
-        bler = float(per_prb_bler.sum() / n_active)
+        # Per period and active PRB, the SINR and then the BLER, in C order:
+        # each row then sums as the 1-D active-PRB vector would.  Means are
+        # sum / count, numpy's own np.mean arithmetic without its dispatch.
+        per_prb = np.empty((2, len(base_db), n_active))
+        sinr_active = np.subtract.outer(base_db, profile.sinr_loss_db[prb_mask],
+                                        out=per_prb[0])
+        per_prb[1] = _logistic(BLER_SLOPE * (float(SINR_REQUIRED_DB[mcs]) - sinr_active))
+        sinr_sums, bler_sums = np.add.reduce(per_prb, axis=2).tolist()
 
-        capacity_mbps = (float(SPECTRAL_EFFICIENCY[mcs]) * n_active
-                         * PRB_BANDWIDTH_HZ * SYMBOL_OVERHEAD
-                         * (1.0 - bler)) / 1e6
-        throughput = min(offered_load_mbps, capacity_mbps)
-        self.backlog_bits += max(0.0, (offered_load_mbps - throughput)
-                                 * 1e6 * self.period_s)
-        self.t_s += self.period_s
-        return KpmRecord(
-            t_s=self.t_s,
-            throughput_mbps=throughput,
-            bler_pct=100.0 * bler,
-            mcs=mcs,
-            bsr_bytes=int(self.backlog_bits / 8),
-            sinr_db=float(sinr_active.sum() / n_active),
-        )
+        full_capacity = (float(SPECTRAL_EFFICIENCY[mcs]) * n_active
+                         * PRB_BANDWIDTH_HZ * SYMBOL_OVERHEAD)
+        for bler_sum, sinr_sum in zip(bler_sums, sinr_sums):
+            bler = bler_sum / n_active
+            throughput = min(offered_load_mbps, full_capacity * (1.0 - bler) / 1e6)
+            self.backlog_bits += max(0.0, (offered_load_mbps - throughput)
+                                     * 1e6 * period_s)
+            self.t_s += period_s
+            records.append(KpmRecord(
+                t_s=self.t_s,
+                throughput_mbps=throughput,
+                bler_pct=100.0 * bler,
+                mcs=mcs,
+                bsr_bytes=int(self.backlog_bits / 8),
+                sinr_db=sinr_sum / n_active,
+            ))
+        return records
 
 
 KPM_CSV_FIELDS = ["t_s", "throughput_mbps", "bler_pct", "mcs", "bsr_bytes", "sinr_db"]

@@ -346,6 +346,7 @@ def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float
 
     Integrates the full-length periodogram over the band and divides by the
     requested band width.  Frequency resolution is sample_rate / n_samples.
+    A band from -fs/2 or below holds every bin below ``f_high``.
     """
     if not (f_high_hz - f_low_hz) / 1e6 > 0.0:  # also a width that underflows to 0 MHz
         raise InvalidParamsError("f_low_hz must be < f_high_hz by a width in MHz above 0")
@@ -385,17 +386,20 @@ def _band_density(p_bins: np.ndarray, fs: float, f_low_hz: float, f_high_hz: flo
     """``measure_band_power`` from the squared FFT magnitudes ``p_bins``.
 
     The band holds the bins whose ``fftfreq`` frequency, k * _bin_hz for
-    signed bin k, lies in [f_low, f_high).  That frequency rises with k, so
-    the band is one run of bins k >= 0 (at index k) and one of bins k < 0 (at
-    index n + k); their powers are summed as one array, the non-negative run
-    first, which is the order of ``p_bins[mask]`` over the ``fftfreq`` grid.
+    signed bin k, lies in [f_low, f_high); a low edge at or below -fs/2
+    holds every bin from the first negative one, since for even n that bin,
+    the Nyquist bin, can round to just below -fs/2.  The frequency rises
+    with k, so the band is one run of bins k >= 0 (at index k) and one of
+    bins k < 0 (at index n + k); their powers are summed as one array, the
+    non-negative run first, which is the order of ``p_bins[mask]`` over the
+    ``fftfreq`` grid.
     """
     n = p_bins.size
     bin_hz = _bin_hz(n, fs)
     n_pos = (n + 1) // 2  # bins k = 0 .. n_pos - 1 at index k, n_pos - n .. -1 at n + k
     band = []
     for lo, hi, offset in ((0, n_pos, 0), (n_pos - n, 0, n)):
-        start = _first_bin_at_or_above(f_low_hz, bin_hz, lo, hi)
+        start = lo if f_low_hz <= -fs / 2 else _first_bin_at_or_above(f_low_hz, bin_hz, lo, hi)
         stop = _first_bin_at_or_above(f_high_hz, bin_hz, lo, hi)
         band.append(p_bins[offset + start:offset + stop])
     band_power = float(np.sum(np.concatenate(band))) / (n * n)

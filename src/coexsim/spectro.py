@@ -72,8 +72,10 @@ class Spectrogram:
 
     @property
     def power_db(self) -> np.ndarray:
-        """The dB form, computed on each access."""
-        return 10.0 * np.log10(self.power)
+        """The dB form, computed on each access in one new array."""
+        db = np.log10(self.power)
+        db *= 10.0
+        return db
 
     @property
     def n_freq_bins(self) -> int:
@@ -161,9 +163,11 @@ def load_spectrogram(path) -> tuple[Spectrogram, dict]:
     """Read what ``save_spectrogram`` wrote; the dB matrix converts to linear."""
     meta = read_sidecar(str(path) + ".meta")
     rows, cols = int(meta["n_freq_bins"]), int(meta["n_time_bins"])
-    matrix = np.fromfile(str(path), dtype="<f4").reshape(rows, cols).astype(np.float64)
+    power = np.fromfile(str(path), dtype="<f4").reshape(rows, cols).astype(np.float64)
+    power /= 10.0
+    np.power(10.0, power, out=power)
     spec = Spectrogram(
-        10.0 ** (matrix / 10.0),
+        power,
         freq_resolution_hz=float(meta["freq_resolution_hz"]),
         time_resolution_s=float(meta["time_resolution_s"]),
         f_start_hz=float(meta["f_start_hz"]),

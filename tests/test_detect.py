@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -159,6 +161,18 @@ class TestTraining:
     def test_bad_seed_rejected_by_name(self, seed):
         with pytest.raises(InvalidParamsError, match="seed must be a non-negative integer"):
             TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 64.0, np.float64(3.0), True, "8", None])
+    def test_bad_count_rejected_by_name(self, field, value):
+        message = rf"^{field} must be an integer >= 1, not {re.escape(repr(value))}$"
+        with pytest.raises(InvalidParamsError, match=message):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3])
+    def test_non_positive_learning_rate_rejected_by_name(self, rate):
+        with pytest.raises(InvalidParamsError, match="^learning_rate must be positive"):
+            TrainConfig(learning_rate=rate)
 
     def test_normalized_inputs_identical_under_affine_feature_transform(self):
         # scaling a raw feature and refitting normalization leaves the

@@ -118,6 +118,32 @@ class TestKpmDataset:
         for config in (KpmDatasetConfig, SpectrogramDatasetConfig):
             config(sinr_sweep_db=(-1e308, 3000.0, np.float64(8.0), 12))
 
+    @pytest.mark.parametrize("field", ["items_per_class_per_sinr", "records_per_item"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, np.float64(3.0), True, "8", None])
+    def test_bad_count_rejected_by_name(self, field, value):
+        message = rf"^{field} must be an integer >= 1, not {re.escape(repr(value))}$"
+        with pytest.raises(InvalidParamsError, match=message):
+            KpmDatasetConfig(**{field: value})
+
+    def test_one_record_per_item_accepted(self, tmp_path):
+        out = gen_kpm_dataset(tmp_path, KpmDatasetConfig(
+            sinr_sweep_db=(8.0,), items_per_class_per_sinr=np.int64(2),
+            records_per_item=np.int64(1)))
+        windows, labels, _ = load_kpm_windows(out, n_stack=1)
+        assert len(windows) == 4 and labels.tolist() == [0, 0, 1, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1), item=st.integers(0, 10 ** 6),
+           k=st.integers(1, 64))
+    def test_one_seed_draw_equals_scalar_draws(self, seed, item, k):
+        """An item's seeds, drawn in one call after its operating point, equal
+        k draws of one seed each."""
+        one, scalar = (np.random.default_rng([seed, item]) for _ in range(2))
+        for rng in (one, scalar):
+            rng.integers(4, 29), rng.uniform(6.0, 14.0), rng.uniform(1.0, 5.0)
+        want = [int(scalar.integers(2 ** 63)) for _ in range(k)]
+        assert one.integers(2 ** 63, size=k).tolist() == want
+
 
 
 def per_record_windows(dataset_dir, n_stack):
@@ -229,6 +255,12 @@ class TestSpectrogramDataset:
     def test_kpm_item_list_rejected_before_any_item(self, kpm_dataset):
         with pytest.raises(MissingDataError, match="lacks the column.s. file_id, has_radar"):
             next(load_spectrogram_items(kpm_dataset))
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, np.float64(3.0), True, "8", None])
+    def test_bad_count_rejected_by_name(self, value):
+        message = rf"^items_per_sinr must be an integer >= 1, not {re.escape(repr(value))}$"
+        with pytest.raises(InvalidParamsError, match=message):
+            SpectrogramDatasetConfig(items_per_sinr=value)
 
     @pytest.mark.parametrize("fraction", [math.nan, math.inf, -0.1, "0.2", True])
     def test_bad_absent_fraction_rejected_by_name(self, fraction):

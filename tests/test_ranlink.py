@@ -316,6 +316,81 @@ class TestStepExactness:
             assert (sim.t_s, sim.backlog_bits) == (ref.t_s, ref.backlog_bits)
 
 
+def draw_mask(rng, kind):
+    """All, some, one or no PRBs active."""
+    if kind == "all":
+        return np.ones(N_PRBS, dtype=bool)
+    if kind == "none":
+        return np.zeros(N_PRBS, dtype=bool)
+    if kind == "one":
+        return np.arange(N_PRBS) == rng.integers(N_PRBS)
+    return rng.random(N_PRBS) < rng.uniform(0.05, 0.95)
+
+
+class TestRunExactness:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), mcs=st.integers(0, 28),
+           mask_kind=st.sampled_from(["all", "some", "one", "none"]),
+           radar=st.booleans(), base_sinr_db=st.floats(-10.0, 45.0),
+           offered=st.floats(0.0, 20.0), n_seeds=st.integers(1, 8),
+           n_before=st.integers(0, 2))
+    def test_run_equals_np_mean_steps(self, seed, mcs, mask_kind, radar, base_sinr_db,
+                                      offered, n_seeds, n_before):
+        """``run`` over k seeds gives, field by field and by repr, the records of
+        k calls of the reference step, and leaves the same clock and backlog."""
+        rng = np.random.default_rng(seed)
+        link = LinkConfig(base_sinr_db=base_sinr_db,
+                          sinr_jitter_db=float(rng.uniform(0.0, 3.0)))
+        mask = draw_mask(rng, mask_kind)
+        if radar:
+            params = RadarParams(float(rng.uniform(13e-6, 52e-6)), 1000.0, 10, 10e-3,
+                                 center_offset_hz=float(rng.uniform(-4e6, 4e6)))
+            profile = radar_psd_per_prb(params, 10.0 ** rng.uniform(-2.0, 7.0))
+        else:
+            profile = RadarInterferenceProfile.silent()
+        sim, ref = UplinkSimulator(link), UplinkSimulator(link)
+        for _ in range(n_before):  # a backlog and a clock already running
+            step_seed = int(rng.integers(2 ** 63))
+            sim.step(mcs, mask, profile, offered, step_seed)
+            np_mean_step(ref, mcs, mask, profile, offered, step_seed)
+        seeds = rng.integers(2 ** 63, size=n_seeds).tolist()
+        got = sim.run(mcs, mask, profile, offered, seeds)
+        want = [np_mean_step(ref, mcs, mask, profile, offered, s) for s in seeds]
+        assert [repr(astuple(r)) for r in got] == [repr(astuple(r)) for r in want]
+        assert (repr(sim.t_s), repr(sim.backlog_bits)) == \
+            (repr(ref.t_s), repr(ref.backlog_bits))
+
+    def test_no_seeds_no_records(self):
+        sim = UplinkSimulator(LinkConfig())
+        assert sim.run(10, np.ones(N_PRBS, bool), RadarInterferenceProfile.silent(),
+                       2.0, []) == []
+        assert (sim.t_s, sim.backlog_bits) == (0.0, 0.0)
+
+
+class TestProfileLoss:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), duty=st.sampled_from([0.0, 1.0])
+           | st.floats(0.0, 1.0), log_scale=st.floats(-3.0, 9.0))
+    def test_equals_inline_expression(self, seed, duty, log_scale):
+        arr = np.random.default_rng(seed).exponential(10.0 ** log_scale, N_PRBS)
+        arr[::7] = 0.0
+        profile = RadarInterferenceProfile(arr, duty)
+        want = 10.0 * np.log10(1.0 + arr * duty)
+        assert profile.sinr_loss_db.tobytes() == want.tobytes()
+
+    def test_arrays_read_only_and_not_the_callers(self):
+        arr = np.linspace(0.0, 5.0, N_PRBS)
+        profile = RadarInterferenceProfile(arr, 0.5)
+        loss = profile.sinr_loss_db.copy()
+        arr[:] = 1e6  # a later write by the caller leaves the profile as it was
+        assert np.array_equal(profile.per_prb_interference, np.linspace(0.0, 5.0, N_PRBS))
+        assert np.array_equal(profile.sinr_loss_db, loss)
+        for a in (profile.per_prb_interference, profile.sinr_loss_db):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
 class TestKpmCsv:
     def test_round_trip_with_labels(self, tmp_path):
         sim = UplinkSimulator(LinkConfig())

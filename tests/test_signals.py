@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coexsim.errors import (
     EmptyBandError,
@@ -228,11 +228,12 @@ class TestMeasureBandPower:
 
 def fftfreq_band_density(samples, fs, f_low, f_high):
     """``measure_band_power`` as it was with an ``fftfreq`` mask: the reference
-    for its bin index ranges."""
+    for its bin index ranges.  A low edge at or below -fs/2 takes every bin
+    below ``f_high``, the Nyquist bin included."""
     n = samples.size
     p_bins = np.abs(np.fft.fft(samples)) ** 2
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
-    sel = (freqs >= f_low) & (freqs < f_high)
+    sel = ((freqs >= f_low) | (f_low <= -fs / 2)) & (freqs < f_high)
     return float(np.sum(p_bins[sel])) / (n * n) / ((f_high - f_low) / 1e6)
 
 
@@ -263,6 +264,23 @@ class TestBandIndexRanges:
             return
         got = measure_band_power(IqBuffer(samples, fs), f_low, f_high)
         assert repr(got) == repr(fftfreq_band_density(samples, fs, f_low, f_high))
+
+
+class TestFullBand:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([42, 84, 168, 502, 20000]) | st.integers(1, 20000),
+           fs=st.sampled_from([FS, 1e6]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=42, fs=FS, seed=0)
+    @example(n=502, fs=FS, seed=0)
+    def test_holds_every_bin(self, n, fs, seed):
+        """Parseval: the density over [-fs/2, fs/2) is the periodogram's whole
+        energy, sum |X|^2 / n^2, over fs in MHz, the Nyquist bin of an even n
+        included."""
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        total = float(np.sum(np.abs(np.fft.fft(samples)) ** 2)) / (n * n)
+        got = measure_band_power(IqBuffer(samples, fs), -fs / 2, fs / 2)
+        assert got == pytest.approx(total / (fs / 1e6), rel=1e-12)
 
 
 class TestMixAtSinr:

@@ -1,3 +1,6 @@
+from pathlib import Path
+import tempfile
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -247,6 +250,25 @@ class TestLiveFrames:
 
 
 class TestExport:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 40))
+    def test_db_conversions_equal_the_expressions(self, seed, rows, cols):
+        """The file holds ``(10 log10 p)`` as float32 and loads as ``10 ** (m / 10)``,
+        byte for byte, on dB values from the floor to near +-300 dB."""
+        rng = np.random.default_rng(seed)
+        db = rng.uniform(-300.0, 300.0, rows * cols)
+        picks = rng.integers(0, db.size, size=min(4, db.size))
+        db[picks] = rng.choice([POWER_FLOOR_DB, -299.99, 299.99, -300.0, 300.0], picks.size)
+        power = 10.0 ** (db.astype("<f4").astype(np.float64).reshape(rows, cols) / 10.0)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "spec.bin"
+            save_spectrogram(path, Spectrogram(power, 1.0, 1.0, 0.0))
+            written = np.fromfile(path, dtype="<f4")
+            loaded, _ = load_spectrogram(path)
+        assert written.tobytes() == (10.0 * np.log10(power)).astype("<f4").tobytes()
+        want = 10.0 ** (written.astype(np.float64).reshape(rows, cols) / 10.0)
+        assert loaded.power.tobytes() == want.tobytes()
+
     def test_round_trip(self, tmp_path):
         spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=5), StftConfig())
         path = tmp_path / "spec.bin"
