@@ -23,7 +23,7 @@ from .signals import (
     measure_band_power,
     mix_at_sinr,
 )
-from .spectro import Spectrogram, StftConfig, stft_spectrogram
+from .spectro import Spectrogram, stft_spectrogram
 from .ranlink import (
     KpmRecord,
     LinkConfig,
@@ -43,7 +43,6 @@ from .detect import (
 )
 from .localize import (
     FreqTimeBox,
-    LocalizerConfig,
     evaluate_localizer,
     iou,
     localize,

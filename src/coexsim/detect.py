@@ -176,10 +176,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.learning_rate):
-            raise InvalidParamsError(f"learning_rate must be finite, got {self.learning_rate}")
-        if self.learning_rate <= 0:
-            raise InvalidParamsError(f"learning_rate must be positive, got {self.learning_rate}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float, np.integer, np.floating)):
+            raise InvalidParamsError(f"learning_rate must be a real number, not {rate!r}")
+        if not math.isfinite(rate):
+            raise InvalidParamsError(f"learning_rate must be finite, got {rate}")
+        if rate <= 0:
+            raise InvalidParamsError(f"learning_rate must be positive, got {rate}")
         check_count("epochs", self.epochs)
         check_count("batch_size", self.batch_size)
         check_seed(self.seed)

@@ -11,6 +11,8 @@ from collections.abc import Iterator
 import csv
 from pathlib import Path
 
+from .errors import InvalidParamsError
+
 
 def write_sidecar(path: str | Path, fields: dict) -> None:
     """Write ``key=value`` lines; values are stringified as-is."""
@@ -28,6 +30,18 @@ def read_sidecar(path: str | Path) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+def parse_field(kind: type, fields: dict, key: str, where):
+    """``kind(fields[key])`` for int or float; a value that is missing (or ``None``, as
+    ``csv.DictReader`` fills a short row) or malformed raises InvalidParamsError."""
+    text = fields.get(key)
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        what = ("missing" if text is None else
+                f"{text!r}, not {'an integer' if kind is int else 'a number'}")
+        raise InvalidParamsError(f"{where}: {key} is {what}") from None
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from ..detect import ClassifierModel, TrainConfig, train_detector
 from ..errors import CoexsimError
-from ..localize import LocalizerConfig
 from .datasets import (
     DEFAULT_SINR_SWEEP,
     KpmDatasetConfig,
@@ -130,8 +129,8 @@ def _cmd_eval_localizer(args) -> int:
     # The pooled slice is computed first, so a bad --min-sinr fails before the table.
     m = None
     if args.min_sinr is not None:
-        m = pooled_localizer_metrics(args.data, LocalizerConfig(), args.min_sinr)
-    rows = eval_localizer(args.data, LocalizerConfig())
+        m = pooled_localizer_metrics(args.data, args.min_sinr)
+    rows = eval_localizer(args.data)
     print("sinr_db  recall  precision  mean_iou  n_truth")
     for r in rows:
         print(f"{r.sinr_db:+7.1f}  {r.recall:6.4f}  {r.precision:9.4f}  "

@@ -32,7 +32,7 @@ from ..ranlink import (
     write_kpm_csv,
 )
 from ..detect import KPM_FEATURES, check_count, check_seed, window_kpms
-from ..fileio import read_csv, write_csv, write_sidecar
+from ..fileio import parse_field, read_csv, write_csv, write_sidecar
 from ..signals import (
     COMBINED_DBM_MHZ,
     N_PRBS,
@@ -42,15 +42,11 @@ from ..signals import (
     dbm_to_linear,
     sensing_capture,
 )
-from ..spectro import StftConfig, save_spectrogram, load_spectrogram, stft_spectrogram
+from ..spectro import FFT_SIZE, HOP, WINDOW, load_spectrogram, save_spectrogram, stft_spectrogram
 
 DEFAULT_SINR_SWEEP = (-4.0, 0.0, 4.0, 8.0, 12.0)
 CENTER_OFFSETS_HZ = (-2.5e6, 0.0, 2.5e6)
 DEFAULT_COUPLING_DB = 52.0   # sensing-reference to base-station interference gain
-
-# Mode-2 analysis settings: 75% overlap so a 13..52 us pulse always lands
-# well inside some window, avoiding taper loss at column edges.
-MODE2_STFT = StftConfig(fft_size=1024, hop=256, window="hann")
 
 KPM_DATA_FILE = "kpm_dataset.csv"
 ITEMS_FILE = "items.csv"
@@ -177,7 +173,8 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
 
 
 def _read_columns(path: Path, names) -> np.ndarray:
-    """The named columns of a CSV file that ``write_csv`` wrote, as ``[rows, names]`` floats."""
+    """The named columns of a CSV file that ``write_csv`` wrote, as ``[rows, names]`` floats;
+    a cell missing or not a number raises InvalidParamsError naming its row and column."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         missing = [name for name in names if name not in header]
@@ -187,8 +184,18 @@ def _read_columns(path: Path, names) -> np.ndarray:
         if not fh.readline():  # a header and no rows
             return np.empty((0, len(names)))
         fh.seek(body)
-        return np.loadtxt(fh, delimiter=",", usecols=[header.index(n) for n in names],
-                          ndmin=2)
+        try:
+            return np.loadtxt(fh, delimiter=",", usecols=[header.index(n) for n in names],
+                              ndmin=2)
+        except ValueError as exc:  # name the first cell missing or not a number
+            fh.seek(body)
+            for row_no, line in enumerate(fh, 1):
+                if not line.strip():  # loadtxt skips blank lines
+                    continue
+                row = dict(zip(header, line.rstrip("\n").split(",")))
+                for name in names:
+                    parse_field(float, row, name, f"{path} row {row_no}")
+            raise InvalidParamsError(f"{path}: {exc}") from None
 
 
 def load_kpm_windows(dataset_dir, n_stack: int
@@ -242,7 +249,7 @@ def gen_spectrogram_dataset(out_dir,
 
     Truth boxes are extracted from the noise-free radar component with the
     same trim levels the reference localizer uses, so they describe what
-    the pulse occupies at the configured STFT resolution.
+    the pulse occupies at the STFT's resolution.
     """
     out_dir = Path(out_dir)
     (out_dir / "specs").mkdir(parents=True, exist_ok=True)
@@ -259,7 +266,7 @@ def gen_spectrogram_dataset(out_dir,
             composite, radar, achieved = sensing_capture(
                 params, sinr, COMBINED_DBM_MHZ, WINDOW_S,
                 cell_seed, noise_seed=int(rng.integers(2 ** 63)))
-            sgram = stft_spectrogram(composite, MODE2_STFT)
+            sgram = stft_spectrogram(composite)
             save_spectrogram(out_dir / "specs" / f"{file_id}.bin", sgram, {
                 "file_id": file_id,
                 "sinr_db": sinr,
@@ -267,7 +274,7 @@ def gen_spectrogram_dataset(out_dir,
                 "has_radar": int(has_radar),
             })
             if has_radar:
-                clean = stft_spectrogram(radar, MODE2_STFT)
+                clean = stft_spectrogram(radar)
                 for box in radar_truth_boxes(clean):
                     truth_records.append((file_id, box))
             items.append([file_id, sinr, int(has_radar)])
@@ -282,16 +289,17 @@ def gen_spectrogram_dataset(out_dir,
         "items_per_sinr": config.items_per_sinr,
         "absent_fraction": config.absent_fraction,
         "combined_dbm_mhz": COMBINED_DBM_MHZ,
-        "fft_size": MODE2_STFT.fft_size,
-        "hop": MODE2_STFT.hop_size,
-        "window": MODE2_STFT.window,
+        "fft_size": FFT_SIZE,
+        "hop": HOP,
+        "window": WINDOW,
     })
     return out_dir
 
 
 def load_spectrogram_items(dataset_dir, keep=lambda sinr_db, has_radar: True):
     """Yields (file_id, sinr_db, has_radar, Spectrogram, truth boxes) for each
-    item that ``keep(sinr_db, has_radar)`` accepts; it loads no other."""
+    item that ``keep(sinr_db, has_radar)`` accepts; it loads no other.  A
+    malformed item cell or spectrogram file raises InvalidParamsError."""
     dataset_dir = Path(dataset_dir)
     items_path = dataset_dir / ITEMS_FILE
     if not items_path.exists():
@@ -307,9 +315,10 @@ def load_spectrogram_items(dataset_dir, keep=lambda sinr_db, has_radar: True):
     if missing:
         raise MissingDataError(f"{items_path} is not a spectrogram item list: it lacks the "
                                f"column(s) {', '.join(missing)}")
-    for row in read_csv(items_path):
-        file_id = row["file_id"]
-        sinr_db, has_radar = float(row["sinr_db"]), bool(int(row["has_radar"]))
+    for row_no, row in enumerate(read_csv(items_path), 1):
+        file_id, where = row["file_id"], f"{items_path} row {row_no}"
+        sinr_db = parse_field(float, row, "sinr_db", where)
+        has_radar = bool(parse_field(int, row, "has_radar", where))
         if keep(sinr_db, has_radar):
             sgram, _ = load_spectrogram(dataset_dir / "specs" / f"{file_id}.bin")
             yield file_id, sinr_db, has_radar, sgram, truth_by_id.get(file_id, [])

@@ -10,7 +10,7 @@ import numpy as np
 from ..detect import ClassifierModel, radar_present
 from ..errors import InvalidParamsError, MissingDataError
 from ..fileio import write_csv
-from ..localize import RADAR, LocalizerConfig, evaluate_localizer, localize
+from ..localize import RADAR, evaluate_localizer, localize
 from .datasets import load_kpm_windows, load_spectrogram_items
 
 
@@ -46,18 +46,21 @@ class LocalizerEvalRow:
     n_truth: int
 
 
-def eval_localizer(dataset_dir, config: LocalizerConfig = LocalizerConfig()
-                   ) -> list[LocalizerEvalRow]:
+def _radar_boxes(dataset_dir, keep=lambda sinr_db, has_radar: True):
+    """(sinr_db, the radar boxes ``localize`` finds, the truth boxes) of each
+    item that ``keep(sinr_db, has_radar)`` accepts, each loaded once."""
+    for _, sinr_db, _, sgram, truths in load_spectrogram_items(dataset_dir, keep):
+        yield sinr_db, [b for b in localize(sgram) if b.label == RADAR], truths
+
+
+def eval_localizer(dataset_dir) -> list[LocalizerEvalRow]:
     """Recall/precision/mean-IoU per sweep SINR point, radar class only."""
     by_sinr: dict[float, tuple[list, list]] = {}
-    found_any = False
-    for _, sinr, _, sgram, truths in load_spectrogram_items(dataset_dir):
-        found_any = True
-        preds = [b for b in localize(sgram, config) if b.label == RADAR]
+    for sinr, preds, truths in _radar_boxes(dataset_dir):
         bucket = by_sinr.setdefault(sinr, ([], []))
         bucket[0].append(preds)
         bucket[1].append(truths)
-    if not found_any:
+    if not by_sinr:
         raise MissingDataError(f"no spectrogram items in {dataset_dir}")
     rows = []
     for sinr in sorted(by_sinr):
@@ -68,16 +71,15 @@ def eval_localizer(dataset_dir, config: LocalizerConfig = LocalizerConfig()
     return rows
 
 
-def pooled_localizer_metrics(dataset_dir, config: LocalizerConfig = LocalizerConfig(),
-                             min_sinr_db: float = float("-inf")):
+def pooled_localizer_metrics(dataset_dir, min_sinr_db: float = float("-inf")):
     """Metrics over the radar items at or above min_sinr_db; loads no other item."""
     if math.isnan(min_sinr_db):
         raise InvalidParamsError("min_sinr_db is nan, which no SINR compares to, so it "
                                  "names no slice")
     preds, truths = [], []
-    for _, _, _, sgram, truth in load_spectrogram_items(
+    for _, pred, truth in _radar_boxes(
             dataset_dir, lambda sinr, has_radar: has_radar and not sinr < min_sinr_db):
-        preds.append([b for b in localize(sgram, config) if b.label == RADAR])
+        preds.append(pred)
         truths.append(truth)
     if not preds:
         raise MissingDataError("no items in requested SINR slice")

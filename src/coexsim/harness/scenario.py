@@ -58,11 +58,10 @@ from ..ranlink import (
     write_kpm_csv,
 )
 from ..signals import DEFAULT_SAMPLE_RATE_HZ, IqBuffer, RadarParams, dbm_to_linear, sensing_capture
-from ..spectro import stft_spectrogram
+from ..spectro import FFT_SIZE, stft_spectrogram
 from .datasets import (
     COMBINED_DBM_MHZ,
     DEFAULT_COUPLING_DB,
-    MODE2_STFT,
     interference_is_finite,
     interference_units,
 )
@@ -137,10 +136,10 @@ class ScenarioConfig:
         if self.n_stack < 1:
             raise InvalidConfigError("n_stack must be >= 1")
         # Mode 2 synthesizes one telemetry period of I/Q and takes its STFT.
-        if round(self.telemetry_period_s * DEFAULT_SAMPLE_RATE_HZ) < MODE2_STFT.fft_size:
+        if round(self.telemetry_period_s * DEFAULT_SAMPLE_RATE_HZ) < FFT_SIZE:
             raise InvalidConfigError(
                 f"telemetry_period_s {self.telemetry_period_s} holds fewer than one "
-                f"{MODE2_STFT.fft_size}-sample STFT frame")
+                f"{FFT_SIZE}-sample STFT frame")
         if self.guard_prbs < 0:
             raise InvalidConfigError(f"guard_prbs must be >= 0, got {self.guard_prbs}")
         if self.seed < 0:
@@ -259,7 +258,7 @@ def _pipeline_step(ledger: LatencyLedger, controller: XappController,
     recent.append(ledger.timed(STAGE_TELEMETRY_INGEST, record_features, kpm))
     boxes = None
     if iq is not None:
-        sgram = ledger.timed(STAGE_SPECTROGRAM_BUILD, stft_spectrogram, iq, MODE2_STFT)
+        sgram = ledger.timed(STAGE_SPECTROGRAM_BUILD, stft_spectrogram, iq)
         boxes = ledger.timed(STAGE_LOCALIZATION_INFERENCE, localize, sgram)
     return ledger.timed(STAGE_KPM_INFERENCE_POLICY, _decide, controller, detector, recent,
                         boxes, kpm.bler_pct)

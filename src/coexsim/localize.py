@@ -6,7 +6,7 @@ a learned detector can be dropped in instead.  Detection runs on two paths:
 
 * transient path: bins exceeding a per-row noise floor (20th-percentile
   quantile estimate scaled to mean-equivalent for exponential periodogram
-  statistics) by ``threshold_db_above_floor``; 8-connected components are
+  statistics) by ``THRESHOLD_DB_ABOVE_FLOOR``; 8-connected components are
   merged across small gaps and kept if large enough.  This finds pulsed
   emitters even inside an occupied band, since the row floor tracks the
   local background.
@@ -44,6 +44,8 @@ _PAD_COLS = 3
 _ROW_BLOCK = 64  # rows per copy in the row statistics: 300 KB at 597 columns
 
 NOISE_FLOOR_PERCENTILE = 20.0
+THRESHOLD_DB_ABOVE_FLOOR = 10.0  # a bin, or a row's median, is occupied this far above its floor
+MERGE_GAP_BINS = 3  # sets the merging dilation, and the row gap a persistent run bridges
 MIN_BOX_BINS = 4
 MIN_BOX_ROWS = 2  # rejects single-bin noise spikes smeared across overlapped columns
 CELLULAR_DUTY_THRESHOLD = 0.8
@@ -81,16 +83,6 @@ class FreqTimeBox:
     @property
     def duration_s(self) -> float:
         return self.t_end_s - self.t_start_s
-
-
-@dataclass(frozen=True)
-class LocalizerConfig:
-    threshold_db_above_floor: float = 10.0
-    merge_gap_bins: int = 3
-
-    def __post_init__(self):
-        if self.threshold_db_above_floor <= 0:
-            raise InvalidParamsError("threshold_db_above_floor must be > 0")
 
 
 @dataclass
@@ -226,7 +218,7 @@ def _component_members(active: np.ndarray, radius: int
     return [(rows[g], cols[g]) for g in groups]
 
 
-def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Component]:
+def _extract_components(spec: Spectrogram) -> list[_Component]:
     # Every pass below runs along rows.  STFT and loaded spectrograms are
     # C-order already; the call copies only caller-built F-order arrays.
     lin = np.ascontiguousarray(spec.power)
@@ -236,7 +228,7 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
     # Per-row floor: quantile scaled to mean-equivalent for exponential bins.
     row_q, row_med = _row_quantile_and_median(lin, pct)
     row_floor = row_q / (-np.log(1.0 - pct / 100.0))
-    thr_lin = 10.0 ** (config.threshold_db_above_floor / 10.0)
+    thr_lin = 10.0 ** (THRESHOLD_DB_ABOVE_FLOOR / 10.0)
 
     components: list[_Component] = []
 
@@ -247,7 +239,7 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
 
     # Transient path: per-bin exceedances over the local row floor.
     active = lin > row_floor[:, None] * thr_lin
-    radius = max(1, int(np.ceil(config.merge_gap_bins / 2)))
+    radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
     for rows_idx, cols_idx in _component_members(active, radius):
         cells = set(zip(rows_idx.tolist(), (cols_idx // overlap).tolist()))
         if len(cells) < MIN_BOX_BINS:
@@ -273,7 +265,7 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
     persistent = row_med > global_floor * thr_lin
     if persistent.any():
         rows = np.flatnonzero(persistent)
-        for run in np.split(rows, np.flatnonzero(np.diff(rows) > config.merge_gap_bins) + 1):
+        for run in np.split(rows, np.flatnonzero(np.diff(rows) > MERGE_GAP_BINS) + 1):
             rmin, rmax = int(run[0]), int(run[-1])
             # A full-duration run meets the duty rule, so its width sets the class.
             bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
@@ -288,9 +280,9 @@ def _extract_components(spec: Spectrogram, config: LocalizerConfig) -> list[_Com
     return components
 
 
-def localize(spec: Spectrogram, config: LocalizerConfig = LocalizerConfig()) -> list[FreqTimeBox]:
+def localize(spec: Spectrogram) -> list[FreqTimeBox]:
     """Detect and box signal occupancy; returns boxes sorted by confidence."""
-    boxes = [c.box for c in _extract_components(spec, config)]
+    boxes = [c.box for c in _extract_components(spec)]
     return sorted(boxes, key=lambda b: -b.confidence)
 
 

@@ -1,11 +1,11 @@
 """STFT spectrograms of I/Q buffers for time-frequency signal localization.
 
-Columns are DC-centered (row 0 is -fs/2, row fft_size/2 is DC) and stored as
+Columns are DC-centered (row 0 is -fs/2, row FFT_SIZE/2 is DC) and stored as
 linear power clamped at POWER_FLOOR_DB, in a C-order ``[freq, time]``
 matrix as both ``stft_spectrogram`` and ``load_spectrogram`` produce it, so
 row passes run over contiguous memory.  The dB form is derived where a
 spectrogram is written or read.  Linear column energy is normalized so
-that ``sum_k |X_k|^2 / fft_size`` equals the windowed time-domain energy of
+that ``sum_k |X_k|^2 / FFT_SIZE`` equals the windowed time-domain energy of
 the frame (Parseval), which the tests rely on.
 """
 
@@ -17,41 +17,21 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParamsError, TooShortInputError
-from .fileio import write_sidecar, read_sidecar
+from .fileio import parse_field, write_sidecar, read_sidecar
 from .signals import IqBuffer
 
-WINDOW_RECTANGULAR = "rectangular"
-WINDOW_HANN = "hann"
+# Mode-2 analysis geometry: 1024-point Hann frames at 75% overlap, so a
+# 13..52 us pulse always lands well inside some frame, avoiding taper loss at
+# column edges.
+FFT_SIZE = 1024
+HOP = 256
+WINDOW = "hann"  # the window's name in a dataset's sidecar
 POWER_FLOOR_DB = -120.0  # STFT power clamp, which keeps the dB form finite
 
 # Frames per block of the STFT's transform and transposed write.  128 frames
 # of 1024 bins are 1 MB of power, half a 2 MB L2 cache; of 48, 64, 128 and
 # 256 it was the fastest for the write.
 _BLOCK_FRAMES = 128
-
-
-@dataclass(frozen=True)
-class StftConfig:
-    fft_size: int = 1024
-    hop: int | None = None  # None -> fft_size (non-overlapping)
-    window: str = WINDOW_HANN
-
-    def __post_init__(self):
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise InvalidParamsError("fft_size must be a power of two")
-        if self.hop is not None and not 0 < self.hop <= self.fft_size:
-            raise InvalidParamsError("hop must satisfy 0 < hop <= fft_size")
-        if self.window not in (WINDOW_RECTANGULAR, WINDOW_HANN):
-            raise InvalidParamsError(f"unknown window {self.window!r}")
-
-    @property
-    def hop_size(self) -> int:
-        return self.fft_size if self.hop is None else self.hop
-
-    def window_values(self) -> np.ndarray:
-        if self.window == WINDOW_HANN:
-            return np.hanning(self.fft_size)
-        return np.ones(self.fft_size)
 
 
 @dataclass(frozen=True)
@@ -86,7 +66,7 @@ class Spectrogram:
         return self.power.shape[1]
 
 
-def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectrogram:
+def stft_spectrogram(iq: IqBuffer) -> Spectrogram:
     """Magnitude-squared STFT, DC-centered rows, clamped at the floor.
 
     A frame of zeros has zero power, which clamps to the floor exactly, so
@@ -95,25 +75,23 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
     of its frames lie between pulses.
     """
     n = iq.n_samples
-    fft_size = config.fft_size
-    if n < fft_size:
-        raise TooShortInputError(f"need at least {fft_size} samples, got {n}")
-    hop = config.hop_size
-    w = config.window_values()
-    frames = sliding_window_view(iq.samples, fft_size)[::hop]  # a view, no copy
+    if n < FFT_SIZE:
+        raise TooShortInputError(f"need at least {FFT_SIZE} samples, got {n}")
+    w = np.hanning(FFT_SIZE)
+    frames = sliding_window_view(iq.samples, FFT_SIZE)[::HOP]  # a view, no copy
     n_frames = frames.shape[0]
     if iq.samples.all():  # a composite: every frame holds signal
         live = np.ones(n_frames, dtype=bool)
     else:
-        live = sliding_window_view(iq.samples != 0, fft_size)[::hop].any(axis=1)
+        live = sliding_window_view(iq.samples != 0, FFT_SIZE)[::HOP].any(axis=1)
 
     # Window, transform, square, scale and clamp one cache-sized block of
     # frames at a time in reused buffers, and write it transposed, with
     # fftshift's half swap, into C-order [freq, time].
     floor_lin = 10.0 ** (POWER_FLOOR_DB / 10.0)
-    half = fft_size // 2
-    power = np.empty((fft_size, n_frames))
-    spectra = np.empty((min(_BLOCK_FRAMES, n_frames), fft_size), dtype=np.complex128)
+    half = FFT_SIZE // 2
+    power = np.empty((FFT_SIZE, n_frames))
+    spectra = np.empty((min(_BLOCK_FRAMES, n_frames), FFT_SIZE), dtype=np.complex128)
     magnitude = np.empty(spectra.shape)
     dead_from = 0
     runs = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2)
@@ -126,7 +104,7 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
             np.fft.fft(block, axis=1, out=block)
             mag = np.abs(block, out=magnitude[:t1 - t0])
             np.square(mag, out=mag)
-            mag /= fft_size
+            mag /= FFT_SIZE
             np.maximum(mag, floor_lin, out=mag)
             power[:half, t0:t1] = mag[:, half:].T  # row 0 = -fs/2
             power[half:, t0:t1] = mag[:, :half].T
@@ -135,8 +113,8 @@ def stft_spectrogram(iq: IqBuffer, config: StftConfig = StftConfig()) -> Spectro
     fs = iq.sample_rate_hz
     return Spectrogram(
         power,
-        freq_resolution_hz=fs / fft_size,
-        time_resolution_s=hop / fs,
+        freq_resolution_hz=fs / FFT_SIZE,
+        time_resolution_s=HOP / fs,
         f_start_hz=-fs / 2,
         t_start_s=0.0,
     )
@@ -160,18 +138,19 @@ def save_spectrogram(path, spec: Spectrogram, extra_meta: dict | None = None) ->
 
 
 def load_spectrogram(path) -> tuple[Spectrogram, dict]:
-    """Read what ``save_spectrogram`` wrote; the dB matrix converts to linear."""
-    meta = read_sidecar(str(path) + ".meta")
-    rows, cols = int(meta["n_freq_bins"]), int(meta["n_time_bins"])
-    power = np.fromfile(str(path), dtype="<f4").reshape(rows, cols).astype(np.float64)
+    """Read what ``save_spectrogram`` wrote; the dB matrix converts to linear.  A
+    sidecar key missing or malformed, or a matrix of another size, raises InvalidParamsError."""
+    meta_path = str(path) + ".meta"
+    meta = read_sidecar(meta_path)
+    rows, cols = (parse_field(int, meta, key, meta_path)
+                  for key in ("n_freq_bins", "n_time_bins"))
+    axes = {key: parse_field(float, meta, key, meta_path)
+            for key in ("freq_resolution_hz", "time_resolution_s", "f_start_hz", "t_start_s")}
+    power = np.fromfile(str(path), dtype="<f4")
+    if rows < 1 or cols < 1 or power.size != rows * cols:
+        raise InvalidParamsError(f"{path} holds {power.size} values, not the {rows} x {cols} "
+                                 f"its sidecar names")
+    power = power.reshape(rows, cols).astype(np.float64)
     power /= 10.0
     np.power(10.0, power, out=power)
-    spec = Spectrogram(
-        power,
-        freq_resolution_hz=float(meta["freq_resolution_hz"]),
-        time_resolution_s=float(meta["time_resolution_s"]),
-        f_start_hz=float(meta["f_start_hz"]),
-        t_start_s=float(meta["t_start_s"]),
-    )
-    return spec, meta
-
+    return Spectrogram(power, **axes), meta

@@ -28,7 +28,6 @@ from coexsim.harness.scenario import (
     ScenarioConfig,
     run_scenario,
 )
-from coexsim.localize import LocalizerConfig
 from coexsim.ranlink import BAND_LOW_HZ
 from coexsim.signals import (
     N_PRBS,
@@ -41,7 +40,7 @@ from coexsim.signals import (
     gen_radar_pulse_train,
     mix_at_sinr,
 )
-from coexsim.spectro import StftConfig, stft_spectrogram
+from coexsim.spectro import FFT_SIZE, HOP, stft_spectrogram
 
 FS = 15.36e6
 
@@ -170,10 +169,8 @@ def test_criterion_3_detection(trained_models):
 
 
 def test_criterion_4_localization(spectro_dataset):
-    gate = pooled_localizer_metrics(spectro_dataset, LocalizerConfig(),
-                                    min_sinr_db=8.0)
-    stretch = pooled_localizer_metrics(spectro_dataset, LocalizerConfig(),
-                                       min_sinr_db=4.0)
+    gate = pooled_localizer_metrics(spectro_dataset, min_sinr_db=8.0)
+    stretch = pooled_localizer_metrics(spectro_dataset, min_sinr_db=4.0)
     ok = gate.recall >= 0.95 and gate.n_truth >= 500
     report("criterion 4 (localization recall >=95% at SINR >=8)", ok,
            f"recall {gate.recall:.4f} over {gate.n_truth} truth boxes "
@@ -303,13 +300,12 @@ def test_criterion_9_numerical_hygiene():
     # Parseval within 1%
     from coexsim.signals import gen_awgn
     iq = gen_awgn(2.0, 1e-3, FS, seed=21)
-    cfg = StftConfig(fft_size=1024, hop=1024)
-    spec = stft_spectrogram(iq, cfg)
-    w = cfg.window_values()
+    spec = stft_spectrogram(iq)
+    w = np.hanning(FFT_SIZE)
     lin = 10.0 ** (spec.power_db / 10.0)
     parseval_ok = True
     for col in range(spec.n_time_bins):
-        frame = iq.samples[col * 1024:(col + 1) * 1024] * w
+        frame = iq.samples[col * HOP:col * HOP + FFT_SIZE] * w
         err = abs(np.sum(lin[:, col]) - np.sum(np.abs(frame) ** 2))
         parseval_ok &= err <= 0.01 * np.sum(np.abs(frame) ** 2)
 

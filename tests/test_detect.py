@@ -10,7 +10,6 @@ from coexsim.detect import (
     RMS_EPSILON,
     TRAIN_FRACTION,
     ClassifierModel,
-    Detection,
     KpmWindow,
     TrainConfig,
     infer,
@@ -173,6 +172,16 @@ class TestTraining:
     def test_non_positive_learning_rate_rejected_by_name(self, rate):
         with pytest.raises(InvalidParamsError, match="^learning_rate must be positive"):
             TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", ["0.1", None, True, False, [0.1]])
+    def test_non_number_learning_rate_rejected_by_name(self, rate):
+        message = rf"^learning_rate must be a real number, not {re.escape(repr(rate))}$"
+        with pytest.raises(InvalidParamsError, match=message):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", [1, np.int64(1), np.float32(1e-3), np.float64(1e-3)])
+    def test_real_learning_rate_accepted(self, rate):
+        assert TrainConfig(learning_rate=rate).learning_rate == rate
 
     def test_normalized_inputs_identical_under_affine_feature_transform(self):
         # scaling a raw feature and refitting normalization leaves the

@@ -2,10 +2,10 @@ from dataclasses import replace
 import inspect
 import math
 import re
+import shutil
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.detect import (
     KPM_FEATURES,
-    ClassifierModel,
     KpmWindow,
     TrainConfig,
     record_features,
@@ -49,7 +48,7 @@ from coexsim.harness.scenario import (
     scenario_from_yaml,
 )
 from coexsim.fileio import read_csv, write_csv
-from coexsim.localize import RADAR, LocalizerConfig, evaluate_localizer, localize
+from coexsim.localize import RADAR, evaluate_localizer, localize
 from coexsim.ranlink import KpmRecord, LinkConfig, read_kpm_csv, write_kpm_csv
 from coexsim.signals import DEFAULT_SAMPLE_RATE_HZ, RadarParams, SinrSpec
 
@@ -221,6 +220,21 @@ class TestKpmMatrix:
         with pytest.raises(InvalidParamsError, match="bler_pct holds a non-finite value"):
             load_kpm_windows(tmp_path, 1)
 
+    @pytest.mark.parametrize("cell, message", [
+        ("abc", r"kpm_dataset.csv row 5: bler_pct is 'abc', not a number$"),
+        ("", r"kpm_dataset.csv row 5: bler_pct is '', not a number$"),
+        ("1_000", r"kpm_dataset.csv: could not convert string '1_000'"),  # float() reads it
+    ])
+    def test_malformed_cell_rejected_by_name(self, kpm_dataset, tmp_path, cell, message):
+        text = (kpm_dataset / "kpm_dataset.csv").read_text().splitlines(keepends=True)
+        row = text[5].split(",")
+        row[2] = cell  # bler_pct
+        text[5] = ",".join(row)
+        (tmp_path / "kpm_dataset.csv").write_text("".join(text))
+        (tmp_path / "items.csv").write_bytes((kpm_dataset / "items.csv").read_bytes())
+        with pytest.raises(InvalidParamsError, match=message):
+            load_kpm_windows(tmp_path, 1)
+
 
 class TestSpectrogramDataset:
     def test_items_and_truth(self, spectro_dataset):
@@ -298,14 +312,14 @@ class TestEvaluate:
             pooled_localizer_metrics(spectro_dataset, min_sinr_db=99.0)
 
 
-def load_all_pooled_metrics(dataset_dir, config, min_sinr_db):
+def load_all_pooled_metrics(dataset_dir, min_sinr_db):
     """``pooled_localizer_metrics`` as it was before it read items.csv first:
     it loaded every item and kept the slice."""
     preds, truths = [], []
     for _, sinr, has_radar, sgram, truth in load_spectrogram_items(dataset_dir):
         if sinr < min_sinr_db or not has_radar:
             continue
-        preds.append([b for b in localize(sgram, config) if b.label == RADAR])
+        preds.append([b for b in localize(sgram) if b.label == RADAR])
         truths.append(truth)
     if not preds:
         raise MissingDataError("no items in requested SINR slice")
@@ -334,11 +348,11 @@ class TestPooledSlice:
                           lambda path: loaded.append(path) or load(path))
             if math.isnan(min_sinr_db):  # names no slice: rejected before any item loads
                 with pytest.raises(InvalidParamsError, match="min_sinr_db is nan"):
-                    pooled_localizer_metrics(sweep_dataset, LocalizerConfig(), min_sinr_db)
+                    pooled_localizer_metrics(sweep_dataset, min_sinr_db)
                 assert loaded == []
                 return
             try:
-                got = pooled_localizer_metrics(sweep_dataset, LocalizerConfig(), min_sinr_db)
+                got = pooled_localizer_metrics(sweep_dataset, min_sinr_db)
             except MissingDataError:
                 got = None
         n_slice = sum(1 for row in read_csv(sweep_dataset / "items.csv")
@@ -346,7 +360,7 @@ class TestPooledSlice:
                       and not float(row["sinr_db"]) < min_sinr_db)
         assert len(loaded) == n_slice
         try:
-            want = load_all_pooled_metrics(sweep_dataset, LocalizerConfig(), min_sinr_db)
+            want = load_all_pooled_metrics(sweep_dataset, min_sinr_db)
         except MissingDataError:
             want = None
         assert repr(got) == repr(want)
@@ -961,6 +975,46 @@ class TestCli:
         assert err.startswith("error: InvalidParamsError: sinr_sweep_db[0] ")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("specs/item_00000.bin", lambda p: p.write_bytes(p.read_bytes()[:1000]),
+         " holds 250 values, not the 1024 x 597 its sidecar names"),
+        ("specs/item_00000.bin.meta",
+         lambda p: p.write_text(re.sub(r"n_time_bins=\d+\n", "", p.read_text())),
+         ": n_time_bins is missing"),
+        ("specs/item_00000.bin.meta",
+         lambda p: p.write_text(re.sub(r"n_time_bins=\d+", "n_time_bins=abc", p.read_text())),
+         ": n_time_bins is 'abc', not an integer"),
+        ("items.csv", lambda p: p.write_text(p.read_text().replace(",12.0,", ",eight,", 1)),
+         " row 1: sinr_db is 'eight', not a number"),
+    ], ids=["truncated-matrix", "missing-sidecar-key", "bad-sidecar-integer", "bad-item-cell"])
+    @pytest.mark.parametrize("min_sinr", [[], ["--min-sinr", "8"]], ids=["all", "min-sinr"])
+    def test_error_line_on_corrupt_spectrogram_set(self, spectro_dataset, tmp_path, capsys,
+                                                   name, corrupt, message, min_sinr):
+        data = tmp_path / "specs"
+        shutil.copytree(spectro_dataset, data)
+        corrupt(data / name)
+        assert cli.main(["eval-localizer", "--data", str(data), *min_sinr]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: InvalidParamsError: {data / name}{message}\n"
+        assert captured.out == ""
+
+    def test_error_line_on_corrupt_kpm_set(self, kpm_dataset, tmp_path, capsys):
+        data = tmp_path / "kpm"
+        shutil.copytree(kpm_dataset, data)
+        path = data / "kpm_dataset.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index("bler_pct")] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "m.npz"
+        assert cli.main(["train-detector", "--data", str(data), "--out", str(model_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: InvalidParamsError: {path} row 3: bler_pct is 'abc', "
+                                "not a number\n")
+        assert captured.out == ""
+        assert not model_path.exists()
 
     def test_error_line_on_nan_min_sinr(self, spectro_dataset, capsys):
         assert cli.main(["eval-localizer", "--data", str(spectro_dataset),

@@ -1,6 +1,6 @@
-"""Source hygiene: no module under src/coexsim imports a name it never uses,
-no function, class or annotated field under it goes unreferenced, and no
-public one is referenced from the tests alone."""
+"""Source hygiene: no module under src/coexsim, tests or tools imports a name
+it never uses, no function, class or annotated field under src/coexsim goes
+unreferenced, and no public one is referenced from the tests alone."""
 
 import ast
 from collections import Counter
@@ -11,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coexsim"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for d in (SRC, ROOT / "tests", ROOT / "tools") for p in d.rglob("*.py")
+                 if p.name != "__init__.py")
 
 
 def _string_annotation_names(tree: ast.AST):
@@ -55,7 +56,10 @@ def test_scanner_flags_unused_and_spares_used():
     assert unused_imports(source) == ["field (line 2)", "os (line 4)", "sys (line 5)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+# A package module is named by its path in the package, any other by its path
+# in the repository.
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(SRC if SRC in p.parents else ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

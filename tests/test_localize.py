@@ -1,4 +1,5 @@
 from dataclasses import replace
+import importlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from coexsim.localize import (
     NOISE_FLOOR_PERCENTILE,
     RADAR,
     FreqTimeBox,
-    LocalizerConfig,
+    MERGE_GAP_BINS,
     _ROW_BLOCK,
     _component_members,
     _dilate_square,
@@ -34,10 +35,12 @@ from coexsim.signals import (
     gen_radar_pulse_train,
     mix_at_sinr,
 )
-from coexsim.spectro import StftConfig, stft_spectrogram
+from coexsim.spectro import stft_spectrogram
 
+# The package attribute ``coexsim.localize`` is the function, so the module
+# whose constants a test sets comes from the import system.
+LOCALIZE_MODULE = importlib.import_module("coexsim.localize")
 FS = 15.36e6
-MODE2_CFG = StftConfig(fft_size=1024, hop=256, window="hann")
 
 
 def make_composite(sinr_db, offset_hz=2.5e6, pulse_width_s=26e-6, seed=0):
@@ -122,12 +125,12 @@ class TestLocalize:
         spec0 = SinrSpec(float("-inf"), -112.0103, -112.0103)
         out, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples), FS), cell,
                              spec0, seed=2)
-        boxes = localize(stft_spectrogram(out, MODE2_CFG))
+        boxes = localize(stft_spectrogram(out))
         assert not [b for b in boxes if b.label == RADAR]
 
     def test_single_radar_box_contains_main_lobe(self):
         out, radar, params = make_composite(12.0, seed=3)
-        boxes = [b for b in localize(stft_spectrogram(out, MODE2_CFG))
+        boxes = [b for b in localize(stft_spectrogram(out))
                  if b.label == RADAR]
         assert boxes
         extent = radar_freq_extent(boxes)
@@ -135,7 +138,7 @@ class TestLocalize:
         # the union of per-pulse boxes covers the pulse main lobe region
         assert extent[0] <= params.carrier_hz - lobe / 2
         assert extent[1] >= params.carrier_hz + lobe / 2
-        truths = radar_truth_boxes(stft_spectrogram(radar, MODE2_CFG))
+        truths = radar_truth_boxes(stft_spectrogram(radar))
         metrics = evaluate_localizer([boxes], [truths])
         assert metrics.recall >= 0.8
         assert metrics.mean_iou >= 0.5
@@ -145,7 +148,7 @@ class TestLocalize:
         spec0 = SinrSpec(float("-inf"), -97.0, -112.0)  # cellular 15 dB over noise
         out, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples), FS), cell,
                              spec0, seed=5)
-        boxes = localize(stft_spectrogram(out, MODE2_CFG))
+        boxes = localize(stft_spectrogram(out))
         cellular = [b for b in boxes if b.label == CELLULAR]
         assert len(cellular) == 1
         assert cellular[0].bandwidth_hz >= 8.5e6
@@ -155,38 +158,41 @@ class TestLocalize:
         noise_spec = SinrSpec(float("-inf"), float("-inf"), -112.0)
         silent = IqBuffer(np.zeros(153600), FS)
         out, _ = mix_at_sinr(silent, silent, noise_spec, seed=6)
-        assert localize(stft_spectrogram(out, MODE2_CFG)) == []
+        assert localize(stft_spectrogram(out)) == []
 
-    def test_dilation_soundness(self):
+    def test_dilation_soundness(self, monkeypatch):
         # higher threshold: every radar component's bin support is contained
         # in the support of some lower-threshold component
         out, _, _ = make_composite(12.0, seed=7)
-        spec = stft_spectrogram(out, MODE2_CFG)
-        low = _extract_components(spec, LocalizerConfig(threshold_db_above_floor=8.0))
-        high = _extract_components(spec, LocalizerConfig(threshold_db_above_floor=12.0))
+        spec = stft_spectrogram(out)
+        monkeypatch.setattr(LOCALIZE_MODULE, "THRESHOLD_DB_ABOVE_FLOOR", 8.0)
+        low = _extract_components(spec)
+        monkeypatch.setattr(LOCALIZE_MODULE, "THRESHOLD_DB_ABOVE_FLOOR", 12.0)
+        high = _extract_components(spec)
         low_supports = [set(zip(c.support_rows.tolist(), c.support_cols.tolist()))
                         for c in low]
         for comp in high:
             bins = set(zip(comp.support_rows.tolist(), comp.support_cols.tolist()))
             assert any(bins <= sup for sup in low_supports)
 
-    def test_fortran_and_c_order_give_equal_boxes(self):
+    def test_fortran_and_c_order_give_equal_boxes(self, monkeypatch):
         out, _, _ = make_composite(10.0, seed=9)
-        spec = stft_spectrogram(out, MODE2_CFG)
+        spec = stft_spectrogram(out)
         c_spec = replace(spec, power=np.ascontiguousarray(spec.power))
         f_spec = replace(spec, power=np.asfortranarray(spec.power))
         assert f_spec.power.flags.f_contiguous
         assert not f_spec.power.flags.c_contiguous
-        for cfg in (LocalizerConfig(), LocalizerConfig(merge_gap_bins=6)):
-            c_boxes = localize(c_spec, cfg)
+        for merge_gap_bins in (MERGE_GAP_BINS, 6):
+            monkeypatch.setattr(LOCALIZE_MODULE, "MERGE_GAP_BINS", merge_gap_bins)
+            c_boxes = localize(c_spec)
             assert c_boxes
-            assert localize(f_spec, cfg) == c_boxes
+            assert localize(f_spec) == c_boxes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_truth_boxes_equal_in_both_layouts(self, seed):
         # The column sums reduce along the strided axis of a C-order matrix.
         _, radar, _ = make_composite(8.0, pulse_width_s=13e-6 + 9e-6 * seed, seed=seed)
-        spec = stft_spectrogram(radar, MODE2_CFG)
+        spec = stft_spectrogram(radar)
         c_spec = replace(spec, power=np.ascontiguousarray(spec.power))
         f_spec = replace(spec, power=np.asfortranarray(spec.power))
         assert not f_spec.power.flags.c_contiguous
@@ -196,7 +202,7 @@ class TestLocalize:
 
     def test_confidence_in_unit_interval(self):
         out, _, _ = make_composite(8.0, seed=8)
-        for b in localize(stft_spectrogram(out, MODE2_CFG)):
+        for b in localize(stft_spectrogram(out)):
             assert 0.0 <= b.confidence <= 1.0
 
 
@@ -321,7 +327,6 @@ class TestExactRewrites:
 
 class TestRecallSweep:
     def test_recall_targets_and_monotonicity(self):
-        cfgs = MODE2_CFG
         recalls = {}
         rng = np.random.default_rng(42)
         for sinr in [0.0, 4.0, 8.0, 12.0]:
@@ -338,9 +343,9 @@ class TestRecallSweep:
                                              seed=int(rng.integers(2 ** 31)))
                 out, _ = mix_at_sinr(radar, cell, SinrSpec.from_target(sinr),
                                      seed=int(rng.integers(2 ** 31)))
-                preds.append([b for b in localize(stft_spectrogram(out, cfgs))
+                preds.append([b for b in localize(stft_spectrogram(out))
                               if b.label == RADAR])
-                truths.append(radar_truth_boxes(stft_spectrogram(radar, cfgs)))
+                truths.append(radar_truth_boxes(stft_spectrogram(radar)))
             recalls[sinr] = evaluate_localizer(preds, truths).recall
         assert recalls[8.0] >= 0.9
         assert recalls[12.0] >= 0.9

@@ -6,13 +6,14 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
-from coexsim.errors import InvalidParamsError, TooShortInputError
+from coexsim.errors import TooShortInputError
 from coexsim.signals import IqBuffer, gen_awgn
 from coexsim.spectro import (
     _BLOCK_FRAMES,
+    FFT_SIZE,
+    HOP,
     POWER_FLOOR_DB,
     Spectrogram,
-    StftConfig,
     load_spectrogram,
     save_spectrogram,
     stft_spectrogram,
@@ -26,116 +27,101 @@ def tone(freq_hz, n, fs=FS, amp=1.0):
     return IqBuffer(amp * np.exp(2j * np.pi * freq_hz * t), fs)
 
 
+def hann():
+    return np.hanning(FFT_SIZE)
+
+
 class TestStft:
     def test_tone_bin_position(self):
         iq = tone(1.92e6, 4096)
-        spec = stft_spectrogram(iq, StftConfig(fft_size=1024, hop=1024))
+        spec = stft_spectrogram(iq)
         col = spec.power_db[:, 0]
         assert int(np.argmax(col)) == 512 + 128 == 640
 
     def test_all_zero_input_floors(self):
         iq = IqBuffer(np.zeros(2048), FS)
-        spec = stft_spectrogram(iq, StftConfig(fft_size=1024))
+        spec = stft_spectrogram(iq)
         assert np.all(spec.power_db == -120.0)
 
     def test_column_count_10ms(self):
         iq = gen_awgn(1.0, 10e-3, FS, seed=0)
-        spec = stft_spectrogram(iq, StftConfig(fft_size=1024, hop=1024))
-        assert spec.n_time_bins == 150
+        spec = stft_spectrogram(iq)
+        assert spec.n_time_bins == 1 + (153600 - 1024) // 256 == 597
         assert spec.n_freq_bins == 1024
 
     def test_axis_metadata(self):
-        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=1),
-                                StftConfig(fft_size=1024, hop=512))
+        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=1))
         assert spec.freq_resolution_hz == pytest.approx(FS / 1024)
-        assert spec.time_resolution_s == pytest.approx(512 / FS)
+        assert spec.time_resolution_s == pytest.approx(256 / FS)
         assert spec.f_start_hz == -FS / 2
         freqs = spec.f_start_hz + np.arange(spec.n_freq_bins) * spec.freq_resolution_hz
         assert freqs[512] == pytest.approx(0.0)
         assert np.all(np.diff(freqs) > 0)
 
-    @pytest.mark.parametrize("window", ["hann", "rectangular"])
-    def test_parseval_with_window_compensation(self, window):
+    def test_parseval_with_window_compensation(self):
         iq = gen_awgn(2.0, 1e-3, FS, seed=2)
-        cfg = StftConfig(fft_size=1024, hop=1024, window=window)
-        spec = stft_spectrogram(iq, cfg)
-        w = cfg.window_values()
+        spec = stft_spectrogram(iq)
         lin = 10.0 ** (spec.power_db / 10.0)
         for col in range(spec.n_time_bins):
-            frame = iq.samples[col * 1024:(col + 1) * 1024] * w
+            frame = iq.samples[col * HOP:col * HOP + FFT_SIZE] * hann()
             time_energy = np.sum(np.abs(frame) ** 2)
             assert np.sum(lin[:, col]) == pytest.approx(time_energy, rel=0.01)
 
     def test_time_shift_permutes_columns(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
-        cfg = StftConfig(fft_size=1024, hop=1024)
-        a = stft_spectrogram(IqBuffer(x, FS), cfg)
-        b = stft_spectrogram(IqBuffer(np.roll(x, 2048), FS), cfg)
-        # columns 2.. of the shifted signal equal columns 0.. of the original
-        assert np.allclose(b.power_db[:, 2:], a.power_db[:, :-2])
+        a = stft_spectrogram(IqBuffer(x, FS))
+        b = stft_spectrogram(IqBuffer(np.roll(x, 2048), FS))
+        # 2048 samples are 8 hops: columns 8.. of the shifted signal equal
+        # columns 0.. of the original
+        assert np.allclose(b.power_db[:, 8:], a.power_db[:, :-8])
 
     def test_freq_shift_permutes_rows(self):
+        # A shift by one bin width moves every windowed frame's spectrum by
+        # one bin, whatever the window.
         rng = np.random.default_rng(4)
         x = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
-        cfg = StftConfig(fft_size=1024, hop=1024, window="rectangular")
         bin_width = FS / 1024
         t = np.arange(2048) / FS
         shifted = x * np.exp(2j * np.pi * bin_width * t)
-        a = stft_spectrogram(IqBuffer(x, FS), cfg)
-        b = stft_spectrogram(IqBuffer(shifted, FS), cfg)
+        a = stft_spectrogram(IqBuffer(x, FS))
+        b = stft_spectrogram(IqBuffer(shifted, FS))
         assert np.allclose(b.power_db[1:, :], a.power_db[:-1, :], rtol=1e-6, atol=1e-6)
 
     def test_too_short_input(self):
         with pytest.raises(TooShortInputError):
-            stft_spectrogram(IqBuffer(np.zeros(512), FS), StftConfig(fft_size=1024))
-
-    def test_config_validation(self):
-        with pytest.raises(InvalidParamsError):
-            StftConfig(fft_size=1000)
-        with pytest.raises(InvalidParamsError):
-            StftConfig(fft_size=1024, hop=2048)
-        with pytest.raises(InvalidParamsError):
-            StftConfig(window="blackman")
+            stft_spectrogram(IqBuffer(np.zeros(512), FS))
 
 
-def gathered_stft_db(samples, config):
+def gathered_stft_db(samples):
     """Reference STFT that gathers frames through a fancy index."""
-    fft_size, hop = config.fft_size, config.hop_size
-    n_cols = 1 + (len(samples) - fft_size) // hop
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_cols)[:, None]
-    frames = samples[idx] * config.window_values()[None, :]
-    power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / fft_size
+    n_cols = 1 + (len(samples) - FFT_SIZE) // HOP
+    idx = np.arange(FFT_SIZE)[None, :] + HOP * np.arange(n_cols)[:, None]
+    frames = samples[idx] * hann()[None, :]
+    power = np.abs(np.fft.fft(frames, axis=1)) ** 2 / FFT_SIZE
     power = np.fft.fftshift(power, axes=1).T
     return 10.0 * np.log10(np.maximum(power, 10.0 ** (POWER_FLOOR_DB / 10.0)))
 
 
 class TestStridedFraming:
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), log2_fft=st.integers(1, 8),
-           extra=st.integers(0, 700), hop_frac=st.floats(0.0, 1.0),
-           window=st.sampled_from(["hann", "rectangular"]))
-    def test_strided_frames_equal_index_gather(self, seed, log2_fft, extra,
-                                               hop_frac, window):
-        fft_size = 2 ** log2_fft
-        hop = max(1, round(hop_frac * fft_size))
+    @given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(0, 2 * _BLOCK_FRAMES * HOP))
+    def test_strided_frames_equal_index_gather(self, seed, extra):
         rng = np.random.default_rng(seed)
-        n = fft_size + extra
+        n = FFT_SIZE + extra
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-        cfg = StftConfig(fft_size=fft_size, hop=hop, window=window)
-        spec = stft_spectrogram(IqBuffer(samples, FS), cfg)
-        expected = gathered_stft_db(samples, cfg)
+        spec = stft_spectrogram(IqBuffer(samples, FS))
+        expected = gathered_stft_db(samples)
         assert spec.power_db.shape == expected.shape
         assert spec.power_db.tobytes() == expected.tobytes()
 
 
-def shifted_power(samples, config):
+def shifted_power(samples):
     """The linear power as the STFT built it with a whole-matrix fftshift:
     the transpose of a C-order [time, freq] array, so F-order."""
-    fft_size = config.fft_size
-    frames = sliding_window_view(samples, fft_size)[::config.hop_size]
-    spectra = np.fft.fft(frames * config.window_values(), axis=1)
-    power = np.fft.fftshift(np.abs(spectra) ** 2 / fft_size, axes=1).T
+    frames = sliding_window_view(samples, FFT_SIZE)[::HOP]
+    spectra = np.fft.fft(frames * hann(), axis=1)
+    power = np.fft.fftshift(np.abs(spectra) ** 2 / FFT_SIZE, axes=1).T
     return np.maximum(power, 10.0 ** (POWER_FLOOR_DB / 10.0))
 
 
@@ -144,27 +130,21 @@ class TestBlockedLayout:
     transpose it replaced."""
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), log2_fft=st.integers(1, 8),
-           hop_frac=st.floats(0.0, 1.0), window=st.sampled_from(["hann", "rectangular"]),
-           n_blocks=st.integers(0, 2), n_rest=st.integers(0, _BLOCK_FRAMES - 1),
-           tail=st.floats(0.0, 1.0))
-    def test_blocked_power_equals_shifted_transpose(self, seed, log2_fft, hop_frac, window,
-                                                    n_blocks, n_rest, tail):
-        fft_size = 2 ** log2_fft
-        hop = max(1, round(hop_frac * fft_size))
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_blocks=st.integers(0, 2),
+           n_rest=st.integers(0, _BLOCK_FRAMES - 1), tail=st.floats(0.0, 1.0))
+    def test_blocked_power_equals_shifted_transpose(self, seed, n_blocks, n_rest, tail):
         n_frames = max(1, n_blocks * _BLOCK_FRAMES + n_rest)
         # samples past the last whole frame, fewer than one hop
-        n = fft_size + (n_frames - 1) * hop + int(tail * (hop - 1))
+        n = FFT_SIZE + (n_frames - 1) * HOP + int(tail * (HOP - 1))
         rng = np.random.default_rng(seed)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-        cfg = StftConfig(fft_size=fft_size, hop=hop, window=window)
-        power = stft_spectrogram(IqBuffer(samples, FS), cfg).power
-        assert power.shape == (fft_size, n_frames)
+        power = stft_spectrogram(IqBuffer(samples, FS)).power
+        assert power.shape == (FFT_SIZE, n_frames)
         assert power.flags.c_contiguous
-        assert np.array_equal(power, shifted_power(samples, cfg))
+        assert np.array_equal(power, shifted_power(samples))
 
     def test_stft_and_loaded_power_need_no_copy(self, tmp_path):
-        spec = stft_spectrogram(gen_awgn(1.0, 10e-3, FS, seed=7), StftConfig(hop=256))
+        spec = stft_spectrogram(gen_awgn(1.0, 10e-3, FS, seed=7))
         path = tmp_path / "spec.bin"
         save_spectrogram(path, spec)
         loaded, _ = load_spectrogram(path)
@@ -172,23 +152,20 @@ class TestBlockedLayout:
             assert np.ascontiguousarray(power) is power
 
 
-def dense_stft_power(iq, config):
+def dense_stft_power(iq):
     """The STFT as it was before it skipped empty frames: every frame
     windowed and transformed in one matrix, then squared, scaled, clamped
     and written transposed block by block."""
-    fft_size = config.fft_size
-    hop = config.hop_size
-    w = config.window_values()
-    frames = sliding_window_view(iq.samples, fft_size)[::hop] * w
+    frames = sliding_window_view(iq.samples, FFT_SIZE)[::HOP] * hann()
     magnitude = np.abs(np.fft.fft(frames, axis=1, out=frames))
     del frames
     floor_lin = 10.0 ** (POWER_FLOOR_DB / 10.0)
-    half = fft_size // 2
-    power = np.empty((fft_size, magnitude.shape[0]))
+    half = FFT_SIZE // 2
+    power = np.empty((FFT_SIZE, magnitude.shape[0]))
     for t0 in range(0, magnitude.shape[0], _BLOCK_FRAMES):
         block = magnitude[t0:t0 + _BLOCK_FRAMES]
         np.square(block, out=block)
-        block /= fft_size
+        block /= FFT_SIZE
         np.maximum(block, floor_lin, out=block)
         power[:half, t0:t0 + _BLOCK_FRAMES] = block[:, half:].T
         power[half:, t0:t0 + _BLOCK_FRAMES] = block[:, :half].T
@@ -197,14 +174,11 @@ def dense_stft_power(iq, config):
 
 @st.composite
 def signals_with_zero_runs(draw):
-    """(samples, StftConfig): dense, all-zero, zero-run or pulsed inputs."""
-    fft_size = 2 ** draw(st.integers(1, 10))
-    hop = draw(st.sampled_from([fft_size, max(1, fft_size // 4)])
-               | st.integers(1, fft_size))
-    window = draw(st.sampled_from(["hann", "rectangular"]))
+    """Dense, all-zero, zero-run or pulsed samples, with frame counts on and
+    around the block boundaries."""
     n_frames = draw(st.sampled_from([1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1])
                     | st.integers(1, 2 * _BLOCK_FRAMES + 3))
-    n = fft_size + (n_frames - 1) * hop + draw(st.integers(0, hop - 1))
+    n = FFT_SIZE + (n_frames - 1) * HOP + draw(st.integers(0, HOP - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     samples = rng.normal(size=n) + 1j * rng.normal(size=n)
     kind = draw(st.sampled_from(["dense", "zeros", "zero runs", "pulses"]))
@@ -216,13 +190,13 @@ def signals_with_zero_runs(draw):
     elif kind == "pulses":
         keep = np.zeros(n, dtype=bool)
         for start in rng.integers(0, n, int(rng.integers(1, 6))):
-            keep[start:start + int(rng.integers(1, 2 * fft_size))] = True
+            keep[start:start + int(rng.integers(1, 2 * FFT_SIZE))] = True
         samples[~keep] = 0.0
         # a sample with one zero part is still non-zero
         part = keep & (rng.random(n) < 0.2)
         samples[part] = np.where(rng.random(part.sum()) < 0.5, samples[part].real,
                                  1j * samples[part].imag)
-    return samples, StftConfig(fft_size=fft_size, hop=hop, window=window)
+    return samples
 
 
 class TestLiveFrames:
@@ -230,22 +204,20 @@ class TestLiveFrames:
     and equals the dense STFT bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=signals_with_zero_runs())
-    def test_equals_dense_stft(self, case):
-        samples, cfg = case
+    @given(samples=signals_with_zero_runs())
+    def test_equals_dense_stft(self, samples):
         iq = IqBuffer(samples, FS)
-        power = stft_spectrogram(iq, cfg).power
+        power = stft_spectrogram(iq).power
         assert power.flags.c_contiguous
-        assert power.tobytes() == dense_stft_power(iq, cfg).tobytes()
+        assert power.tobytes() == dense_stft_power(iq).tobytes()
 
     def test_clean_radar_equals_dense_stft(self):
         radar = IqBuffer(np.zeros(153600, dtype=np.complex128), FS)
         t = np.arange(400) / FS
         for start in (0, 20000, 76000, 153200):
             radar.samples[start:start + 400] = np.exp(2j * np.pi * 2.5e6 * t)
-        cfg = StftConfig(fft_size=1024, hop=256)
-        power = stft_spectrogram(radar, cfg).power
-        assert power.tobytes() == dense_stft_power(radar, cfg).tobytes()
+        power = stft_spectrogram(radar).power
+        assert power.tobytes() == dense_stft_power(radar).tobytes()
         assert (power == 10.0 ** (POWER_FLOOR_DB / 10.0)).all(axis=0).sum() > 500
 
 
@@ -270,7 +242,7 @@ class TestExport:
         assert loaded.power.tobytes() == want.tobytes()
 
     def test_round_trip(self, tmp_path):
-        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=5), StftConfig())
+        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=5))
         path = tmp_path / "spec.bin"
         save_spectrogram(path, spec, {"seed": 5})
         back, meta = load_spectrogram(path)
