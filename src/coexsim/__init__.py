@@ -12,7 +12,6 @@ harness   dataset generation, scenario engine, evaluation, CLI
 """
 
 from .signals import (
-    CellularParams,
     IqBuffer,
     RadarParams,
     SinrSpec,

@@ -21,9 +21,15 @@ def write_sidecar(path: str | Path, fields: dict) -> None:
 
 
 def read_sidecar(path: str | Path) -> dict[str, str]:
-    """Read ``key=value`` lines back into a string dict."""
+    """Read ``key=value`` lines back into a string dict; bytes that are not UTF-8
+    raise InvalidParamsError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParamsError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                                 f"{exc.start}") from None
     out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

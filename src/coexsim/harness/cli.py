@@ -3,7 +3,7 @@
 Subcommands: gen-dataset, train-detector, eval-detector, eval-localizer,
 run-scenario, report-latency.  Exit code 0 on success; on failure a single
 machine-readable line ``error: <kind>: <message>`` goes to stderr and the
-exit code is nonzero.
+exit code is nonzero.  A usage error is an InvalidParamsError line too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from ..detect import ClassifierModel, TrainConfig, train_detector
-from ..errors import CoexsimError
+from ..errors import CoexsimError, InvalidParamsError
 from .datasets import (
     DEFAULT_SINR_SWEEP,
     KpmDatasetConfig,
@@ -33,11 +33,23 @@ from .scenario import run_scenario, scenario_from_yaml
 
 
 def _sinr_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of "
+                                         "numbers") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, for ``main`` to print as its one line, in place of
+    printing the usage block and exiting; ``--help`` still prints and exits."""
+
+    def error(self, message):
+        raise InvalidParamsError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coexsim",
         description="Desk-scale closed-loop simulator for cellular-radar "
                     "spectrum coexistence.")
@@ -179,8 +191,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except CoexsimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -57,7 +57,7 @@ from ..ranlink import (
     radar_psd_per_prb,
     write_kpm_csv,
 )
-from ..signals import DEFAULT_SAMPLE_RATE_HZ, IqBuffer, RadarParams, dbm_to_linear, sensing_capture
+from ..signals import SAMPLE_RATE_HZ, IqBuffer, RadarParams, dbm_to_linear, sensing_capture
 from ..spectro import FFT_SIZE, stft_spectrogram
 from .datasets import (
     COMBINED_DBM_MHZ,
@@ -136,7 +136,7 @@ class ScenarioConfig:
         if self.n_stack < 1:
             raise InvalidConfigError("n_stack must be >= 1")
         # Mode 2 synthesizes one telemetry period of I/Q and takes its STFT.
-        if round(self.telemetry_period_s * DEFAULT_SAMPLE_RATE_HZ) < FFT_SIZE:
+        if round(self.telemetry_period_s * SAMPLE_RATE_HZ) < FFT_SIZE:
             raise InvalidConfigError(
                 f"telemetry_period_s {self.telemetry_period_s} holds fewer than one "
                 f"{FFT_SIZE}-sample STFT frame")
@@ -152,7 +152,7 @@ class ScenarioConfig:
                 raise InvalidConfigError("radar windows must be ordered and disjoint")
             prev = w.t_off_s
             try:
-                w.params.validate(DEFAULT_SAMPLE_RATE_HZ)
+                w.params.validate()
             except InvalidParamsError as exc:
                 raise InvalidConfigError(f"radar_schedule[{i}]: {exc}") from exc
             if w.params.burst_length_s > self.telemetry_period_s:

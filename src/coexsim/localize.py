@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidParamsError
-from .fileio import read_csv, write_csv
+from .fileio import parse_field, read_csv, write_csv
 from .spectro import Spectrogram
 
 RADAR = "radar"
@@ -396,11 +396,10 @@ def write_box_records(path, records: list[tuple[str, FreqTimeBox]]) -> None:
 
 
 def read_box_records(path) -> list[tuple[str, FreqTimeBox]]:
+    """``write_box_records``'s pairs; a number cell that is missing or malformed
+    raises InvalidParamsError naming the data row (1 is the first) and column."""
     return [(row["file_id"], FreqTimeBox(
-        f_low_hz=float(row["f_low_hz"]),
-        f_high_hz=float(row["f_high_hz"]),
-        t_start_s=float(row["t_start_s"]),
-        t_end_s=float(row["t_end_s"]),
         label=row["class"],
-        confidence=float(row["confidence"]),
-    )) for row in read_csv(path)]
+        **{key: parse_field(float, row, key, f"{path} row {row_no}")
+           for key in ("f_low_hz", "f_high_hz", "t_start_s", "t_end_s", "confidence")},
+    )) for row_no, row in enumerate(read_csv(path), 1)]

@@ -1,8 +1,8 @@
 """Baseband synthesis and SINR calibration for radar-cellular coexistence.
 
-Everything here works on complex baseband I/Q at a common sample rate
-(default 15.36 Msps carrying a 10 MHz cellular channel, DC-centered so the
-usable band is -5..+5 MHz).  Power levels follow the regulatory convention
+Everything here works on complex baseband I/Q at one fixed sample rate,
+SAMPLE_RATE_HZ = 15.36 Msps, carrying a 10 MHz cellular channel, DC-centered
+so the usable band is -5..+5 MHz.  Power levels follow the regulatory convention
 of spectral densities in dBm/MHz:
 
 * cellular and noise densities are average power per MHz over the band they
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, SilentComponentError, EmptyBandError
 
-DEFAULT_SAMPLE_RATE_HZ = 15.36e6
+SAMPLE_RATE_HZ = 15.36e6
 RADAR_REF_BANDWIDTH_HZ = 1e6  # reference bandwidth for peak radar density
 COMBINED_DBM_MHZ = -109.0  # regulatory cap on cellular + noise density
 
@@ -59,21 +59,14 @@ class IqBuffer:
     """
 
     samples: np.ndarray
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     occupied_density: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
-        if self.sample_rate_hz <= 0:
-            raise InvalidParamsError("sample_rate_hz must be > 0")
 
     @property
     def n_samples(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ class RadarParams:
     doppler_shift_hz: float = 0.0
     burst_start_s: float = 0.0  # pulse-train phase within the burst period
 
-    def validate(self, sample_rate_hz: float) -> None:
+    def validate(self) -> None:
         for name in ("pulse_width_s", "prr_hz", "burst_length_s", "center_offset_hz",
                      "doppler_shift_hz", "burst_start_s"):
             value = getattr(self, name)
@@ -118,7 +111,7 @@ class RadarParams:
                         + self.pulse_width_s)
             if last_end > self.burst_length_s:
                 raise InvalidParamsError("pulse train overruns the burst period")
-        if abs(self.carrier_hz) >= sample_rate_hz / 2:
+        if abs(self.carrier_hz) >= SAMPLE_RATE_HZ / 2:
             raise InvalidParamsError("carrier aliases: |offset + doppler| >= fs/2")
 
     @property
@@ -133,38 +126,6 @@ class RadarParams:
     def duty_cycle(self) -> float:
         """On-air time fraction within one burst period."""
         return min(1.0, self.pulses_per_burst * self.pulse_width_s / self.burst_length_s)
-
-
-@dataclass(frozen=True)
-class CellularParams:
-    """Spectral occupancy of the cellular uplink stand-in."""
-
-    n_prbs: int = N_PRBS
-    prb_bandwidth_hz: float = PRB_BANDWIDTH_HZ
-    active_prb_mask: np.ndarray | None = None  # None means all PRBs active
-    per_prb_power: float = 1.0
-
-    def __post_init__(self):
-        if self.active_prb_mask is not None:
-            object.__setattr__(
-                self, "active_prb_mask", np.asarray(self.active_prb_mask, dtype=bool))
-
-    def validate(self, sample_rate_hz: float) -> None:
-        if self.n_prbs <= 0:
-            raise InvalidParamsError("n_prbs must be > 0")
-        if self.prb_bandwidth_hz <= 0:
-            raise InvalidParamsError("prb_bandwidth_hz must be > 0")
-        if self.n_prbs * self.prb_bandwidth_hz > sample_rate_hz:
-            raise InvalidParamsError("occupied bandwidth exceeds the sample rate")
-        if self.active_prb_mask is not None and self.active_prb_mask.size != self.n_prbs:
-            raise InvalidParamsError("active_prb_mask length != n_prbs")
-        if self.per_prb_power < 0:
-            raise InvalidParamsError("per_prb_power must be >= 0")
-
-    def mask(self) -> np.ndarray:
-        if self.active_prb_mask is None:
-            return np.ones(self.n_prbs, dtype=bool)
-        return self.active_prb_mask
 
 
 @dataclass(frozen=True)
@@ -213,88 +174,86 @@ def compute_sinr(spec: SinrSpec) -> float:
     return 10.0 * float(np.log10(num / den))
 
 
-def gen_radar_pulse_train(params: RadarParams, duration_s: float,
-                          sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> IqBuffer:
+def gen_radar_pulse_train(params: RadarParams, duration_s: float) -> IqBuffer:
     """Rectangular-envelope CW pulse train; zero outside pulses.
 
     Pulses within a burst are spaced exactly 1/prr_hz apart and the burst
     pattern repeats every burst_length_s.  The carrier phase is continuous
     across pulses (gated CW).
     """
-    params.validate(sample_rate_hz)
+    params.validate()
     if duration_s < params.burst_length_s:
         raise InvalidParamsError("duration_s must cover at least one burst period")
-    n = int(round(duration_s * sample_rate_hz))
+    n = int(round(duration_s * SAMPLE_RATE_HZ))
     x = np.zeros(n, dtype=np.complex128)
     if params.pulses_per_burst == 0:
-        return IqBuffer(x, sample_rate_hz)
+        return IqBuffer(x)
 
-    pulse_n = int(round(params.pulse_width_s * sample_rate_hz))
+    pulse_n = int(round(params.pulse_width_s * SAMPLE_RATE_HZ))
     f = params.carrier_hz
     burst = 0
     while burst * params.burst_length_s < duration_s:
         for j in range(params.pulses_per_burst):
             start_s = (burst * params.burst_length_s + params.burst_start_s
                        + j / params.prr_hz)
-            s0 = int(round(start_s * sample_rate_hz))
+            s0 = int(round(start_s * SAMPLE_RATE_HZ))
             if s0 >= n:
                 break
             s1 = min(s0 + pulse_n, n)
-            t = np.arange(s0, s1) / sample_rate_hz
+            t = np.arange(s0, s1) / SAMPLE_RATE_HZ
             x[s0:s1] = np.exp(2j * np.pi * f * t)
         burst += 1
-    return IqBuffer(x, sample_rate_hz)
+    return IqBuffer(x)
 
 
 @lru_cache(maxsize=8)
-def _prb_bin_layout(n: int, sample_rate_hz: float, n_prbs: int, prb_bandwidth_hz: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(PRB of each FFT bin, n_prbs outside the band; FFT bins per PRB), read-only.
+def _prb_bin_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(PRB of each of n FFT bins, N_PRBS outside the band; FFT bins per PRB), read-only.
 
     A bin belongs to the PRB whose [low, high) interval holds its frequency.
     """
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
-    band_low = -n_prbs * prb_bandwidth_hz / 2.0
-    in_band = (freqs >= band_low) & (freqs < band_low + n_prbs * prb_bandwidth_hz)
-    prb_of_bin = np.full(n, n_prbs, dtype=np.min_scalar_type(n_prbs))
-    prb_of_bin[in_band] = np.clip(np.floor((freqs[in_band] - band_low) / prb_bandwidth_hz),
-                                  0, n_prbs - 1)
-    counts = np.bincount(prb_of_bin, minlength=n_prbs + 1)[:n_prbs]
+    freqs = np.fft.fftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
+    band_low = -N_PRBS * PRB_BANDWIDTH_HZ / 2.0
+    in_band = (freqs >= band_low) & (freqs < band_low + N_PRBS * PRB_BANDWIDTH_HZ)
+    prb_of_bin = np.full(n, N_PRBS, dtype=np.min_scalar_type(N_PRBS))
+    prb_of_bin[in_band] = np.clip(np.floor((freqs[in_band] - band_low) / PRB_BANDWIDTH_HZ),
+                                  0, N_PRBS - 1)
+    counts = np.bincount(prb_of_bin, minlength=N_PRBS + 1)[:N_PRBS]
     for a in (prb_of_bin, counts):
         a.setflags(write=False)
     return prb_of_bin, counts
 
 
-def gen_cellular_baseband(params: CellularParams, duration_s: float,
-                          sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-                          seed=None) -> IqBuffer:
+def gen_cellular_baseband(prb_mask: np.ndarray | None, duration_s: float, seed=None
+                          ) -> IqBuffer:
     """Noise-like multicarrier stand-in for the cellular uplink.
 
+    Occupies the PRBs of the N_PRBS-long boolean ``prb_mask`` (all when None).
     Synthesized in the frequency domain as a random-phase multisine:
     constant magnitude on every FFT bin inside an active PRB, zero
-    elsewhere.  This gives an exactly flat PSD per active PRB and an exact
-    total power of ``sum(per_prb_power)`` while the time-domain samples are
-    Gaussian-like by the CLT.  The buffer carries the density
-    ``_occupied_density`` would measure: PRBs hold k or k + 1 bins, so every
-    active bin is within a factor 2 of the peak, well inside its -20 dB floor.
+    elsewhere.  This gives an exactly flat PSD per active PRB and unit power
+    per active PRB while the time-domain samples are Gaussian-like by the
+    CLT.  The buffer carries the density ``_occupied_density`` would
+    measure: PRBs hold k or k + 1 bins, so every active bin is within a
+    factor 2 of the peak, well inside its -20 dB floor.
     """
-    params.validate(sample_rate_hz)
-    n = int(round(duration_s * sample_rate_hz))
-    mask = params.mask()
-    if not mask.any() or params.per_prb_power == 0.0:
-        return IqBuffer(np.zeros(n, dtype=np.complex128), sample_rate_hz, 0.0)
+    mask = np.ones(N_PRBS, dtype=bool) if prb_mask is None else np.asarray(prb_mask, dtype=bool)
+    if mask.shape != (N_PRBS,):
+        raise InvalidParamsError(f"prb_mask must hold {N_PRBS} PRBs, not shape {mask.shape}")
+    n = int(round(duration_s * SAMPLE_RATE_HZ))
+    if not mask.any():
+        return IqBuffer(np.zeros(n, dtype=np.complex128), occupied_density=0.0)
 
     rng = np.random.default_rng(seed)
-    prb_of_bin, counts = _prb_bin_layout(n, sample_rate_hz, params.n_prbs,
-                                         params.prb_bandwidth_hz)
+    prb_of_bin, counts = _prb_bin_layout(n)
     if np.any(counts[mask] == 0):
         raise InvalidParamsError(
             "duration too short to place FFT bins inside each active PRB")
 
     bins = np.flatnonzero(np.append(mask, False)[prb_of_bin])
     n_active_bins = bins.size
-    prb_mag = np.zeros(params.n_prbs)
-    prb_mag[mask] = np.sqrt(params.per_prb_power * n * n / counts[mask])
+    prb_mag = np.zeros(N_PRBS)
+    prb_mag[mask] = np.sqrt(n * n / counts[mask])
     mags = prb_mag[prb_of_bin[bins]]  # held to the end: freed early, it lifted peak RSS
     phases = rng.uniform(0.0, 2.0 * np.pi, n_active_bins)
     tones = np.exp(1j * phases)
@@ -302,19 +261,17 @@ def gen_cellular_baseband(params: CellularParams, duration_s: float,
     spectrum = np.zeros(n, dtype=np.complex128)
     spectrum[bins] = tones
     x = np.fft.ifft(spectrum, out=spectrum)
-    density = (int(mask.sum()) * params.per_prb_power
-               / (n_active_bins * sample_rate_hz / n / 1e6))
-    return IqBuffer(x, sample_rate_hz, density)
+    density = int(mask.sum()) / (n_active_bins * SAMPLE_RATE_HZ / n / 1e6)
+    return IqBuffer(x, occupied_density=density)
 
 
-def gen_awgn(power_linear: float, duration_s: float,
-             sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ, seed=None) -> IqBuffer:
+def gen_awgn(power_linear: float, duration_s: float, seed=None) -> IqBuffer:
     """Circularly symmetric complex Gaussian noise of the given mean power."""
     if power_linear < 0:
         raise InvalidParamsError("power_linear must be >= 0")
-    x = np.zeros(int(round(duration_s * sample_rate_hz)), dtype=np.complex128)
+    x = np.zeros(int(round(duration_s * SAMPLE_RATE_HZ)), dtype=np.complex128)
     _add_awgn(x, power_linear, seed)
-    return IqBuffer(x, sample_rate_hz)
+    return IqBuffer(x)
 
 
 def _add_awgn(x: np.ndarray, power_linear: float, seed, measure: bool = False) -> float:
@@ -345,17 +302,16 @@ def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float
     """Average power density (linear per MHz) over [f_low, f_high).
 
     Integrates the full-length periodogram over the band and divides by the
-    requested band width.  Frequency resolution is sample_rate / n_samples.
+    requested band width.  Frequency resolution is SAMPLE_RATE_HZ / n_samples.
     A band from -fs/2 or below holds every bin below ``f_high``.
     """
     if not (f_high_hz - f_low_hz) / 1e6 > 0.0:  # also a width that underflows to 0 MHz
         raise InvalidParamsError("f_low_hz must be < f_high_hz by a width in MHz above 0")
-    fs = iq.sample_rate_hz
-    if f_high_hz <= -fs / 2 or f_low_hz >= fs / 2:
+    if f_high_hz <= -SAMPLE_RATE_HZ / 2 or f_low_hz >= SAMPLE_RATE_HZ / 2:
         raise EmptyBandError("band lies outside the representable spectrum")
     if iq.n_samples == 0:
         return 0.0
-    return _band_density(_fft_power(iq.samples), fs, f_low_hz, f_high_hz)
+    return _band_density(_fft_power(iq.samples), f_low_hz, f_high_hz)
 
 
 def _fft_power(samples: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -365,9 +321,10 @@ def _fft_power(samples: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return np.square(power, out=power)
 
 
-def _bin_hz(n: int, fs: float) -> float:
-    """``np.fft.fftfreq(n, 1 / fs)``'s bin spacing: signed bin k sits at k * _bin_hz."""
-    return 1.0 / (n * (1.0 / fs))
+def _bin_hz(n: int) -> float:
+    """``np.fft.fftfreq(n, 1 / SAMPLE_RATE_HZ)``'s bin spacing: signed bin k sits at
+    k * _bin_hz."""
+    return 1.0 / (n * (1.0 / SAMPLE_RATE_HZ))
 
 
 def _first_bin_at_or_above(f_hz: float, bin_hz: float, lo: int, hi: int) -> int:
@@ -381,8 +338,7 @@ def _first_bin_at_or_above(f_hz: float, bin_hz: float, lo: int, hi: int) -> int:
     return k
 
 
-def _band_density(p_bins: np.ndarray, fs: float, f_low_hz: float, f_high_hz: float
-                  ) -> float:
+def _band_density(p_bins: np.ndarray, f_low_hz: float, f_high_hz: float) -> float:
     """``measure_band_power`` from the squared FFT magnitudes ``p_bins``.
 
     The band holds the bins whose ``fftfreq`` frequency, k * _bin_hz for
@@ -395,11 +351,12 @@ def _band_density(p_bins: np.ndarray, fs: float, f_low_hz: float, f_high_hz: flo
     ``fftfreq`` grid.
     """
     n = p_bins.size
-    bin_hz = _bin_hz(n, fs)
+    bin_hz = _bin_hz(n)
     n_pos = (n + 1) // 2  # bins k = 0 .. n_pos - 1 at index k, n_pos - n .. -1 at n + k
     band = []
     for lo, hi, offset in ((0, n_pos, 0), (n_pos - n, 0, n)):
-        start = lo if f_low_hz <= -fs / 2 else _first_bin_at_or_above(f_low_hz, bin_hz, lo, hi)
+        start = (lo if f_low_hz <= -SAMPLE_RATE_HZ / 2
+                 else _first_bin_at_or_above(f_low_hz, bin_hz, lo, hi))
         stop = _first_bin_at_or_above(f_high_hz, bin_hz, lo, hi)
         band.append(p_bins[offset + start:offset + stop])
     band_power = float(np.sum(np.concatenate(band))) / (n * n)
@@ -416,7 +373,7 @@ def _occupied_density(iq: IqBuffer) -> float:
     if peak <= 0.0:
         return 0.0
     occ = p_bins >= peak * 10.0 ** (OCCUPIED_REL_FLOOR_DB / 10.0)
-    bw_hz = occ.sum() * iq.sample_rate_hz / n
+    bw_hz = occ.sum() * SAMPLE_RATE_HZ / n
     return float(p_bins[occ].sum()) / (bw_hz / 1e6)
 
 
@@ -454,11 +411,8 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     absent radar.  ``measure_achieved=False`` skips the measurement, for hot
     loops that only need the waveform, and returns NaN instead.
     """
-    if radar.sample_rate_hz != cellular.sample_rate_hz:
-        raise InvalidParamsError("component sample rates differ")
     if radar.n_samples != cellular.n_samples:
         raise InvalidParamsError("component durations differ")
-    fs = radar.sample_rate_hz
     n = radar.n_samples
 
     cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
@@ -484,12 +438,12 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
         mix[on] += radar_on
 
     measure = measure_achieved and radar_target > 0.0
-    noise_power = dbm_to_linear(spec.p_noise_dbm_mhz) * (fs / 1e6)
+    noise_power = dbm_to_linear(spec.p_noise_dbm_mhz) * (SAMPLE_RATE_HZ / 1e6)
     noise_energy = _add_awgn(mix, noise_power, seed, measure)
     if not measure:
-        return IqBuffer(mix, fs), float("-inf") if measure_achieved else float("nan")
+        return IqBuffer(mix), float("-inf") if measure_achieved else float("nan")
 
-    noise_meas = noise_energy / n / (fs / 1e6)
+    noise_meas = noise_energy / n / (SAMPLE_RATE_HZ / 1e6)
     # Average density over the whole buffer relates to the peak density
     # through the on-time fraction, so no gated FFT is needed.  One spectrum
     # gives both the carrier and the band power around it.
@@ -497,14 +451,14 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     radar_scaled[on] = radar_on
     p_bins = _fft_power(radar_scaled, overwrite=True)
     peak = int(np.argmax(p_bins))
-    carrier = (peak if peak < (n + 1) // 2 else peak - n) * _bin_hz(n, fs)  # signed bin
-    lo = max(carrier - RADAR_REF_BANDWIDTH_HZ / 2, -fs / 2)
-    hi = min(carrier + RADAR_REF_BANDWIDTH_HZ / 2, fs / 2)
-    radar_meas = _band_density(p_bins, fs, lo, hi) / (on.size / n)
+    carrier = (peak if peak < (n + 1) // 2 else peak - n) * _bin_hz(n)  # signed bin
+    lo = max(carrier - RADAR_REF_BANDWIDTH_HZ / 2, -SAMPLE_RATE_HZ / 2)
+    hi = min(carrier + RADAR_REF_BANDWIDTH_HZ / 2, SAMPLE_RATE_HZ / 2)
+    radar_meas = _band_density(p_bins, lo, hi) / (on.size / n)
     interference = cell_meas + noise_meas
     if interference == 0.0:
-        return IqBuffer(mix, fs), float("inf")
-    return IqBuffer(mix, fs), 10.0 * float(np.log10(radar_meas / interference))
+        return IqBuffer(mix), float("inf")
+    return IqBuffer(mix), 10.0 * float(np.log10(radar_meas / interference))
 
 
 def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz: float,
@@ -517,14 +471,13 @@ def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz:
     The radar, or silence when ``radar`` is None, and fresh AWGN are scaled
     to ``sinr_db`` against the pinned cellular-plus-noise density.
     """
-    cell = gen_cellular_baseband(CellularParams(active_prb_mask=prb_mask), duration_s,
-                                 seed=cell_seed)
+    cell = gen_cellular_baseband(prb_mask, duration_s, seed=cell_seed)
     powers = SinrSpec.from_target(sinr_db, combined_dbm_mhz)
     if radar is None:
-        radar_iq = IqBuffer(np.zeros(cell.n_samples), cell.sample_rate_hz)
+        radar_iq = IqBuffer(np.zeros(cell.n_samples))
         powers = SinrSpec(float("-inf"), powers.p_cellular_dbm_mhz, powers.p_noise_dbm_mhz)
     else:
-        radar_iq = gen_radar_pulse_train(radar, duration_s, cell.sample_rate_hz)
+        radar_iq = gen_radar_pulse_train(radar, duration_s)
     composite, achieved = mix_at_sinr(radar_iq, cell, powers, seed=noise_seed,
                                       measure_achieved=measure_achieved)
     return composite, radar_iq, achieved

@@ -12,13 +12,14 @@ the frame (Parseval), which the tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParamsError, TooShortInputError
 from .fileio import parse_field, write_sidecar, read_sidecar
-from .signals import IqBuffer
+from .signals import SAMPLE_RATE_HZ, IqBuffer
 
 # Mode-2 analysis geometry: 1024-point Hann frames at 75% overlap, so a
 # 13..52 us pulse always lands well inside some frame, avoiding taper loss at
@@ -110,12 +111,11 @@ def stft_spectrogram(iq: IqBuffer) -> Spectrogram:
             power[half:, t0:t1] = mag[:, :half].T
     power[:, dead_from:] = floor_lin
 
-    fs = iq.sample_rate_hz
     return Spectrogram(
         power,
-        freq_resolution_hz=fs / FFT_SIZE,
-        time_resolution_s=HOP / fs,
-        f_start_hz=-fs / 2,
+        freq_resolution_hz=SAMPLE_RATE_HZ / FFT_SIZE,
+        time_resolution_s=HOP / SAMPLE_RATE_HZ,
+        f_start_hz=-SAMPLE_RATE_HZ / 2,
         t_start_s=0.0,
     )
 
@@ -139,13 +139,19 @@ def save_spectrogram(path, spec: Spectrogram, extra_meta: dict | None = None) ->
 
 def load_spectrogram(path) -> tuple[Spectrogram, dict]:
     """Read what ``save_spectrogram`` wrote; the dB matrix converts to linear.  A
-    sidecar key missing or malformed, or a matrix of another size, raises InvalidParamsError."""
+    sidecar key missing or malformed, an axis value that is not finite, a resolution
+    not above 0, or a matrix of another size raises InvalidParamsError."""
     meta_path = str(path) + ".meta"
     meta = read_sidecar(meta_path)
     rows, cols = (parse_field(int, meta, key, meta_path)
                   for key in ("n_freq_bins", "n_time_bins"))
     axes = {key: parse_field(float, meta, key, meta_path)
             for key in ("freq_resolution_hz", "time_resolution_s", "f_start_hz", "t_start_s")}
+    for key, value in axes.items():
+        positive = "resolution" in key
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise InvalidParamsError(f"{meta_path}: {key} is {value!r}, not a finite number"
+                                     f"{' above 0' if positive else ''}")
     power = np.fromfile(str(path), dtype="<f4")
     if rows < 1 or cols < 1 or power.size != rows * cols:
         raise InvalidParamsError(f"{path} holds {power.size} values, not the {rows} x {cols} "

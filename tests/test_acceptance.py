@@ -32,7 +32,6 @@ from coexsim.ranlink import BAND_LOW_HZ
 from coexsim.signals import (
     N_PRBS,
     PRB_BANDWIDTH_HZ,
-    CellularParams,
     RadarParams,
     SinrSpec,
     compute_sinr,
@@ -109,7 +108,7 @@ def scripted_run(trained_models, tmp_path_factory):
 def composite_sinr_oracle(out, radar_input, carrier_hz):
     """Eq.-1 oracle via band-power measurement on the composite alone:
     pulse-on density minus pulse-off density in the radar's 1 MHz band."""
-    fs = out.sample_rate_hz
+    fs = FS
 
     def band_density(samples, lo, hi):
         n = len(samples)
@@ -128,8 +127,8 @@ def composite_sinr_oracle(out, radar_input, carrier_hz):
 def test_criterion_1_sinr_calibration():
     t0 = time.perf_counter()
     radar = gen_radar_pulse_train(
-        RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6), 10e-3, FS)
-    cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=31)
+        RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6), 10e-3)
+    cell = gen_cellular_baseband(None, 10e-3, seed=31)
     worst = 0.0
     for target in (-4.0, 0.0, 4.0, 8.0, 12.0):
         out, achieved = mix_at_sinr(radar, cell, SinrSpec.from_target(target),
@@ -299,7 +298,7 @@ def test_criterion_8_timing(scripted_run):
 def test_criterion_9_numerical_hygiene():
     # Parseval within 1%
     from coexsim.signals import gen_awgn
-    iq = gen_awgn(2.0, 1e-3, FS, seed=21)
+    iq = gen_awgn(2.0, 1e-3, seed=21)
     spec = stft_spectrogram(iq)
     w = np.hanning(FFT_SIZE)
     lin = 10.0 ** (spec.power_db / 10.0)
@@ -358,8 +357,8 @@ def test_criterion_10_doppler_shift():
 
     base = RadarParams(26e-6, 1000.0, 10, 10e-3)
     shifted = RadarParams(26e-6, 1000.0, 10, 10e-3, doppler_shift_hz=30e3)
-    f0 = psd_argmax_hz(gen_radar_pulse_train(base, 10e-3, FS))
-    f1 = psd_argmax_hz(gen_radar_pulse_train(shifted, 10e-3, FS))
+    f0 = psd_argmax_hz(gen_radar_pulse_train(base, 10e-3))
+    f1 = psd_argmax_hz(gen_radar_pulse_train(shifted, 10e-3))
     bin_width = FS / 1024
     err = abs((f1 - f0) - 30e3)
     ok = err <= bin_width

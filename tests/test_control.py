@@ -36,10 +36,9 @@ from coexsim.errors import (
 from coexsim.localize import CELLULAR, RADAR, FreqTimeBox
 from coexsim.ranlink import BAND_LOW_HZ, PRB_EDGES_HZ, WINDOW_S
 from coexsim.signals import (
-    DEFAULT_SAMPLE_RATE_HZ,
     N_PRBS,
     PRB_BANDWIDTH_HZ,
-    CellularParams,
+    SAMPLE_RATE_HZ,
     _prb_bin_layout,
 )
 
@@ -197,12 +196,10 @@ class TestOnePrbGrid:
     count in one PRB grid, at the Mode-2 capture length."""
 
     def test_waveform_bins_lie_in_their_prb(self):
-        n = round(WINDOW_S * DEFAULT_SAMPLE_RATE_HZ)
+        n = round(WINDOW_S * SAMPLE_RATE_HZ)
         assert n == 153600
-        params = CellularParams()
-        prb_of_bin, counts = _prb_bin_layout(n, DEFAULT_SAMPLE_RATE_HZ, params.n_prbs,
-                                             params.prb_bandwidth_hz)
-        freqs = np.fft.fftfreq(n, d=1.0 / DEFAULT_SAMPLE_RATE_HZ)
+        prb_of_bin, counts = _prb_bin_layout(n)
+        freqs = np.fft.fftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
         assert not PRB_EDGES_HZ.flags.writeable and PRB_EDGES_HZ.size == N_PRBS + 1
         for i in range(N_PRBS):
             f = freqs[prb_of_bin == i]

@@ -50,7 +50,7 @@ from coexsim.harness.scenario import (
 from coexsim.fileio import read_csv, write_csv
 from coexsim.localize import RADAR, evaluate_localizer, localize
 from coexsim.ranlink import KpmRecord, LinkConfig, read_kpm_csv, write_kpm_csv
-from coexsim.signals import DEFAULT_SAMPLE_RATE_HZ, RadarParams, SinrSpec
+from coexsim.signals import SAMPLE_RATE_HZ, RadarParams, SinrSpec
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,15 @@ def spectro_dataset(tmp_path_factory):
                                    absent_fraction=0.5, seed=5)
     gen_spectrogram_dataset(out, cfg)
     return out
+
+
+def replace_cell(text, column, value):
+    """CSV ``text`` with ``column`` of its first data row set to ``value``."""
+    lines = text.splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
 
 
 class TestKpmDataset:
@@ -574,7 +583,7 @@ class TestScenario:
         ScenarioConfig(duration_s=duration_s, telemetry_period_s=period_s).validate()
 
     @settings(max_examples=50, deadline=None)
-    @given(period_s=st.floats(1024 / DEFAULT_SAMPLE_RATE_HZ, 0.05), n_windows=st.integers(1, 5),
+    @given(period_s=st.floats(1024 / SAMPLE_RATE_HZ, 0.05), n_windows=st.integers(1, 5),
            seed=st.integers(0, 2 ** 32))
     def test_any_valid_period_runs_on_its_own_clock(self, period_s, n_windows, seed):
         sc = ScenarioConfig(duration_s=n_windows * period_s, telemetry_period_s=period_s,
@@ -987,7 +996,27 @@ class TestCli:
          ": n_time_bins is 'abc', not an integer"),
         ("items.csv", lambda p: p.write_text(p.read_text().replace(",12.0,", ",eight,", 1)),
          " row 1: sinr_db is 'eight', not a number"),
-    ], ids=["truncated-matrix", "missing-sidecar-key", "bad-sidecar-integer", "bad-item-cell"])
+        ("truth_boxes.csv", lambda p: p.write_text(replace_cell(p.read_text(), "f_low_hz", "abc")),
+         " row 1: f_low_hz is 'abc', not a number"),
+        ("specs/item_00000.bin.meta", lambda p: p.write_bytes(b"\xff\xfe=1\n" + p.read_bytes()),
+         " is not UTF-8 text: invalid start byte at byte 0"),
+        ("specs/item_00000.bin.meta",
+         lambda p: p.write_text(re.sub(r"t_start_s=.*", "t_start_s=nan", p.read_text())),
+         ": t_start_s is nan, not a finite number"),
+        ("specs/item_00000.bin.meta",
+         lambda p: p.write_text(re.sub(r"f_start_hz=.*", "f_start_hz=-inf", p.read_text())),
+         ": f_start_hz is -inf, not a finite number"),
+        ("specs/item_00000.bin.meta",
+         lambda p: p.write_text(re.sub(r"time_resolution_s=.*", "time_resolution_s=inf",
+                                       p.read_text())),
+         ": time_resolution_s is inf, not a finite number above 0"),
+        ("specs/item_00000.bin.meta",
+         lambda p: p.write_text(re.sub(r"freq_resolution_hz=.*", "freq_resolution_hz=0",
+                                       p.read_text())),
+         ": freq_resolution_hz is 0.0, not a finite number above 0"),
+    ], ids=["truncated-matrix", "missing-sidecar-key", "bad-sidecar-integer", "bad-item-cell",
+            "bad-truth-cell", "sidecar-not-utf-8", "nan-axis", "inf-axis", "inf-resolution",
+            "zero-resolution"])
     @pytest.mark.parametrize("min_sinr", [[], ["--min-sinr", "8"]], ids=["all", "min-sinr"])
     def test_error_line_on_corrupt_spectrogram_set(self, spectro_dataset, tmp_path, capsys,
                                                    name, corrupt, message, min_sinr):
@@ -998,6 +1027,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: InvalidParamsError: {data / name}{message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-dataset", "--kind", "kpm", "--out", "{out}", "--seed", "1.5"],
+         "argument --seed: invalid int value: '1.5'"),
+        (["gen-dataset", "--kind", "kpm", "--out", "{out}", "--sinrs", "abc"],
+         "argument --sinrs: 'abc' is not a comma-separated list of numbers"),
+        (["eval-localizer", "--data", "{out}", "--min-sinr", "abc"],
+         "argument --min-sinr: invalid float value: 'abc'"),
+        (["gen-dataset", "--kind", "kpm"], "the following arguments are required: --out"),
+    ], ids=["seed", "sinrs", "min-sinr", "missing-out"])
+    def test_error_line_on_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert cli.main([a.format(out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: InvalidParamsError: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-dataset", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: coexsim gen-dataset [-h] --kind")
+        assert captured.err == ""
 
     def test_error_line_on_corrupt_kpm_set(self, kpm_dataset, tmp_path, capsys):
         data = tmp_path / "kpm"

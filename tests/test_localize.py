@@ -27,7 +27,6 @@ from coexsim.localize import (
     write_box_records,
 )
 from coexsim.signals import (
-    CellularParams,
     IqBuffer,
     RadarParams,
     SinrSpec,
@@ -48,9 +47,8 @@ def make_composite(sinr_db, offset_hz=2.5e6, pulse_width_s=26e-6, seed=0):
     params = RadarParams(pulse_width_s, 1000.0, 5, 10e-3,
                          center_offset_hz=offset_hz,
                          burst_start_s=rng.uniform(0, 4e-3))
-    radar = gen_radar_pulse_train(params, 10e-3, FS)
-    cell = gen_cellular_baseband(CellularParams(), 10e-3, FS,
-                                 seed=int(rng.integers(2 ** 31)))
+    radar = gen_radar_pulse_train(params, 10e-3)
+    cell = gen_cellular_baseband(None, 10e-3, seed=int(rng.integers(2 ** 31)))
     out, _ = mix_at_sinr(radar, cell, SinrSpec.from_target(sinr_db),
                          seed=int(rng.integers(2 ** 31)))
     return out, radar, params
@@ -121,9 +119,9 @@ class TestIou:
 
 class TestLocalize:
     def test_cellular_only_has_no_radar_boxes(self):
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=1)
+        cell = gen_cellular_baseband(None, 10e-3, seed=1)
         spec0 = SinrSpec(float("-inf"), -112.0103, -112.0103)
-        out, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples), FS), cell,
+        out, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples)), cell,
                              spec0, seed=2)
         boxes = localize(stft_spectrogram(out))
         assert not [b for b in boxes if b.label == RADAR]
@@ -144,9 +142,9 @@ class TestLocalize:
         assert metrics.mean_iou >= 0.5
 
     def test_strong_persistent_wideband_is_cellular(self):
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=4)
+        cell = gen_cellular_baseband(None, 10e-3, seed=4)
         spec0 = SinrSpec(float("-inf"), -97.0, -112.0)  # cellular 15 dB over noise
-        out, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples), FS), cell,
+        out, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples)), cell,
                              spec0, seed=5)
         boxes = localize(stft_spectrogram(out))
         cellular = [b for b in boxes if b.label == CELLULAR]
@@ -156,7 +154,7 @@ class TestLocalize:
 
     def test_noise_only_empty(self):
         noise_spec = SinrSpec(float("-inf"), float("-inf"), -112.0)
-        silent = IqBuffer(np.zeros(153600), FS)
+        silent = IqBuffer(np.zeros(153600))
         out, _ = mix_at_sinr(silent, silent, noise_spec, seed=6)
         assert localize(stft_spectrogram(out)) == []
 
@@ -338,9 +336,8 @@ class TestRecallSweep:
                 params = RadarParams(pw, prr, 5, 10e-3,
                                      center_offset_hz=rng.choice([-2.5e6, 0.0, 2.5e6]),
                                      burst_start_s=start)
-                radar = gen_radar_pulse_train(params, 10e-3, FS)
-                cell = gen_cellular_baseband(CellularParams(), 10e-3, FS,
-                                             seed=int(rng.integers(2 ** 31)))
+                radar = gen_radar_pulse_train(params, 10e-3)
+                cell = gen_cellular_baseband(None, 10e-3, seed=int(rng.integers(2 ** 31)))
                 out, _ = mix_at_sinr(radar, cell, SinrSpec.from_target(sinr),
                                      seed=int(rng.integers(2 ** 31)))
                 preds.append([b for b in localize(stft_spectrogram(out))

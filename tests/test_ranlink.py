@@ -37,7 +37,7 @@ FS = 15.36e6
 def numeric_prb_psd_oracle(params, duration=10e-3):
     """Independent oracle: integrate the periodogram of a generated waveform
     per PRB, normalized to pulse-on (peak) total power."""
-    iq = gen_radar_pulse_train(params, duration, FS)
+    iq = gen_radar_pulse_train(params, duration)
     on = np.abs(iq.samples) > 0
     on_power = np.mean(np.abs(iq.samples[on]) ** 2)
     duty = on.sum() / iq.n_samples

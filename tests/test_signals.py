@@ -8,7 +8,6 @@ from coexsim.errors import (
     SilentComponentError,
 )
 from coexsim.signals import (
-    CellularParams,
     IqBuffer,
     RadarParams,
     SinrSpec,
@@ -46,7 +45,7 @@ def band_density_oracle(samples, fs, f_low, f_high):
 
 class TestRadarPulseTrain:
     def test_five_pulse_burst_positions(self):
-        iq = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
+        iq = gen_radar_pulse_train(FIG_PARAMS, 10e-3)
         nz = np.abs(iq.samples) > 0
         starts = np.nonzero(nz & ~np.roll(nz, 1))[0]
         # roll wraps; first sample is a genuine start here
@@ -54,30 +53,30 @@ class TestRadarPulseTrain:
         assert np.allclose(np.array(starts) / FS, [0, 2e-3, 4e-3, 6e-3, 8e-3])
 
     def test_nonzero_sample_count(self):
-        iq = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
+        iq = gen_radar_pulse_train(FIG_PARAMS, 10e-3)
         assert int(np.count_nonzero(iq.samples)) == 5 * round(13e-6 * FS) == 1000
 
     def test_zero_pulses_gives_silence(self):
         p = RadarParams(13e-6, 500.0, 0, 10e-3)
-        iq = gen_radar_pulse_train(p, 10e-3, FS)
+        iq = gen_radar_pulse_train(p, 10e-3)
         assert not np.any(iq.samples)
 
     def test_sparsity_fraction(self):
         for pw, prr, npulses in [(13e-6, 500.0, 5), (52e-6, 1100.0, 9), (26e-6, 900.0, 7)]:
             p = RadarParams(pw, prr, npulses, 10e-3)
-            iq = gen_radar_pulse_train(p, 10e-3, FS)
+            iq = gen_radar_pulse_train(p, 10e-3)
             count = np.count_nonzero(iq.samples)
             expected = npulses * pw / 10e-3 * iq.n_samples
             assert abs(count - expected) <= npulses
 
     def test_bursts_repeat(self):
-        iq = gen_radar_pulse_train(FIG_PARAMS, 20e-3, FS)
+        iq = gen_radar_pulse_train(FIG_PARAMS, 20e-3)
         half = iq.n_samples // 2
         assert np.count_nonzero(iq.samples[:half]) == np.count_nonzero(iq.samples[half:])
 
     def test_carrier_frequency(self):
         p = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6)
-        iq = gen_radar_pulse_train(p, 10e-3, FS)
+        iq = gen_radar_pulse_train(p, 10e-3)
         spec = np.abs(np.fft.fft(iq.samples)) ** 2
         freqs = np.fft.fftfreq(iq.n_samples, 1 / FS)
         assert abs(freqs[np.argmax(spec)] - 2.5e6) < 1e3
@@ -94,75 +93,72 @@ class TestRadarPulseTrain:
         base = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=0.0)
         shifted = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=0.0,
                               doppler_shift_hz=30e3)
-        f0 = argmax_hz(gen_radar_pulse_train(base, 10e-3, FS))
-        f1 = argmax_hz(gen_radar_pulse_train(shifted, 10e-3, FS))
+        f0 = argmax_hz(gen_radar_pulse_train(base, 10e-3))
+        f1 = argmax_hz(gen_radar_pulse_train(shifted, 10e-3))
         bin_width = FS / 1024
         assert abs((f1 - f0) - 30e3) <= bin_width
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidParamsError):
-            RadarParams(13e-6, 500.0, 6, 10e-3).validate(FS)  # 6/500 Hz > 10 ms
+            RadarParams(13e-6, 500.0, 6, 10e-3).validate()  # 6/500 Hz > 10 ms
         with pytest.raises(InvalidParamsError):
-            RadarParams(13e-6, 500.0, 5, 10e-3, center_offset_hz=8e6).validate(FS)
+            RadarParams(13e-6, 500.0, 5, 10e-3, center_offset_hz=8e6).validate()
         with pytest.raises(InvalidParamsError):
-            RadarParams(5e-6, 500.0, 2, 10e-3).validate(FS)  # pulse width out of range
+            RadarParams(5e-6, 500.0, 2, 10e-3).validate()  # pulse width out of range
         with pytest.raises(InvalidParamsError):
-            gen_radar_pulse_train(FIG_PARAMS, 5e-3, FS)  # duration < burst
+            gen_radar_pulse_train(FIG_PARAMS, 5e-3)  # duration < burst
 
 
 class TestCellularBaseband:
     def test_all_inactive_silent(self):
-        p = CellularParams(active_prb_mask=np.zeros(50, dtype=bool))
-        iq = gen_cellular_baseband(p, 1e-3, FS, seed=0)
+        iq = gen_cellular_baseband(np.zeros(50, dtype=bool), 1e-3, seed=0)
         assert not np.any(iq.samples)
 
     def test_total_power_matches_sum(self):
-        p = CellularParams(per_prb_power=1.0)
-        iq = gen_cellular_baseband(p, 10e-3, FS, seed=1)
+        iq = gen_cellular_baseband(None, 10e-3, seed=1)
         assert mean_power(iq) == pytest.approx(50.0, rel=0.02)
 
     def test_inactive_half_suppressed(self):
         mask = np.zeros(50, dtype=bool)
         mask[:25] = True
-        p = CellularParams(active_prb_mask=mask)
-        iq = gen_cellular_baseband(p, 10e-3, FS, seed=2)
+        iq = gen_cellular_baseband(mask, 10e-3, seed=2)
         lower = band_density_oracle(iq.samples, FS, -4.5e6, 0.0)
         upper = band_density_oracle(iq.samples, FS, 0.0, 4.5e6)
         assert upper < lower * 1e-3  # >= 30 dB down
 
     def test_psd_flat_over_active_prbs(self):
-        p = CellularParams(per_prb_power=1.0)
-        iq = gen_cellular_baseband(p, 10e-3, FS, seed=3)
+        iq = gen_cellular_baseband(None, 10e-3, seed=3)
         d1 = measure_band_power(iq, -4.0e6, -2.0e6)
         d2 = measure_band_power(iq, 1.0e6, 3.0e6)
         assert d1 == pytest.approx(d2, rel=0.02)
 
     def test_deterministic(self):
-        p = CellularParams()
-        a = gen_cellular_baseband(p, 1e-3, FS, seed=7)
-        b = gen_cellular_baseband(p, 1e-3, FS, seed=7)
+        a = gen_cellular_baseband(None, 1e-3, seed=7)
+        b = gen_cellular_baseband(None, 1e-3, seed=7)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_bandwidth_overflow_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            gen_cellular_baseband(CellularParams(n_prbs=100), 1e-3, FS)
+    @pytest.mark.parametrize("n_prbs", [0, 49, 51, 100])
+    def test_mask_not_50_prbs_rejected_by_name(self, n_prbs):
+        with pytest.raises(InvalidParamsError,
+                           match=rf"prb_mask must hold 50 PRBs, not shape \({n_prbs},\)"):
+            gen_cellular_baseband(np.ones(n_prbs, dtype=bool), 1e-3)
 
 
 class TestAwgn:
     def test_zero_power_silent(self):
-        assert not np.any(gen_awgn(0.0, 1e-3, FS, seed=0).samples)
+        assert not np.any(gen_awgn(0.0, 1e-3, seed=0).samples)
 
     def test_mean_power_within_one_percent(self):
-        iq = gen_awgn(1.0, 10e-3, FS, seed=11)  # 153,600 samples
+        iq = gen_awgn(1.0, 10e-3, seed=11)  # 153,600 samples
         assert 0.99 <= mean_power(iq) <= 1.01
 
     def test_deterministic(self):
-        a = gen_awgn(2.5, 1e-3, FS, seed=42)
-        b = gen_awgn(2.5, 1e-3, FS, seed=42)
+        a = gen_awgn(2.5, 1e-3, seed=42)
+        b = gen_awgn(2.5, 1e-3, seed=42)
         assert np.array_equal(a.samples, b.samples)
 
     def test_circular_symmetry(self):
-        iq = gen_awgn(1.0, 10e-3, FS, seed=5)
+        iq = gen_awgn(1.0, 10e-3, seed=5)
         assert np.mean(iq.samples.real ** 2) == pytest.approx(0.5, rel=0.03)
         assert np.mean(iq.samples.imag ** 2) == pytest.approx(0.5, rel=0.03)
 
@@ -204,22 +200,22 @@ class TestMeasureBandPower:
         n = 16384
         t = np.arange(n) / FS
         tone = np.exp(2j * np.pi * 1.92e6 * t)
-        iq = IqBuffer(tone, FS)
+        iq = IqBuffer(tone)
         # all tone power lands in a 1 MHz band around the tone
         d = measure_band_power(iq, 1.42e6, 2.42e6)
         assert d == pytest.approx(1.0 / 1.0, rel=0.01)
 
     def test_zero_buffer(self):
-        iq = IqBuffer(np.zeros(1024), FS)
+        iq = IqBuffer(np.zeros(1024))
         assert measure_band_power(iq, -1e6, 1e6) == 0.0
 
     def test_awgn_full_band_density(self):
-        iq = gen_awgn(1.0, 10e-3, FS, seed=9)
+        iq = gen_awgn(1.0, 10e-3, seed=9)
         d = measure_band_power(iq, -FS / 2, FS / 2)
         assert d == pytest.approx(1.0 / 15.36, rel=0.02)
 
     def test_band_outside_spectrum(self):
-        iq = IqBuffer(np.zeros(1024), FS)
+        iq = IqBuffer(np.zeros(1024))
         with pytest.raises(EmptyBandError):
             measure_band_power(iq, 8e6, 9e6)
         with pytest.raises(InvalidParamsError):
@@ -245,9 +241,9 @@ class TestBandIndexRanges:
     @settings(max_examples=150, deadline=None)
     @given(n=st.sampled_from([153600]) | st.integers(4, 5000).map(lambda v: 2 * v + 1)
            | st.integers(1, 7),
-           fs=st.sampled_from([FS, 1e6]) | st.floats(1.0, 1e8),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_equals_fftfreq_mask(self, n, fs, seed, data):
+    def test_equals_fftfreq_mask(self, n, seed, data):
+        fs = FS
         freqs = np.fft.fftfreq(n, d=1.0 / fs)
         on_bin = st.integers(0, n - 1).map(lambda i: float(freqs[i]))
         edge = on_bin | st.sampled_from([-fs / 2, fs / 2]) | st.floats(-fs / 2, fs / 2)
@@ -260,26 +256,27 @@ class TestBandIndexRanges:
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
         if (f_high - f_low) / 1e6 == 0.0:  # e.g. [0, 5e-324): no density, rejected by name
             with pytest.raises(InvalidParamsError, match="width in MHz above 0"):
-                measure_band_power(IqBuffer(samples, fs), f_low, f_high)
+                measure_band_power(IqBuffer(samples), f_low, f_high)
             return
-        got = measure_band_power(IqBuffer(samples, fs), f_low, f_high)
+        got = measure_band_power(IqBuffer(samples), f_low, f_high)
         assert repr(got) == repr(fftfreq_band_density(samples, fs, f_low, f_high))
 
 
 class TestFullBand:
     @settings(max_examples=150, deadline=None)
     @given(n=st.sampled_from([42, 84, 168, 502, 20000]) | st.integers(1, 20000),
-           fs=st.sampled_from([FS, 1e6]), seed=st.integers(0, 2 ** 32 - 1))
-    @example(n=42, fs=FS, seed=0)
-    @example(n=502, fs=FS, seed=0)
-    def test_holds_every_bin(self, n, fs, seed):
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=42, seed=0)
+    @example(n=502, seed=0)
+    def test_holds_every_bin(self, n, seed):
         """Parseval: the density over [-fs/2, fs/2) is the periodogram's whole
         energy, sum |X|^2 / n^2, over fs in MHz, the Nyquist bin of an even n
         included."""
+        fs = FS
         rng = np.random.default_rng(seed)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
         total = float(np.sum(np.abs(np.fft.fft(samples)) ** 2)) / (n * n)
-        got = measure_band_power(IqBuffer(samples, fs), -fs / 2, fs / 2)
+        got = measure_band_power(IqBuffer(samples), -fs / 2, fs / 2)
         assert got == pytest.approx(total / (fs / 1e6), rel=1e-12)
 
 
@@ -288,7 +285,7 @@ class TestMixAtSinr:
     def composite_sinr_oracle(out, radar_input, carrier_hz):
         """Gated measurement on the composite only: pulse-on density minus the
         pulse-off (interference) density in the radar's 1 MHz band."""
-        fs = out.sample_rate_hz
+        fs = FS
         on = np.abs(radar_input.samples) > 0
         lo, hi = carrier_hz - 0.5e6, carrier_hz + 0.5e6
         d_on = band_density_oracle(out.samples[on], fs, lo, hi)
@@ -298,8 +295,8 @@ class TestMixAtSinr:
 
     def test_single_target(self):
         radar = gen_radar_pulse_train(
-            RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6), 10e-3, FS)
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=3)
+            RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6), 10e-3)
+        cell = gen_cellular_baseband(None, 10e-3, seed=3)
         out, achieved = mix_at_sinr(radar, cell, SinrSpec.from_target(12.0), seed=4)
         assert 11.5 <= achieved <= 12.5
         oracle = self.composite_sinr_oracle(out, radar, 2.5e6)
@@ -308,14 +305,14 @@ class TestMixAtSinr:
     @pytest.mark.parametrize("target", [-4.0, 0.0, 4.0, 8.0, 12.0])
     def test_target_sweep(self, target):
         radar = gen_radar_pulse_train(
-            RadarParams(13e-6, 500.0, 5, 10e-3, center_offset_hz=-2.5e6), 10e-3, FS)
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=5)
+            RadarParams(13e-6, 500.0, 5, 10e-3, center_offset_hz=-2.5e6), 10e-3)
+        cell = gen_cellular_baseband(None, 10e-3, seed=5)
         _, achieved = mix_at_sinr(radar, cell, SinrSpec.from_target(target), seed=6)
         assert achieved == pytest.approx(target, abs=0.5)
 
     def test_absent_radar_passthrough(self):
-        radar = IqBuffer(np.zeros(153600), FS)
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=8)
+        radar = IqBuffer(np.zeros(153600))
+        cell = gen_cellular_baseband(None, 10e-3, seed=8)
         spec = SinrSpec(float("-inf"), -112.0, -112.0)
         out, achieved = mix_at_sinr(radar, cell, spec, seed=9)
         assert achieved == float("-inf")
@@ -325,28 +322,28 @@ class TestMixAtSinr:
         assert mean_power(out) > mean_power(base)
 
     def test_zero_interference_is_inf(self):
-        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=1)
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3)
+        cell = gen_cellular_baseband(None, 10e-3, seed=1)
         spec = SinrSpec(-100.0, float("-inf"), float("-inf"))
         out, achieved = mix_at_sinr(radar, cell, spec, seed=2)
         assert achieved == float("inf")
         assert np.array_equal(out.samples != 0, radar.samples != 0)
 
     def test_silent_radar_rejected(self):
-        radar = IqBuffer(np.zeros(15360), FS)
-        cell = gen_cellular_baseband(CellularParams(), 1e-3, FS, seed=1)
+        radar = IqBuffer(np.zeros(15360))
+        cell = gen_cellular_baseband(None, 1e-3, seed=1)
         with pytest.raises(SilentComponentError):
             mix_at_sinr(radar, cell, SinrSpec.from_target(8.0), seed=0)
 
     def test_mismatched_buffers_rejected(self):
-        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
-        cell = gen_cellular_baseband(CellularParams(), 5e-3, FS, seed=1)
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3)
+        cell = gen_cellular_baseband(None, 5e-3, seed=1)
         with pytest.raises(InvalidParamsError):
             mix_at_sinr(radar, cell, SinrSpec.from_target(8.0), seed=0)
 
     def test_deterministic(self):
-        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=2)
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3)
+        cell = gen_cellular_baseband(None, 10e-3, seed=2)
         spec = SinrSpec.from_target(8.0)
         a, sa = mix_at_sinr(radar, cell, spec, seed=3)
         b, sb = mix_at_sinr(radar, cell, spec, seed=3)
@@ -359,40 +356,32 @@ class TestCarriedDensity:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_samples=st.integers(1500, 40000),
-           per_prb_power=st.floats(1e-6, 1e6), n_prbs=st.integers(1, 60),
-           prb_bandwidth_hz=st.sampled_from((180e3, FS / 64)), single=st.booleans())
-    def test_carried_density_equals_fft_measurement(self, seed, n_samples, per_prb_power,
-                                                    n_prbs, prb_bandwidth_hz, single):
+           single=st.booleans())
+    def test_carried_density_equals_fft_measurement(self, seed, n_samples, single):
         rng = np.random.default_rng(seed)
-        mask = np.zeros(n_prbs, dtype=bool)
+        mask = np.zeros(50, dtype=bool)
         if single:
-            mask[rng.integers(n_prbs)] = True
+            mask[rng.integers(50)] = True
         else:
-            mask |= rng.random(n_prbs) < rng.uniform(0.05, 1.0)
-            mask[rng.integers(n_prbs)] = True
-        params = CellularParams(n_prbs=n_prbs, prb_bandwidth_hz=prb_bandwidth_hz,
-                                active_prb_mask=mask, per_prb_power=per_prb_power)
+            mask |= rng.random(50) < rng.uniform(0.05, 1.0)
+            mask[rng.integers(50)] = True
         # The FFT bins per PRB need not be whole: PRBs then differ by one bin.
-        cell = gen_cellular_baseband(params, n_samples / FS, FS, seed=seed)
-        measured = _occupied_density(IqBuffer(cell.samples, FS))
+        cell = gen_cellular_baseband(mask, n_samples / FS, seed=seed)
+        measured = _occupied_density(IqBuffer(cell.samples))
         assert cell.occupied_density == pytest.approx(measured, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("params", [
-        CellularParams(active_prb_mask=np.zeros(50, dtype=bool)),
-        CellularParams(per_prb_power=0.0),
-    ])
-    def test_silent_cellular_still_rejected(self, params):
-        cell = gen_cellular_baseband(params, 1e-3, FS, seed=1)
-        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
+    def test_silent_cellular_still_rejected(self):
+        cell = gen_cellular_baseband(np.zeros(50, dtype=bool), 1e-3, seed=1)
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3)
         assert cell.occupied_density == 0.0
         with pytest.raises(SilentComponentError):
-            mix_at_sinr(IqBuffer(radar.samples[:cell.n_samples], FS), cell,
+            mix_at_sinr(IqBuffer(radar.samples[:cell.n_samples]), cell,
                         SinrSpec.from_target(8.0), seed=0)
 
     def test_other_buffers_are_measured(self):
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=2)
-        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3, FS)
-        bare = IqBuffer(cell.samples, FS)
+        cell = gen_cellular_baseband(None, 10e-3, seed=2)
+        radar = gen_radar_pulse_train(FIG_PARAMS, 10e-3)
+        bare = IqBuffer(cell.samples)
         assert bare.occupied_density is None
         a, sa = mix_at_sinr(radar, cell, SinrSpec.from_target(8.0), seed=3)
         b, sb = mix_at_sinr(radar, bare, SinrSpec.from_target(8.0), seed=3)
@@ -411,11 +400,11 @@ class TestInPlaceSynthesis:
         return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
     @staticmethod
-    def cellular_oracle(params, n, seed):
+    def cellular_oracle(mask, n, seed):
         rng = np.random.default_rng(seed)
-        prb_of_bin, counts = _prb_bin_layout(n, FS, params.n_prbs, params.prb_bandwidth_hz)
-        bins = np.flatnonzero(np.append(params.mask(), False)[prb_of_bin])
-        mags = np.sqrt(params.per_prb_power * n * n / counts[prb_of_bin[bins]])
+        prb_of_bin, counts = _prb_bin_layout(n)
+        bins = np.flatnonzero(np.append(mask, False)[prb_of_bin])
+        mags = np.sqrt(1.0 * n * n / counts[prb_of_bin[bins]])
         phases = rng.uniform(0.0, 2.0 * np.pi, bins.size)
         spectrum = np.zeros(n, dtype=np.complex128)
         spectrum[bins] = mags * np.exp(1j * phases)
@@ -424,7 +413,7 @@ class TestInPlaceSynthesis:
     @pytest.mark.parametrize("seed", range(20))
     def test_awgn_equals_summed_draws(self, seed):
         power = 10.0 ** np.random.default_rng(seed).uniform(-14.0, 2.0)
-        got = gen_awgn(power, 10e-3, FS, seed=seed).samples
+        got = gen_awgn(power, 10e-3, seed=seed).samples
         assert np.array_equal(got, self.awgn_oracle(power, 153600, seed))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -432,15 +421,14 @@ class TestInPlaceSynthesis:
         rng = np.random.default_rng(seed)
         mask = rng.random(50) < rng.uniform(0.1, 1.0)
         mask[rng.integers(50)] = True
-        params = CellularParams(active_prb_mask=mask, per_prb_power=rng.uniform(0.1, 10.0))
-        got = gen_cellular_baseband(params, 10e-3, FS, seed=seed).samples
-        assert np.array_equal(got, self.cellular_oracle(params, 153600, seed))
+        got = gen_cellular_baseband(mask, 10e-3, seed=seed).samples
+        assert np.array_equal(got, self.cellular_oracle(mask, 153600, seed))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_mix_equals_sum_of_components(self, seed):
         radar = gen_radar_pulse_train(
-            RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6), 10e-3, FS)
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, FS, seed=seed)
+            RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6), 10e-3)
+        cell = gen_cellular_baseband(None, 10e-3, seed=seed)
         spec = SinrSpec.from_target(float(seed % 13) - 4.0)
         silent = float("-inf")
         parts = [mix_at_sinr(radar, cell, part, seed=seed, measure_achieved=False)[0].samples
@@ -462,7 +450,7 @@ class TestSensingCapture:
         mask[20:30] = False
         out, radar, achieved = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 11, 12,
                                                prb_mask=mask)
-        cell = gen_cellular_baseband(CellularParams(active_prb_mask=mask), 10e-3, seed=11)
+        cell = gen_cellular_baseband(mask, 10e-3, seed=11)
         ref_radar = gen_radar_pulse_train(self.RADAR, 10e-3)
         ref, ref_achieved = mix_at_sinr(ref_radar, cell, SinrSpec.from_target(8.0, -109.0),
                                         seed=12)
@@ -471,10 +459,10 @@ class TestSensingCapture:
 
     def test_silence_matches_explicit_synthesis(self):
         out, radar, achieved = sensing_capture(None, 4.0, -109.0, 10e-3, 21, 22)
-        cell = gen_cellular_baseband(CellularParams(), 10e-3, seed=21)
+        cell = gen_cellular_baseband(None, 10e-3, seed=21)
         floor = SinrSpec.from_target(0.0, -109.0)
         spec = SinrSpec(float("-inf"), floor.p_cellular_dbm_mhz, floor.p_noise_dbm_mhz)
-        ref, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples), FS), cell, spec, seed=22)
+        ref, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples)), cell, spec, seed=22)
         assert not radar.samples.any()
         assert achieved == float("-inf")
         assert np.array_equal(out.samples, ref.samples)
@@ -490,7 +478,7 @@ class TestSensingCapture:
 def three_array_components(radar, cellular, spec, seed):
     """The scaled radar, its support, the scaled cellular, the cellular power
     gain and the noise, each as its own array."""
-    fs = radar.sample_rate_hz
+    fs = FS
     n = radar.n_samples
     noise = np.zeros(n, dtype=np.complex128)
     noise_power = dbm_to_linear(spec.p_noise_dbm_mhz) * (fs / 1e6)
@@ -527,7 +515,7 @@ def two_array_mix_at_sinr(radar, cellular, spec, seed=None, measure_achieved=Tru
     radar spectrum taken twice, once for its peak and once for its band.  The
     achieved SINR's cellular term is the carried density times the power gain
     and its noise term the noise energy over n samples and fs (Parseval)."""
-    fs = radar.sample_rate_hz
+    fs = FS
     radar_scaled, on, cell_scaled, gain, noise = three_array_components(
         radar, cellular, spec, seed)
     mix = np.add(radar_scaled, cell_scaled)
@@ -549,10 +537,10 @@ def three_fft_achieved_sinr(radar, cellular, spec, seed):
     """The achieved SINR as ``mix_at_sinr`` measured it with three full-length
     FFTs: the occupied-band density of the scaled cellular, the full-band
     periodogram density of the noise and the radar's band density."""
-    fs = radar.sample_rate_hz
+    fs = FS
     radar_scaled, on, cell_scaled, _, noise = three_array_components(
         radar, cellular, spec, seed)
-    cell_meas = _occupied_density(IqBuffer(cell_scaled, fs))
+    cell_meas = _occupied_density(IqBuffer(cell_scaled))
     noise_meas = band_density_oracle(noise, fs, -fs / 2, fs / 2)
     radar_meas = radar_band_density(radar_scaled, on, fs)
     return 10.0 * float(np.log10(radar_meas / (cell_meas + noise_meas)))
@@ -577,7 +565,7 @@ class TestOneArrayMix:
         radar = params if radar_on else None
         out, radar_iq, achieved = sensing_capture(radar, sinr, -109.0, 10e-3, seed, seed + 1,
                                                   prb_mask=mask, measure_achieved=measure)
-        cell = gen_cellular_baseband(CellularParams(active_prb_mask=mask), 10e-3, seed=seed)
+        cell = gen_cellular_baseband(mask, 10e-3, seed=seed)
         spec = SinrSpec.from_target(sinr, -109.0)
         if not radar_on:
             spec = SinrSpec(float("-inf"), spec.p_cellular_dbm_mhz, spec.p_noise_dbm_mhz)
@@ -594,14 +582,14 @@ class TestOneArrayMix:
         radar = rng.normal(size=n) + 1j * rng.normal(size=n)
         radar[rng.random(n) < zero_frac] = 0.0
         radar[rng.integers(n)] = 1.0
-        cell = IqBuffer(rng.normal(size=n) + 1j * rng.normal(size=n), FS,
+        cell = IqBuffer(rng.normal(size=n) + 1j * rng.normal(size=n),
                         occupied_density=float(rng.uniform(0.5, 2.0)))
         levels = [float(rng.uniform(-120.0, -90.0)) if on else float("-inf")
                   for on in present]
         spec = SinrSpec(*levels)
-        out, achieved = mix_at_sinr(IqBuffer(radar, FS), cell, spec, seed=seed,
+        out, achieved = mix_at_sinr(IqBuffer(radar), cell, spec, seed=seed,
                                     measure_achieved=measure)
-        mix, ref_achieved = two_array_mix_at_sinr(IqBuffer(radar, FS), cell, spec, seed,
+        mix, ref_achieved = two_array_mix_at_sinr(IqBuffer(radar), cell, spec, seed,
                                                   measure)
         assert out.samples.tobytes() == mix.tobytes()
         assert repr(achieved) == repr(ref_achieved)
@@ -625,7 +613,7 @@ class TestOneFftMeasurement:
                              burst_start_s=float(rng.uniform(0.0, 4e-3)))
         _, radar_iq, achieved = sensing_capture(params, sinr, -109.0, 10e-3, seed, seed + 1,
                                                 prb_mask=mask)
-        cell = gen_cellular_baseband(CellularParams(active_prb_mask=mask), 10e-3, seed=seed)
+        cell = gen_cellular_baseband(mask, 10e-3, seed=seed)
         want = three_fft_achieved_sinr(radar_iq, cell, SinrSpec.from_target(sinr, -109.0),
                                        seed + 1)
         assert achieved == pytest.approx(want, abs=1e-9, rel=0.0)
@@ -637,7 +625,7 @@ class TestOneFftMeasurement:
         base = np.array([1.0, 1j]) @ np.random.default_rng(seed + 1).normal(size=(2, n))
         x = base.copy()
         energy = _add_awgn(x, power, seed, measure=True)
-        noise = gen_awgn(power, n / FS, FS, seed).samples
+        noise = gen_awgn(power, n / FS, seed).samples
         assert noise.size == n
         # Every bin: for some even n, fftfreq puts the Nyquist bin just below -fs/2.
         want = np.sum(np.abs(np.fft.fft(noise)) ** 2) / (n * n) / (FS / 1e6)

@@ -22,9 +22,9 @@ from coexsim.spectro import (
 FS = 15.36e6
 
 
-def tone(freq_hz, n, fs=FS, amp=1.0):
-    t = np.arange(n) / fs
-    return IqBuffer(amp * np.exp(2j * np.pi * freq_hz * t), fs)
+def tone(freq_hz, n, amp=1.0):
+    t = np.arange(n) / FS
+    return IqBuffer(amp * np.exp(2j * np.pi * freq_hz * t))
 
 
 def hann():
@@ -39,18 +39,18 @@ class TestStft:
         assert int(np.argmax(col)) == 512 + 128 == 640
 
     def test_all_zero_input_floors(self):
-        iq = IqBuffer(np.zeros(2048), FS)
+        iq = IqBuffer(np.zeros(2048))
         spec = stft_spectrogram(iq)
         assert np.all(spec.power_db == -120.0)
 
     def test_column_count_10ms(self):
-        iq = gen_awgn(1.0, 10e-3, FS, seed=0)
+        iq = gen_awgn(1.0, 10e-3, seed=0)
         spec = stft_spectrogram(iq)
         assert spec.n_time_bins == 1 + (153600 - 1024) // 256 == 597
         assert spec.n_freq_bins == 1024
 
     def test_axis_metadata(self):
-        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=1))
+        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, seed=1))
         assert spec.freq_resolution_hz == pytest.approx(FS / 1024)
         assert spec.time_resolution_s == pytest.approx(256 / FS)
         assert spec.f_start_hz == -FS / 2
@@ -59,7 +59,7 @@ class TestStft:
         assert np.all(np.diff(freqs) > 0)
 
     def test_parseval_with_window_compensation(self):
-        iq = gen_awgn(2.0, 1e-3, FS, seed=2)
+        iq = gen_awgn(2.0, 1e-3, seed=2)
         spec = stft_spectrogram(iq)
         lin = 10.0 ** (spec.power_db / 10.0)
         for col in range(spec.n_time_bins):
@@ -70,8 +70,8 @@ class TestStft:
     def test_time_shift_permutes_columns(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
-        a = stft_spectrogram(IqBuffer(x, FS))
-        b = stft_spectrogram(IqBuffer(np.roll(x, 2048), FS))
+        a = stft_spectrogram(IqBuffer(x))
+        b = stft_spectrogram(IqBuffer(np.roll(x, 2048)))
         # 2048 samples are 8 hops: columns 8.. of the shifted signal equal
         # columns 0.. of the original
         assert np.allclose(b.power_db[:, 8:], a.power_db[:, :-8])
@@ -84,13 +84,13 @@ class TestStft:
         bin_width = FS / 1024
         t = np.arange(2048) / FS
         shifted = x * np.exp(2j * np.pi * bin_width * t)
-        a = stft_spectrogram(IqBuffer(x, FS))
-        b = stft_spectrogram(IqBuffer(shifted, FS))
+        a = stft_spectrogram(IqBuffer(x))
+        b = stft_spectrogram(IqBuffer(shifted))
         assert np.allclose(b.power_db[1:, :], a.power_db[:-1, :], rtol=1e-6, atol=1e-6)
 
     def test_too_short_input(self):
         with pytest.raises(TooShortInputError):
-            stft_spectrogram(IqBuffer(np.zeros(512), FS))
+            stft_spectrogram(IqBuffer(np.zeros(512)))
 
 
 def gathered_stft_db(samples):
@@ -110,7 +110,7 @@ class TestStridedFraming:
         rng = np.random.default_rng(seed)
         n = FFT_SIZE + extra
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-        spec = stft_spectrogram(IqBuffer(samples, FS))
+        spec = stft_spectrogram(IqBuffer(samples))
         expected = gathered_stft_db(samples)
         assert spec.power_db.shape == expected.shape
         assert spec.power_db.tobytes() == expected.tobytes()
@@ -138,13 +138,13 @@ class TestBlockedLayout:
         n = FFT_SIZE + (n_frames - 1) * HOP + int(tail * (HOP - 1))
         rng = np.random.default_rng(seed)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-        power = stft_spectrogram(IqBuffer(samples, FS)).power
+        power = stft_spectrogram(IqBuffer(samples)).power
         assert power.shape == (FFT_SIZE, n_frames)
         assert power.flags.c_contiguous
         assert np.array_equal(power, shifted_power(samples))
 
     def test_stft_and_loaded_power_need_no_copy(self, tmp_path):
-        spec = stft_spectrogram(gen_awgn(1.0, 10e-3, FS, seed=7))
+        spec = stft_spectrogram(gen_awgn(1.0, 10e-3, seed=7))
         path = tmp_path / "spec.bin"
         save_spectrogram(path, spec)
         loaded, _ = load_spectrogram(path)
@@ -206,13 +206,13 @@ class TestLiveFrames:
     @settings(max_examples=150, deadline=None)
     @given(samples=signals_with_zero_runs())
     def test_equals_dense_stft(self, samples):
-        iq = IqBuffer(samples, FS)
+        iq = IqBuffer(samples)
         power = stft_spectrogram(iq).power
         assert power.flags.c_contiguous
         assert power.tobytes() == dense_stft_power(iq).tobytes()
 
     def test_clean_radar_equals_dense_stft(self):
-        radar = IqBuffer(np.zeros(153600, dtype=np.complex128), FS)
+        radar = IqBuffer(np.zeros(153600, dtype=np.complex128))
         t = np.arange(400) / FS
         for start in (0, 20000, 76000, 153200):
             radar.samples[start:start + 400] = np.exp(2j * np.pi * 2.5e6 * t)
@@ -242,7 +242,7 @@ class TestExport:
         assert loaded.power.tobytes() == want.tobytes()
 
     def test_round_trip(self, tmp_path):
-        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, FS, seed=5))
+        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, seed=5))
         path = tmp_path / "spec.bin"
         save_spectrogram(path, spec, {"seed": 5})
         back, meta = load_spectrogram(path)
