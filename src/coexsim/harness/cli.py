@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from ..detect import ClassifierModel, TrainConfig, train_detector
-from ..errors import CoexsimError, InvalidParamsError
+from ..errors import CoexsimError, InvalidParamsError, MissingDataError
 from .datasets import (
     DEFAULT_SINR_SWEEP,
     KpmDatasetConfig,
@@ -24,8 +24,10 @@ from .datasets import (
 )
 from .evaluate import (
     eval_detector,
-    eval_localizer,
-    pooled_localizer_metrics,
+    localize_items,
+    localizer_rows,
+    pooled_metrics,
+    radar_slice,
     write_detector_report,
     write_localizer_report,
 )
@@ -138,11 +140,14 @@ def _cmd_eval_detector(args) -> int:
 
 
 def _cmd_eval_localizer(args) -> int:
-    # The pooled slice is computed first, so a bad --min-sinr fails before the table.
-    m = None
     if args.min_sinr is not None:
-        m = pooled_localizer_metrics(args.data, args.min_sinr)
-    rows = eval_localizer(args.data)
+        radar_slice(args.min_sinr)  # a NaN names no slice: it fails before any item loads
+    items = localize_items(args.data)
+    # The pooled slice is computed first, so an empty slice fails before the table.
+    m = None if args.min_sinr is None else pooled_metrics(items, args.min_sinr)
+    rows = localizer_rows(items)
+    if not rows:
+        raise MissingDataError(f"no spectrogram items in {args.data}")
     print("sinr_db  recall  precision  mean_iou  n_truth")
     for r in rows:
         print(f"{r.sinr_db:+7.1f}  {r.recall:6.4f}  {r.precision:9.4f}  "

@@ -1,4 +1,10 @@
-"""Model evaluation against generated datasets, with CSV table export."""
+"""Model evaluation against generated datasets, with CSV table export.
+
+A localizer evaluation loads and localizes each item once (``localize_items``);
+its per-SINR table and pooled SINR slices derive from that list, which holds
+boxes, never spectrograms.  ``eval_localizer`` and ``pooled_localizer_metrics``
+remain for the benchmark in ``perfbench/``, which calls and traces them by name.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ import numpy as np
 from ..detect import ClassifierModel, radar_present
 from ..errors import InvalidParamsError, MissingDataError
 from ..fileio import write_csv
-from ..localize import RADAR, evaluate_localizer, localize
+from ..localize import RADAR, LocalizerMetrics, evaluate_localizer, localize
 from .datasets import load_kpm_windows, load_spectrogram_items
 
 
@@ -46,44 +52,63 @@ class LocalizerEvalRow:
     n_truth: int
 
 
-def _radar_boxes(dataset_dir, keep=lambda sinr_db, has_radar: True):
-    """(sinr_db, the radar boxes ``localize`` finds, the truth boxes) of each
-    item that ``keep(sinr_db, has_radar)`` accepts, each loaded once."""
-    for _, sinr_db, _, sgram, truths in load_spectrogram_items(dataset_dir, keep):
-        yield sinr_db, [b for b in localize(sgram) if b.label == RADAR], truths
+def localize_items(dataset_dir, keep=lambda sinr_db, has_radar: True) -> list[tuple]:
+    """(file_id, sinr_db, has_radar, ``localize`` boxes, truth boxes) of each item
+    that ``keep(sinr_db, has_radar)`` accepts, in dataset order."""
+    return [(file_id, sinr_db, has_radar, localize(sgram), truths)
+            for file_id, sinr_db, has_radar, sgram, truths
+            in load_spectrogram_items(dataset_dir, keep)]
+
+
+def _radar_metrics(items) -> LocalizerMetrics:
+    """``evaluate_localizer`` of the items' radar-class boxes against their truths."""
+    return evaluate_localizer([[b for b in boxes if b.label == RADAR] for *_, boxes, _ in items],
+                              [truths for *_, truths in items])
+
+
+def localizer_rows(items) -> list[LocalizerEvalRow]:
+    """Recall/precision/mean-IoU per SINR point of ``localize_items``' list; each
+    point keeps the list's order of its items."""
+    by_sinr: dict[float, list] = {}
+    for item in items:
+        by_sinr.setdefault(item[1], []).append(item)
+    rows = []
+    for sinr in sorted(by_sinr):
+        m = _radar_metrics(by_sinr[sinr])
+        rows.append(LocalizerEvalRow(sinr, m.recall, m.precision, m.mean_iou, m.n_truth))
+    return rows
+
+
+def radar_slice(min_sinr_db: float):
+    """``keep(sinr_db, has_radar)`` of the radar items at or above min_sinr_db; a
+    NaN compares to no SINR, so it raises InvalidParamsError."""
+    if math.isnan(min_sinr_db):
+        raise InvalidParamsError("min_sinr_db is nan, which no SINR compares to, so it "
+                                 "names no slice")
+    return lambda sinr_db, has_radar: has_radar and not sinr_db < min_sinr_db
+
+
+def pooled_metrics(items, min_sinr_db: float) -> LocalizerMetrics:
+    """Metrics pooled over the radar items of ``localize_items``' list at or above
+    min_sinr_db."""
+    keep = radar_slice(min_sinr_db)
+    kept = [item for item in items if keep(item[1], item[2])]
+    if not kept:
+        raise MissingDataError("no items in requested SINR slice")
+    return _radar_metrics(kept)
 
 
 def eval_localizer(dataset_dir) -> list[LocalizerEvalRow]:
-    """Recall/precision/mean-IoU per sweep SINR point, radar class only."""
-    by_sinr: dict[float, tuple[list, list]] = {}
-    for sinr, preds, truths in _radar_boxes(dataset_dir):
-        bucket = by_sinr.setdefault(sinr, ([], []))
-        bucket[0].append(preds)
-        bucket[1].append(truths)
-    if not by_sinr:
+    """``localizer_rows`` of every item in dataset_dir."""
+    rows = localizer_rows(localize_items(dataset_dir))
+    if not rows:
         raise MissingDataError(f"no spectrogram items in {dataset_dir}")
-    rows = []
-    for sinr in sorted(by_sinr):
-        preds, truths = by_sinr[sinr]
-        m = evaluate_localizer(preds, truths)
-        rows.append(LocalizerEvalRow(sinr, m.recall, m.precision, m.mean_iou,
-                                     m.n_truth))
     return rows
 
 
 def pooled_localizer_metrics(dataset_dir, min_sinr_db: float = float("-inf")):
-    """Metrics over the radar items at or above min_sinr_db; loads no other item."""
-    if math.isnan(min_sinr_db):
-        raise InvalidParamsError("min_sinr_db is nan, which no SINR compares to, so it "
-                                 "names no slice")
-    preds, truths = [], []
-    for _, pred, truth in _radar_boxes(
-            dataset_dir, lambda sinr, has_radar: has_radar and not sinr < min_sinr_db):
-        preds.append(pred)
-        truths.append(truth)
-    if not preds:
-        raise MissingDataError("no items in requested SINR slice")
-    return evaluate_localizer(preds, truths)
+    """``pooled_metrics`` of dataset_dir's slice; it loads no item outside it."""
+    return pooled_metrics(localize_items(dataset_dir, radar_slice(min_sinr_db)), min_sinr_db)
 
 
 def write_detector_report(path, rows: list[DetectorEvalRow]) -> None:

@@ -69,6 +69,13 @@ class FreqTimeBox:
     confidence: float = 1.0
 
     def __post_init__(self):
+        for name in ("f_low_hz", "f_high_hz", "t_start_s", "t_end_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParamsError(f"{name} is {value!r}, not a finite number")
+        if self.label not in (RADAR, CELLULAR):
+            raise InvalidParamsError(f"label is {self.label!r}, not {RADAR!r} or "
+                                     f"{CELLULAR!r}")
         if not self.f_low_hz < self.f_high_hz:
             raise InvalidParamsError("f_low_hz must be < f_high_hz")
         if self.t_start_s > self.t_end_s:
@@ -83,15 +90,6 @@ class FreqTimeBox:
     @property
     def duration_s(self) -> float:
         return self.t_end_s - self.t_start_s
-
-
-@dataclass
-class _Component:
-    """Internal detection with its supporting bins (rows, cols) kept for tests."""
-
-    box: FreqTimeBox
-    support_rows: np.ndarray
-    support_cols: np.ndarray
 
 
 def _contiguous_span(profile: np.ndarray, trim_db: float) -> tuple[int, int]:
@@ -218,7 +216,8 @@ def _component_members(active: np.ndarray, radius: int
     return [(rows[g], cols[g]) for g in groups]
 
 
-def _extract_components(spec: Spectrogram) -> list[_Component]:
+def localize(spec: Spectrogram) -> list[FreqTimeBox]:
+    """Detect and box signal occupancy; returns boxes sorted by confidence."""
     # Every pass below runs along rows.  STFT and loaded spectrograms are
     # C-order already; the call copies only caller-built F-order arrays.
     lin = np.ascontiguousarray(spec.power)
@@ -230,7 +229,7 @@ def _extract_components(spec: Spectrogram) -> list[_Component]:
     row_floor = row_q / (-np.log(1.0 - pct / 100.0))
     thr_lin = 10.0 ** (THRESHOLD_DB_ABOVE_FLOOR / 10.0)
 
-    components: list[_Component] = []
+    boxes: list[FreqTimeBox] = []
 
     # MIN_BOX_BINS counts distinct resolution cells: with overlapped columns
     # (hop < fft) one noise event smears across fft/hop columns, so those
@@ -255,9 +254,8 @@ def _extract_components(spec: Spectrogram) -> list[_Component]:
         excess = np.mean(10.0 * np.log10(lin[rows_idx, cols_idx])
                          - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
         rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx, cols_idx)
-        box = _bins_to_box(spec, rmin, rmax, cmin, cmax, label,
-                           _squash_confidence(float(excess)))
-        components.append(_Component(box, rows_idx, cols_idx))
+        boxes.append(_bins_to_box(spec, rmin, rmax, cmin, cmax, label,
+                                  _squash_confidence(float(excess))))
 
     # Persistent path: rows whose median power clears the quietest-row floor.
     # Medians ignore pulsed outliers, so pulsed emitters never register here.
@@ -271,18 +269,9 @@ def _extract_components(spec: Spectrogram) -> list[_Component]:
             bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
             label = CELLULAR if bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR
             excess = np.mean(10.0 * np.log10(row_med[run] / (global_floor * thr_lin)))
-            box = _bins_to_box(spec, rmin, rmax, 0, n_cols - 1, label,
-                               _squash_confidence(float(excess)))
-            rows_idx = np.repeat(run, n_cols)
-            cols_idx = np.tile(np.arange(n_cols), run.size)
-            components.append(_Component(box, rows_idx, cols_idx))
+            boxes.append(_bins_to_box(spec, rmin, rmax, 0, n_cols - 1, label,
+                                      _squash_confidence(float(excess))))
 
-    return components
-
-
-def localize(spec: Spectrogram) -> list[FreqTimeBox]:
-    """Detect and box signal occupancy; returns boxes sorted by confidence."""
-    boxes = [c.box for c in _extract_components(spec)]
     return sorted(boxes, key=lambda b: -b.confidence)
 
 
@@ -396,10 +385,16 @@ def write_box_records(path, records: list[tuple[str, FreqTimeBox]]) -> None:
 
 
 def read_box_records(path) -> list[tuple[str, FreqTimeBox]]:
-    """``write_box_records``'s pairs; a number cell that is missing or malformed
-    raises InvalidParamsError naming the data row (1 is the first) and column."""
-    return [(row["file_id"], FreqTimeBox(
-        label=row["class"],
-        **{key: parse_field(float, row, key, f"{path} row {row_no}")
-           for key in ("f_low_hz", "f_high_hz", "t_start_s", "t_end_s", "confidence")},
-    )) for row_no, row in enumerate(read_csv(path), 1)]
+    """``write_box_records``'s pairs; a number cell that is missing or malformed,
+    or a box that ``FreqTimeBox`` rejects, raises InvalidParamsError naming the
+    data row (1 is the first)."""
+    records = []
+    for row_no, row in enumerate(read_csv(path), 1):
+        where = f"{path} row {row_no}"
+        fields = {key: parse_field(float, row, key, where)
+                  for key in ("f_low_hz", "f_high_hz", "t_start_s", "t_end_s", "confidence")}
+        try:
+            records.append((row["file_id"], FreqTimeBox(label=row["class"], **fields)))
+        except InvalidParamsError as exc:
+            raise InvalidParamsError(f"{where}: {exc}") from None
+    return records

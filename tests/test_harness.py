@@ -24,7 +24,7 @@ from coexsim.errors import (
     MissingDataError,
     MissingModelError,
 )
-from coexsim.harness import cli, datasets
+from coexsim.harness import cli, datasets, evaluate
 from coexsim.harness.datasets import (
     KpmDatasetConfig,
     SpectrogramDatasetConfig,
@@ -36,7 +36,11 @@ from coexsim.harness.datasets import (
 from coexsim.harness.evaluate import (
     eval_detector,
     eval_localizer,
+    localize_items,
+    localizer_rows,
     pooled_localizer_metrics,
+    pooled_metrics,
+    radar_slice,
 )
 from coexsim.harness.scenario import (
     POLICIES,
@@ -48,7 +52,7 @@ from coexsim.harness.scenario import (
     scenario_from_yaml,
 )
 from coexsim.fileio import read_csv, write_csv
-from coexsim.localize import RADAR, evaluate_localizer, localize
+from coexsim.localize import RADAR, FreqTimeBox, evaluate_localizer, localize
 from coexsim.ranlink import KpmRecord, LinkConfig, read_kpm_csv, write_kpm_csv
 from coexsim.signals import SAMPLE_RATE_HZ, RadarParams, SinrSpec
 
@@ -75,13 +79,16 @@ def spectro_dataset(tmp_path_factory):
     return out
 
 
-def replace_cell(text, column, value):
-    """CSV ``text`` with ``column`` of its first data row set to ``value``."""
-    lines = text.splitlines()
-    cells = lines[1].split(",")
-    cells[lines[0].split(",").index(column)] = value
-    lines[1] = ",".join(cells)
-    return "\n".join(lines) + "\n"
+def set_cell(column, value):
+    """A corruption: rewrites a CSV file with ``column`` of its first data row set
+    to ``value``."""
+    def corrupt(path):
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
 
 
 class TestKpmDataset:
@@ -317,8 +324,12 @@ class TestEvaluate:
         assert pooled.recall >= 0.9
 
     def test_pooled_empty_slice(self, spectro_dataset):
-        with pytest.raises(MissingDataError):
+        with pytest.raises(MissingDataError, match="^no items in requested SINR slice$"):
             pooled_localizer_metrics(spectro_dataset, min_sinr_db=99.0)
+        items = localize_items(spectro_dataset, radar_slice(99.0))
+        assert items == []
+        with pytest.raises(MissingDataError, match="^no items in requested SINR slice$"):
+            pooled_metrics(items, 99.0)
 
 
 def load_all_pooled_metrics(dataset_dir, min_sinr_db):
@@ -343,13 +354,19 @@ def sweep_dataset(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def sweep_items(sweep_dataset):
+    return localize_items(sweep_dataset)
+
+
 class TestPooledSlice:
-    """The pooled metrics load only the slice's items and equal the load-all loop."""
+    """The pooled metrics load only the slice's items and equal the load-all loop,
+    and so does every slice of the one-pass item list."""
 
     @settings(max_examples=12, deadline=None)
     @given(min_sinr_db=st.sampled_from([-np.inf, 3.9, 4.0, 8.0, 8.5, 12.0, 12.1, np.nan])
            | st.floats(0.0, 14.0))
-    def test_equals_load_all_loop(self, sweep_dataset, min_sinr_db):
+    def test_equals_load_all_loop(self, sweep_dataset, sweep_items, min_sinr_db):
         loaded = []
         load = datasets.load_spectrogram
         with pytest.MonkeyPatch.context() as patch:
@@ -359,6 +376,8 @@ class TestPooledSlice:
                 with pytest.raises(InvalidParamsError, match="min_sinr_db is nan"):
                     pooled_localizer_metrics(sweep_dataset, min_sinr_db)
                 assert loaded == []
+                with pytest.raises(InvalidParamsError, match="min_sinr_db is nan"):
+                    pooled_metrics(sweep_items, min_sinr_db)
                 return
             try:
                 got = pooled_localizer_metrics(sweep_dataset, min_sinr_db)
@@ -373,6 +392,38 @@ class TestPooledSlice:
         except MissingDataError:
             want = None
         assert repr(got) == repr(want)
+        try:
+            sliced = pooled_metrics(sweep_items, min_sinr_db)
+        except MissingDataError:
+            sliced = None
+        assert repr(sliced) == repr(want)
+
+    def test_rows_of_item_list_equal_eval_localizer(self, sweep_dataset, sweep_items):
+        rows = localizer_rows(sweep_items)
+        assert [r.sinr_db for r in rows] == [4.0, 8.0, 12.0]
+        assert rows == eval_localizer(sweep_dataset)
+
+    def test_item_list_holds_boxes_not_spectrograms(self, sweep_dataset, sweep_items):
+        listed = [(row["file_id"], float(row["sinr_db"]), row["has_radar"] == "1")
+                  for row in read_csv(sweep_dataset / "items.csv")]
+        assert [item[:3] for item in sweep_items] == listed
+        for *_, boxes, truths in sweep_items:
+            assert all(isinstance(b, FreqTimeBox) for b in boxes + truths)
+
+    def test_cli_loads_and_localizes_each_item_once(self, sweep_dataset, monkeypatch,
+                                                    capsys):
+        loaded, localized = [], []
+        load, boxes_of = datasets.load_spectrogram, evaluate.localize
+        monkeypatch.setattr(datasets, "load_spectrogram",
+                            lambda path: loaded.append(path) or load(path))
+        monkeypatch.setattr(evaluate, "localize",
+                            lambda sgram: localized.append(None) or boxes_of(sgram))
+        assert cli.main(["eval-localizer", "--data", str(sweep_dataset),
+                         "--min-sinr", "8"]) == 0
+        assert "pooled sinr >= +8.0" in capsys.readouterr().out
+        n_items = sum(1 for _ in read_csv(sweep_dataset / "items.csv"))
+        assert len(set(loaded)) == len(loaded) == n_items
+        assert len(localized) == n_items
 
 
 SCENARIO_PARAMS = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6)
@@ -996,8 +1047,18 @@ class TestCli:
          ": n_time_bins is 'abc', not an integer"),
         ("items.csv", lambda p: p.write_text(p.read_text().replace(",12.0,", ",eight,", 1)),
          " row 1: sinr_db is 'eight', not a number"),
-        ("truth_boxes.csv", lambda p: p.write_text(replace_cell(p.read_text(), "f_low_hz", "abc")),
+        ("truth_boxes.csv", set_cell("f_low_hz", "abc"),
          " row 1: f_low_hz is 'abc', not a number"),
+        ("truth_boxes.csv", set_cell("f_low_hz", "1e12"),
+         " row 1: f_low_hz must be < f_high_hz"),
+        ("truth_boxes.csv", set_cell("f_low_hz", "nan"),
+         " row 1: f_low_hz is nan, not a finite number"),
+        ("truth_boxes.csv", set_cell("t_start_s", "nan"),
+         " row 1: t_start_s is nan, not a finite number"),
+        ("truth_boxes.csv", set_cell("t_end_s", "inf"),
+         " row 1: t_end_s is inf, not a finite number"),
+        ("truth_boxes.csv", set_cell("class", "bogus"),
+         " row 1: label is 'bogus', not 'radar' or 'cellular'"),
         ("specs/item_00000.bin.meta", lambda p: p.write_bytes(b"\xff\xfe=1\n" + p.read_bytes()),
          " is not UTF-8 text: invalid start byte at byte 0"),
         ("specs/item_00000.bin.meta",
@@ -1015,8 +1076,9 @@ class TestCli:
                                        p.read_text())),
          ": freq_resolution_hz is 0.0, not a finite number above 0"),
     ], ids=["truncated-matrix", "missing-sidecar-key", "bad-sidecar-integer", "bad-item-cell",
-            "bad-truth-cell", "sidecar-not-utf-8", "nan-axis", "inf-axis", "inf-resolution",
-            "zero-resolution"])
+            "bad-truth-cell", "truth-f-low-above-f-high", "nan-truth-f-low", "nan-truth-t-start",
+            "inf-truth-t-end", "bogus-truth-class", "sidecar-not-utf-8", "nan-axis", "inf-axis",
+            "inf-resolution", "zero-resolution"])
     @pytest.mark.parametrize("min_sinr", [[], ["--min-sinr", "8"]], ids=["all", "min-sinr"])
     def test_error_line_on_corrupt_spectrogram_set(self, spectro_dataset, tmp_path, capsys,
                                                    name, corrupt, message, min_sinr):

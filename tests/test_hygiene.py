@@ -101,9 +101,8 @@ def test_no_unreferenced_definitions():
     assert unreferenced(defined, texts) == []
 
 
-# Public names that only tests read, on purpose: criterion 2's closed-form
-# SINR, and the supporting bins a localizer component keeps for the tests.
-TEST_ONLY_PUBLIC = {"compute_sinr", "support_rows", "support_cols"}
+# Public names that only tests read, on purpose: criterion 2's closed-form SINR.
+TEST_ONLY_PUBLIC = {"compute_sinr"}
 
 
 def test_no_public_definition_only_tests_reference():

@@ -16,7 +16,6 @@ from coexsim.localize import (
     _ROW_BLOCK,
     _component_members,
     _dilate_square,
-    _extract_components,
     _row_quantile_and_median,
     evaluate_localizer,
     iou,
@@ -158,20 +157,25 @@ class TestLocalize:
         out, _ = mix_at_sinr(silent, silent, noise_spec, seed=6)
         assert localize(stft_spectrogram(out)) == []
 
-    def test_dilation_soundness(self, monkeypatch):
-        # higher threshold: every radar component's bin support is contained
-        # in the support of some lower-threshold component
+    def test_dilation_soundness(self):
+        # higher threshold: the bins of every high-threshold group lie inside
+        # the bins of one low-threshold group over the same spectrogram
         out, _, _ = make_composite(12.0, seed=7)
-        spec = stft_spectrogram(out)
-        monkeypatch.setattr(LOCALIZE_MODULE, "THRESHOLD_DB_ABOVE_FLOOR", 8.0)
-        low = _extract_components(spec)
-        monkeypatch.setattr(LOCALIZE_MODULE, "THRESHOLD_DB_ABOVE_FLOOR", 12.0)
-        high = _extract_components(spec)
-        low_supports = [set(zip(c.support_rows.tolist(), c.support_cols.tolist()))
-                        for c in low]
-        for comp in high:
-            bins = set(zip(comp.support_rows.tolist(), comp.support_cols.tolist()))
-            assert any(bins <= sup for sup in low_supports)
+        lin = stft_spectrogram(out).power
+        row_q, _ = _row_quantile_and_median(lin, NOISE_FLOOR_PERCENTILE)
+        row_floor = row_q / (-np.log(1.0 - NOISE_FLOOR_PERCENTILE / 100.0))
+        radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
+
+        def groups(threshold_db):
+            active = lin > row_floor[:, None] * 10.0 ** (threshold_db / 10.0)
+            return [set(zip(rows.tolist(), cols.tolist()))
+                    for rows, cols in _component_members(active, radius)]
+
+        low = groups(8.0)
+        high = groups(12.0)
+        assert high
+        for bins in high:
+            assert any(bins <= sup for sup in low)
 
     def test_fortran_and_c_order_give_equal_boxes(self, monkeypatch):
         out, _, _ = make_composite(10.0, seed=9)

@@ -12,8 +12,8 @@ The standard set, at the acceptance suite's sizes and seeds:
   entries carry the time of writing) with their accuracies, and each
   detector's ``eval_detector`` report on the set;
 - the seed-202 spectrogram set (250 items at each of 4, 8 and 12 dB), the
-  ``localize`` boxes of every item, the ``eval_localizer`` report and the
-  pooled metrics at 8 and 4 dB;
+  ``localize`` boxes of every item, the per-SINR localizer report and the
+  pooled metrics at 8 and 4 dB, all from one ``localize_items`` pass;
 - ``configs/scenario_example.yaml`` run with the N = 1 detector;
 - criterion 7's seed-55 runs: 0, 4 and 8 dB under each policy.
 
@@ -47,12 +47,12 @@ from coexsim.harness.datasets import (
     gen_kpm_dataset,
     gen_spectrogram_dataset,
     load_kpm_windows,
-    load_spectrogram_items,
 )
 from coexsim.harness.evaluate import (
     eval_detector,
-    eval_localizer,
-    pooled_localizer_metrics,
+    localize_items,
+    localizer_rows,
+    pooled_metrics,
     write_detector_report,
     write_localizer_report,
 )
@@ -64,7 +64,7 @@ from coexsim.harness.scenario import (
     run_scenario,
     scenario_from_yaml,
 )
-from coexsim.localize import localize, write_box_records
+from coexsim.localize import write_box_records
 from coexsim.signals import RadarParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,12 +99,12 @@ def write_standard_set(out: Path, kpm_items: int = 80, spec_items: int = 250,
     specs = gen_spectrogram_dataset(out / "specs", SpectrogramDatasetConfig(
         sinr_sweep_db=(4.0, 8.0, 12.0), items_per_sinr=spec_items, absent_fraction=0.0,
         seed=202))
+    items = localize_items(specs)
     write_box_records(out / "localized_boxes.csv",
-                      [(file_id, box) for file_id, _, _, sgram, _ in load_spectrogram_items(specs)
-                       for box in localize(sgram)])
-    write_localizer_report(out / "loc_eval.csv", eval_localizer(specs))
+                      [(file_id, box) for file_id, _, _, boxes, _ in items for box in boxes])
+    write_localizer_report(out / "loc_eval.csv", localizer_rows(items))
     write_sidecar(out / "loc_pooled.txt", {
-        f"min_sinr_{min_sinr:g}": repr(pooled_localizer_metrics(specs, min_sinr_db=min_sinr))
+        f"min_sinr_{min_sinr:g}": repr(pooled_metrics(items, min_sinr_db=min_sinr))
         for min_sinr in (8.0, 4.0)})
 
     example = scenario_from_yaml(EXAMPLE_CONFIG)
