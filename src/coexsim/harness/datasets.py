@@ -32,7 +32,8 @@ from ..ranlink import (
     write_kpm_csv,
 )
 from ..detect import KPM_FEATURES, check_count, check_seed, window_kpms
-from ..fileio import parse_field, read_csv, write_csv, write_sidecar
+from ..fileio import (open_text, parse_field, read_csv, require_columns, write_csv,
+                      write_sidecar)
 from ..signals import (
     COMBINED_DBM_MHZ,
     N_PRBS,
@@ -174,12 +175,11 @@ def gen_kpm_dataset(out_dir, config: KpmDatasetConfig = KpmDatasetConfig()) -> P
 
 def _read_columns(path: Path, names) -> np.ndarray:
     """The named columns of a CSV file that ``write_csv`` wrote, as ``[rows, names]`` floats;
-    a cell missing or not a number raises InvalidParamsError naming its row and column."""
-    with open(path) as fh:
+    a cell missing or not a number raises InvalidParamsError naming its row and column,
+    and bytes that are not UTF-8 name their offset."""
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        missing = [name for name in names if name not in header]
-        if missing:
-            raise InvalidParamsError(f"{path} lacks the column(s) {', '.join(missing)}")
+        require_columns(path, header, names)
         body = fh.tell()
         if not fh.readline():  # a header and no rows
             return np.empty((0, len(names)))
@@ -266,17 +266,17 @@ def gen_spectrogram_dataset(out_dir,
             composite, radar, achieved = sensing_capture(
                 params, sinr, COMBINED_DBM_MHZ, WINDOW_S,
                 cell_seed, noise_seed=int(rng.integers(2 ** 63)))
-            sgram = stft_spectrogram(composite)
-            save_spectrogram(out_dir / "specs" / f"{file_id}.bin", sgram, {
+            # No spectrogram is bound to a name: one held into the next STFT
+            # (4.9 MB) lifted the offline peak RSS.
+            save_spectrogram(out_dir / "specs" / f"{file_id}.bin", stft_spectrogram(composite), {
                 "file_id": file_id,
                 "sinr_db": sinr,
                 "achieved_sinr_db": repr(achieved),
                 "has_radar": int(has_radar),
             })
             if has_radar:
-                clean = stft_spectrogram(radar)
-                for box in radar_truth_boxes(clean):
-                    truth_records.append((file_id, box))
+                truth_records.extend((file_id, box)
+                                     for box in radar_truth_boxes(stft_spectrogram(radar)))
             items.append([file_id, sinr, int(has_radar)])
             item_idx += 1
 
@@ -309,7 +309,7 @@ def load_spectrogram_items(dataset_dir, keep=lambda sinr_db, has_radar: True):
     if truth_path.exists():
         for file_id, box in read_box_records(truth_path):
             truth_by_id.setdefault(file_id, []).append(box)
-    with open(items_path) as fh:
+    with open_text(items_path) as fh:
         header = fh.readline().rstrip("\n").split(",")
     missing = [name for name in ("file_id", "sinr_db", "has_radar") if name not in header]
     if missing:

@@ -385,11 +385,12 @@ def write_box_records(path, records: list[tuple[str, FreqTimeBox]]) -> None:
 
 
 def read_box_records(path) -> list[tuple[str, FreqTimeBox]]:
-    """``write_box_records``'s pairs; a number cell that is missing or malformed,
-    or a box that ``FreqTimeBox`` rejects, raises InvalidParamsError naming the
-    data row (1 is the first)."""
+    """``write_box_records``'s pairs; a header that lacks one of their columns
+    raises InvalidParamsError naming it, and a number cell that is missing or
+    malformed, or a box that ``FreqTimeBox`` rejects, one naming the data row
+    (1 is the first)."""
     records = []
-    for row_no, row in enumerate(read_csv(path), 1):
+    for row_no, row in enumerate(read_csv(path, BOX_RECORD_FIELDS), 1):
         where = f"{path} row {row_no}"
         fields = {key: parse_field(float, row, key, where)
                   for key in ("f_low_hz", "f_high_hz", "t_start_s", "t_end_s", "confidence")}

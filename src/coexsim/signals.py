@@ -208,9 +208,11 @@ def gen_radar_pulse_train(params: RadarParams, duration_s: float) -> IqBuffer:
 
 @lru_cache(maxsize=8)
 def _prb_bin_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(PRB of each of n FFT bins, N_PRBS outside the band; FFT bins per PRB), read-only.
+    """(first FFT index of each PRB's bins, FFT bins per PRB) for n bins, read-only.
 
     A bin belongs to the PRB whose [low, high) interval holds its frequency.
+    No PRB spans DC, and the frequency rises with the index within each of
+    the two halves of the FFT grid, so each PRB's bins are one index range.
     """
     freqs = np.fft.fftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
     band_low = -N_PRBS * PRB_BANDWIDTH_HZ / 2.0
@@ -219,9 +221,14 @@ def _prb_bin_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     prb_of_bin[in_band] = np.clip(np.floor((freqs[in_band] - band_low) / PRB_BANDWIDTH_HZ),
                                   0, N_PRBS - 1)
     counts = np.bincount(prb_of_bin, minlength=N_PRBS + 1)[:N_PRBS]
-    for a in (prb_of_bin, counts):
+    run_starts = np.flatnonzero(np.diff(prb_of_bin, prepend=N_PRBS + 1))
+    run_prbs = prb_of_bin[run_starts]
+    in_band_runs = run_prbs < N_PRBS
+    starts = np.zeros(N_PRBS, dtype=np.intp)
+    starts[run_prbs[in_band_runs]] = run_starts[in_band_runs]
+    for a in (starts, counts):
         a.setflags(write=False)
-    return prb_of_bin, counts
+    return starts, counts
 
 
 def gen_cellular_baseband(prb_mask: np.ndarray | None, duration_s: float, seed=None
@@ -236,6 +243,13 @@ def gen_cellular_baseband(prb_mask: np.ndarray | None, duration_s: float, seed=N
     CLT.  The buffer carries the density ``_occupied_density`` would
     measure: PRBs hold k or k + 1 bins, so every active bin is within a
     factor 2 of the peak, well inside its -20 dB floor.
+
+    The phases are drawn in ascending FFT-index order.  Each PRB's bins are
+    one index range, so its tones are written straight into its slice of
+    the spectrum that the ifft then transforms in place.  The capture
+    allocates only the phases and the spectrum: index arrays, gathers and
+    tone temporaries of the same length made glibc map and fault fresh
+    pages in every Mode-2 window.
     """
     mask = np.ones(N_PRBS, dtype=bool) if prb_mask is None else np.asarray(prb_mask, dtype=bool)
     if mask.shape != (N_PRBS,):
@@ -245,23 +259,25 @@ def gen_cellular_baseband(prb_mask: np.ndarray | None, duration_s: float, seed=N
         return IqBuffer(np.zeros(n, dtype=np.complex128), occupied_density=0.0)
 
     rng = np.random.default_rng(seed)
-    prb_of_bin, counts = _prb_bin_layout(n)
+    starts, counts = _prb_bin_layout(n)
     if np.any(counts[mask] == 0):
         raise InvalidParamsError(
             "duration too short to place FFT bins inside each active PRB")
 
-    bins = np.flatnonzero(np.append(mask, False)[prb_of_bin])
-    n_active_bins = bins.size
-    prb_mag = np.zeros(N_PRBS)
-    prb_mag[mask] = np.sqrt(n * n / counts[mask])
-    mags = prb_mag[prb_of_bin[bins]]  # held to the end: freed early, it lifted peak RSS
+    active = np.flatnonzero(mask)
+    n_active_bins = int(counts[active].sum())
     phases = rng.uniform(0.0, 2.0 * np.pi, n_active_bins)
-    tones = np.exp(1j * phases)
-    tones *= mags
     spectrum = np.zeros(n, dtype=np.complex128)
-    spectrum[bins] = tones
+    drawn = 0
+    for p in active[np.argsort(starts[active])].tolist():
+        m = int(counts[p])
+        tones = spectrum[starts[p]:starts[p] + m]
+        np.multiply(phases[drawn:drawn + m], 1j, out=tones)
+        np.exp(tones, out=tones)
+        tones *= np.sqrt(n * n / counts[p])
+        drawn += m
     x = np.fft.ifft(spectrum, out=spectrum)
-    density = int(mask.sum()) / (n_active_bins * SAMPLE_RATE_HZ / n / 1e6)
+    density = len(active) / (n_active_bins * SAMPLE_RATE_HZ / n / 1e6)
     return IqBuffer(x, occupied_density=density)
 
 
@@ -474,7 +490,7 @@ def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz:
     cell = gen_cellular_baseband(prb_mask, duration_s, seed=cell_seed)
     powers = SinrSpec.from_target(sinr_db, combined_dbm_mhz)
     if radar is None:
-        radar_iq = IqBuffer(np.zeros(cell.n_samples))
+        radar_iq = IqBuffer(np.zeros(cell.n_samples, dtype=np.complex128))
         powers = SinrSpec(float("-inf"), powers.p_cellular_dbm_mhz, powers.p_noise_dbm_mhz)
     else:
         radar_iq = gen_radar_pulse_train(radar, duration_s)

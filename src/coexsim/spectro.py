@@ -105,7 +105,7 @@ def stft_spectrogram(iq: IqBuffer) -> Spectrogram:
             np.fft.fft(block, axis=1, out=block)
             mag = np.abs(block, out=magnitude[:t1 - t0])
             np.square(mag, out=mag)
-            mag /= FFT_SIZE
+            mag *= 1.0 / FFT_SIZE  # exact: FFT_SIZE is a power of two
             np.maximum(mag, floor_lin, out=mag)
             power[:half, t0:t1] = mag[:, half:].T  # row 0 = -fs/2
             power[half:, t0:t1] = mag[:, :half].T

@@ -198,14 +198,17 @@ class TestOnePrbGrid:
     def test_waveform_bins_lie_in_their_prb(self):
         n = round(WINDOW_S * SAMPLE_RATE_HZ)
         assert n == 153600
-        prb_of_bin, counts = _prb_bin_layout(n)
+        starts, counts = _prb_bin_layout(n)
         freqs = np.fft.fftfreq(n, d=1.0 / SAMPLE_RATE_HZ)
         assert not PRB_EDGES_HZ.flags.writeable and PRB_EDGES_HZ.size == N_PRBS + 1
+        in_a_prb = np.zeros(n, dtype=bool)
         for i in range(N_PRBS):
-            f = freqs[prb_of_bin == i]
+            f = freqs[starts[i]:starts[i] + counts[i]]
             assert f.size == counts[i] > 0
             assert (PRB_EDGES_HZ[i] <= f).all() and (f < PRB_EDGES_HZ[i + 1]).all()
-        outside = freqs[prb_of_bin == N_PRBS]
+            in_a_prb[starts[i]:starts[i] + counts[i]] = True
+        assert np.count_nonzero(in_a_prb) == counts.sum()  # no two ranges overlap
+        outside = freqs[~in_a_prb]
         assert ((outside < PRB_EDGES_HZ[0]) | (outside >= PRB_EDGES_HZ[-1])).all()
 
     def test_each_prb_span_maps_to_its_prb(self):

@@ -1059,6 +1059,10 @@ class TestCli:
          " row 1: t_end_s is inf, not a finite number"),
         ("truth_boxes.csv", set_cell("class", "bogus"),
          " row 1: label is 'bogus', not 'radar' or 'cellular'"),
+        ("truth_boxes.csv", lambda p: p.write_text(p.read_text().replace(",class,", ",", 1)),
+         " lacks the column(s) class"),
+        ("truth_boxes.csv", lambda p: p.write_text(p.read_text().replace("file_id,", "", 1)),
+         " lacks the column(s) file_id"),
         ("specs/item_00000.bin.meta", lambda p: p.write_bytes(b"\xff\xfe=1\n" + p.read_bytes()),
          " is not UTF-8 text: invalid start byte at byte 0"),
         ("specs/item_00000.bin.meta",
@@ -1077,7 +1081,8 @@ class TestCli:
          ": freq_resolution_hz is 0.0, not a finite number above 0"),
     ], ids=["truncated-matrix", "missing-sidecar-key", "bad-sidecar-integer", "bad-item-cell",
             "bad-truth-cell", "truth-f-low-above-f-high", "nan-truth-f-low", "nan-truth-t-start",
-            "inf-truth-t-end", "bogus-truth-class", "sidecar-not-utf-8", "nan-axis", "inf-axis",
+            "inf-truth-t-end", "bogus-truth-class", "truth-lacks-class",
+            "truth-lacks-file-id", "sidecar-not-utf-8", "nan-axis", "inf-axis",
             "inf-resolution", "zero-resolution"])
     @pytest.mark.parametrize("min_sinr", [[], ["--min-sinr", "8"]], ids=["all", "min-sinr"])
     def test_error_line_on_corrupt_spectrogram_set(self, spectro_dataset, tmp_path, capsys,
@@ -1089,6 +1094,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: InvalidParamsError: {data / name}{message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["items.csv", "truth_boxes.csv"])
+    @pytest.mark.parametrize("min_sinr", [[], ["--min-sinr", "8"]], ids=["all", "min-sinr"])
+    def test_error_line_on_non_utf8_spectrogram_csv(self, spectro_dataset, tmp_path, capsys,
+                                                    name, min_sinr):
+        data = tmp_path / "specs"
+        shutil.copytree(spectro_dataset, data)
+        path = data / name
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\xff\xfe")
+        assert cli.main(["eval-localizer", "--data", str(data), *min_sinr]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: InvalidParamsError: {path} is not UTF-8 text: "
+                                f"invalid start byte at byte {size}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["kpm_dataset.csv", "items.csv"])
+    def test_error_line_on_non_utf8_kpm_csv(self, kpm_dataset, tmp_path, capsys, name):
+        data = tmp_path / "kpm"
+        shutil.copytree(kpm_dataset, data)
+        path = data / name
+        size = path.stat().st_size  # kpm_dataset.csv spans several decoded chunks
+        path.write_bytes(path.read_bytes() + b"\xff\xfe")
+        model_path = tmp_path / "m.npz"
+        assert cli.main(["train-detector", "--data", str(data), "--out", str(model_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: InvalidParamsError: {path} is not UTF-8 text: "
+                                f"invalid start byte at byte {size}\n")
+        assert captured.out == ""
+        assert not model_path.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["gen-dataset", "--kind", "kpm", "--out", "{out}", "--seed", "1.5"],

@@ -222,6 +222,29 @@ class TestMeasureBandPower:
             measure_band_power(iq, 1e6, -1e6)
 
 
+def fftfreq_prb_of_bin(n):
+    """The PRB of each of n FFT bins on an ``fftfreq`` grid, 50 outside the band:
+    the one whose [low, high) interval holds the bin's frequency."""
+    freqs = np.fft.fftfreq(n, d=1.0 / FS)
+    band_low = -50 * 180e3 / 2.0
+    in_band = (freqs >= band_low) & (freqs < band_low + 50 * 180e3)
+    prb_of_bin = np.full(n, 50)
+    prb_of_bin[in_band] = np.clip(np.floor((freqs[in_band] - band_low) / 180e3), 0, 49)
+    return prb_of_bin
+
+
+def one_prb(p):
+    mask = np.zeros(50, dtype=bool)
+    mask[p] = True
+    return mask
+
+
+PRB_MASKS = (st.integers(0, 49).map(one_prb)
+             | st.integers(0, 49).map(lambda p: ~one_prb(p))
+             | st.sampled_from([np.arange(50) % 2 == 0, np.arange(50) % 2 == 1])
+             | st.lists(st.booleans(), min_size=50, max_size=50).filter(any).map(np.array))
+
+
 def fftfreq_band_density(samples, fs, f_low, f_high):
     """``measure_band_power`` as it was with an ``fftfreq`` mask: the reference
     for its bin index ranges.  A low edge at or below -fs/2 takes every bin
@@ -401,8 +424,11 @@ class TestInPlaceSynthesis:
 
     @staticmethod
     def cellular_oracle(mask, n, seed):
+        """The tones ``mags * np.exp(1j * phases)``, scattered on the active bins of
+        an ``fftfreq`` grid, the phases drawn in ascending bin order."""
         rng = np.random.default_rng(seed)
-        prb_of_bin, counts = _prb_bin_layout(n)
+        prb_of_bin = fftfreq_prb_of_bin(n)
+        counts = np.bincount(prb_of_bin, minlength=51)
         bins = np.flatnonzero(np.append(mask, False)[prb_of_bin])
         mags = np.sqrt(1.0 * n * n / counts[prb_of_bin[bins]])
         phases = rng.uniform(0.0, 2.0 * np.pi, bins.size)
@@ -423,6 +449,30 @@ class TestInPlaceSynthesis:
         mask[rng.integers(50)] = True
         got = gen_cellular_baseband(mask, 10e-3, seed=seed).samples
         assert np.array_equal(got, self.cellular_oracle(mask, 153600, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1500, 40000) | st.just(153600), mask=PRB_MASKS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=153600, mask=one_prb(24), seed=0)
+    @example(n=153600, mask=one_prb(25), seed=0)
+    @example(n=1500, mask=one_prb(24), seed=1)
+    @example(n=1501, mask=one_prb(25), seed=1)
+    def test_cellular_per_prb_equals_scattered_tones(self, n, mask, seed):
+        got = gen_cellular_baseband(mask, n / FS, seed=seed).samples
+        assert got.size == n
+        assert np.array_equal(got, self.cellular_oracle(mask, n, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40000) | st.just(153600))
+    def test_each_prb_is_one_index_range_in_draw_order(self, n):
+        starts, counts = _prb_bin_layout(n)
+        prb_of_bin = fftfreq_prb_of_bin(n)
+        assert np.array_equal(counts, np.bincount(prb_of_bin, minlength=51)[:50])
+        ranges = sorted((int(starts[p]), int(counts[p]), p) for p in range(50) if counts[p])
+        for start, count, p in ranges:
+            assert (prb_of_bin[start:start + count] == p).all()
+        drawn = np.concatenate([np.arange(start, start + count) for start, count, _ in ranges])
+        assert np.array_equal(drawn, np.flatnonzero(prb_of_bin < 50))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_mix_equals_sum_of_components(self, seed):

@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from coexsim.errors import TooShortInputError
-from coexsim.signals import IqBuffer, gen_awgn
+from coexsim.signals import IqBuffer, RadarParams, gen_awgn, sensing_capture
 from coexsim.spectro import (
     _BLOCK_FRAMES,
     FFT_SIZE,
@@ -219,6 +219,18 @@ class TestLiveFrames:
         power = stft_spectrogram(radar).power
         assert power.tobytes() == dense_stft_power(radar).tobytes()
         assert (power == 10.0 ** (POWER_FLOOR_DB / 10.0)).all(axis=0).sum() > 500
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capture_equals_dividing_stft(self, seed):
+        """The STFT scales by the reciprocal of FFT_SIZE, a power of two, so it
+        rounds as the division of the dense STFT does."""
+        mask = np.ones(50, dtype=bool)
+        mask[20 + seed:30 + seed] = False
+        radar = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6 - 1e6 * seed)
+        composite, clean, _ = sensing_capture(radar, 4.0 * seed, -109.0, 10e-3, seed, seed + 1,
+                                              prb_mask=mask)
+        for iq in (composite, clean):
+            assert stft_spectrogram(iq).power.tobytes() == dense_stft_power(iq).tobytes()
 
 
 class TestExport:
