@@ -22,7 +22,7 @@ from .signals import (
     measure_band_power,
     mix_at_sinr,
 )
-from .spectro import Spectrogram, stft_spectrogram
+from .spectro import stft_spectrogram
 from .ranlink import (
     KpmRecord,
     LinkConfig,

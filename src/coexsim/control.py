@@ -235,20 +235,16 @@ class XappController:
     emitted whenever the AIMD step changes the index, in both modes.
     """
 
-    def __init__(self, guard_prbs: int = 1, mcs_adaptation: bool = True,
-                 blanking: bool = True):
+    def __init__(self, guard_prbs: int = 1, mcs_adaptation: bool = True):
         self.mcs_state = McsControllerState()
         self.mode_state = ModeState()
         self.guard_prbs = guard_prbs
         self.mcs_adaptation = mcs_adaptation
-        self.blanking = blanking
 
     def step(self, detection, localization: list[FreqTimeBox] | None,
              bler_pct: float) -> list[Command]:
-        commands: list[Command] = []
-        if self.blanking:
-            self.mode_state, commands = mode_step(
-                self.mode_state, detection, localization, self.guard_prbs)
+        self.mode_state, commands = mode_step(
+            self.mode_state, detection, localization, self.guard_prbs)
         if self.mcs_adaptation:
             new_state = mcs_update(self.mcs_state, bler_pct)
             if new_state.mcs != self.mcs_state.mcs:

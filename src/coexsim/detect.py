@@ -150,10 +150,31 @@ class ClassifierModel:
                 )
             except KeyError as exc:
                 raise InvalidParamsError(f"model file {path} lacks an array: {exc}") from exc
+        _check_model_shapes(model, path)
         arrays = [*model.weights, *model.biases, model.feat_mean, model.feat_std]
         if not all(np.isfinite(a).all() for a in arrays):
             raise InvalidParamsError(f"model file {path} holds non-finite values")
+        if not (model.feat_std > 0).all():
+            raise InvalidParamsError(f"model file {path}: feat_std holds a value not above 0")
         return model
+
+
+def _check_model_shapes(model: ClassifierModel, path) -> None:
+    """Each array's shape follows ``layer_sizes``, which ends in the 2 classes; a
+    model file that breaks this raises InvalidParamsError naming the array."""
+    sizes = model.layer_sizes
+    if len(sizes) < 2 or sizes[-1] != 2:
+        raise InvalidParamsError(f"model file {path}: layer_sizes is {list(sizes)}, which does "
+                                 f"not end in the 2 classes")
+    want = {"feat_mean": (model.feat_mean, (sizes[0],)),
+            "feat_std": (model.feat_std, (sizes[0],))}
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        want[f"W{i}"] = (w, (sizes[i + 1], sizes[i]))
+        want[f"b{i}"] = (b, (sizes[i + 1],))
+    for name, (array, shape) in want.items():
+        if array.shape != shape:
+            raise InvalidParamsError(f"model file {path}: {name} has shape {array.shape}, "
+                                     f"not {shape}")
 
 
 def check_seed(seed) -> None:

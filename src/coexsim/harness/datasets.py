@@ -67,22 +67,20 @@ def draw_radar_params(rng: np.random.Generator) -> RadarParams:
                        burst_start_s=start)
 
 
-def interference_units(sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ,
-                       coupling_db: float = DEFAULT_COUPLING_DB) -> float:
+def interference_units(sinr_db: float, coupling_db: float = DEFAULT_COUPLING_DB) -> float:
     """Radar pulse-on power at the base station, in per-PRB-noise units."""
-    spec = SinrSpec.from_target(sinr_db, combined_dbm_mhz)
+    spec = SinrSpec.from_target(sinr_db)
     d_radar = dbm_to_linear(spec.p_radar_dbm_mhz)          # mW/MHz peak
     noise_per_prb = dbm_to_linear(spec.p_noise_dbm_mhz) * PRB_BANDWIDTH_HZ / 1e6  # mW
     return dbm_to_linear(coupling_db) * d_radar / noise_per_prb
 
 
-def interference_is_finite(sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ,
-                           coupling_db: float = DEFAULT_COUPLING_DB) -> bool:
+def interference_is_finite(sinr_db: float, coupling_db: float = DEFAULT_COUPLING_DB) -> bool:
     """Whether ``interference_units`` is finite, computed without its overflow
     warning or error."""
     try:
         with np.errstate(over="ignore"):
-            return math.isfinite(interference_units(sinr_db, combined_dbm_mhz, coupling_db))
+            return math.isfinite(interference_units(sinr_db, coupling_db))
     except OverflowError:
         return False
 
@@ -264,8 +262,7 @@ def gen_spectrogram_dataset(out_dir,
             cell_seed = int(rng.integers(2 ** 63))
             params = draw_radar_params(rng) if has_radar else None
             composite, radar, achieved = sensing_capture(
-                params, sinr, COMBINED_DBM_MHZ, WINDOW_S,
-                cell_seed, noise_seed=int(rng.integers(2 ** 63)))
+                params, sinr, WINDOW_S, cell_seed, noise_seed=int(rng.integers(2 ** 63)))
             # No spectrogram is bound to a name: one held into the next STFT
             # (4.9 MB) lifted the offline peak RSS.
             save_spectrogram(out_dir / "specs" / f"{file_id}.bin", stft_spectrogram(composite), {
@@ -297,8 +294,9 @@ def gen_spectrogram_dataset(out_dir,
 
 
 def load_spectrogram_items(dataset_dir, keep=lambda sinr_db, has_radar: True):
-    """Yields (file_id, sinr_db, has_radar, Spectrogram, truth boxes) for each
-    item that ``keep(sinr_db, has_radar)`` accepts; it loads no other.  A
+    """Yields (file_id, sinr_db, has_radar, linear power, truth boxes) for each
+    item that ``keep(sinr_db, has_radar)`` accepts; it loads no other.  The power
+    is ``load_spectrogram``'s ``[freq, time]`` array, on the STFT's axes.  A
     malformed item cell or spectrogram file raises InvalidParamsError."""
     dataset_dir = Path(dataset_dir)
     items_path = dataset_dir / ITEMS_FILE
@@ -320,5 +318,5 @@ def load_spectrogram_items(dataset_dir, keep=lambda sinr_db, has_radar: True):
         sinr_db = parse_field(float, row, "sinr_db", where)
         has_radar = bool(parse_field(int, row, "has_radar", where))
         if keep(sinr_db, has_radar):
-            sgram, _ = load_spectrogram(dataset_dir / "specs" / f"{file_id}.bin")
-            yield file_id, sinr_db, has_radar, sgram, truth_by_id.get(file_id, [])
+            power, _ = load_spectrogram(dataset_dir / "specs" / f"{file_id}.bin")
+            yield file_id, sinr_db, has_radar, power, truth_by_id.get(file_id, [])

@@ -55,8 +55,8 @@ class LocalizerEvalRow:
 def localize_items(dataset_dir, keep=lambda sinr_db, has_radar: True) -> list[tuple]:
     """(file_id, sinr_db, has_radar, ``localize`` boxes, truth boxes) of each item
     that ``keep(sinr_db, has_radar)`` accepts, in dataset order."""
-    return [(file_id, sinr_db, has_radar, localize(sgram), truths)
-            for file_id, sinr_db, has_radar, sgram, truths
+    return [(file_id, sinr_db, has_radar, localize(power), truths)
+            for file_id, sinr_db, has_radar, power, truths
             in load_spectrogram_items(dataset_dir, keep)]
 
 

@@ -59,12 +59,7 @@ from ..ranlink import (
 )
 from ..signals import SAMPLE_RATE_HZ, IqBuffer, RadarParams, dbm_to_linear, sensing_capture
 from ..spectro import FFT_SIZE, stft_spectrogram
-from .datasets import (
-    COMBINED_DBM_MHZ,
-    DEFAULT_COUPLING_DB,
-    interference_is_finite,
-    interference_units,
-)
+from .datasets import DEFAULT_COUPLING_DB, interference_is_finite, interference_units
 
 POLICY_BASELINE = "baseline"
 POLICY_BLANKING = "blanking"
@@ -89,7 +84,6 @@ class ScenarioConfig:
     radar_schedule: list = field(default_factory=list)  # RadarWindow items
     offered_load_range_mbps: tuple = (1.0, 5.0)
     link: LinkConfig = field(default_factory=lambda: LinkConfig(base_sinr_db=35.0))
-    combined_dbm_mhz: float = COMBINED_DBM_MHZ
     coupling_db: float = DEFAULT_COUPLING_DB
     guard_prbs: int = 1
     seed: int = 0
@@ -100,8 +94,7 @@ class ScenarioConfig:
         # meets the same finite and integer checks here, and a string or a
         # bool is not a number.
         try:
-            for name in ("duration_s", "telemetry_period_s", "combined_dbm_mhz",
-                         "coupling_db"):
+            for name in ("duration_s", "telemetry_period_s", "coupling_db"):
                 _number(getattr(self, name), name)
             for name in ("base_sinr_db", "sinr_jitter_db"):
                 _number(getattr(self.link, name), f"link.{name}")
@@ -110,17 +103,19 @@ class ScenarioConfig:
             for i, (t_start, sinr) in enumerate(self.sinr_schedule):
                 _number(t_start, f"sinr_schedule[{i}].t_start_s")
                 _number(sinr, f"sinr_schedule[{i}].sinr_db")
+            for i, w in enumerate(self.radar_schedule):
+                _number(w.t_on_s, f"radar_schedule[{i}].t_on_s")
+                _number(w.t_off_s, f"radar_schedule[{i}].t_off_s")
             for i, bound in enumerate(self.offered_load_range_mbps):
                 _number(bound, f"offered_load_range_mbps[{i}]")
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
         # A level without a finite linear power overflows, or divides by zero,
-        # in the first radar window: the combined density, the coupling, and
-        # the radar's power at the base station for each scheduled SINR.
-        _level(self.combined_dbm_mhz, "combined_dbm_mhz")
+        # in the first radar window: the coupling, and the radar's power at the
+        # base station for each scheduled SINR.
         _level(self.coupling_db, "coupling_db")
         for i, (_, sinr) in enumerate(self.sinr_schedule):
-            if not interference_is_finite(sinr, self.combined_dbm_mhz, self.coupling_db):
+            if not interference_is_finite(sinr, self.coupling_db):
                 raise InvalidConfigError(
                     f"sinr_schedule[{i}].sinr_db {sinr} with coupling_db {self.coupling_db} "
                     f"puts a radar power at the base station that is not finite")
@@ -223,7 +218,7 @@ class _World:
         sinr_db = _sinr_at(config, t0)
         profile = self.silent
         if radar_win is not None:
-            units = interference_units(sinr_db, config.combined_dbm_mhz, config.coupling_db)
+            units = interference_units(sinr_db, config.coupling_db)
             profile = radar_psd_per_prb(radar_win.params, units)
         offered = float(rng.uniform(*config.offered_load_range_mbps))
         kpm = self.uplink.step(self.mcs, self.mask, profile, offered,
@@ -235,9 +230,8 @@ class _World:
         cell_seed = int(rng.integers(2 ** 63))
         iq, _, _ = sensing_capture(
             None if radar_win is None else radar_win.params, sinr_db,
-            config.combined_dbm_mhz, config.telemetry_period_s, cell_seed,
-            noise_seed=int(rng.integers(2 ** 63)), prb_mask=self.mask,
-            measure_achieved=False)
+            config.telemetry_period_s, cell_seed, noise_seed=int(rng.integers(2 ** 63)),
+            prb_mask=self.mask, measure_achieved=False)
         return radar_win, kpm, iq
 
     def apply(self, commands: list[Command]) -> None:
@@ -258,8 +252,8 @@ def _pipeline_step(ledger: LatencyLedger, controller: XappController,
     recent.append(ledger.timed(STAGE_TELEMETRY_INGEST, record_features, kpm))
     boxes = None
     if iq is not None:
-        sgram = ledger.timed(STAGE_SPECTROGRAM_BUILD, stft_spectrogram, iq)
-        boxes = ledger.timed(STAGE_LOCALIZATION_INFERENCE, localize, sgram)
+        power = ledger.timed(STAGE_SPECTROGRAM_BUILD, stft_spectrogram, iq)
+        boxes = ledger.timed(STAGE_LOCALIZATION_INFERENCE, localize, power)
     return ledger.timed(STAGE_KPM_INFERENCE_POLICY, _decide, controller, detector, recent,
                         boxes, kpm.bler_pct)
 
@@ -287,11 +281,8 @@ def run_scenario(config: ScenarioConfig, detector: ClassifierModel | None) -> Sc
     n_windows = int(round(config.duration_s / ts))
     ledger = LatencyLedger()
     world = _World(config)
-    controller = XappController(
-        guard_prbs=config.guard_prbs,
-        mcs_adaptation=(config.policy == POLICY_FULL),
-        blanking=(config.policy in (POLICY_BLANKING, POLICY_FULL)),
-    )
+    controller = XappController(guard_prbs=config.guard_prbs,
+                                mcs_adaptation=(config.policy == POLICY_FULL))
     recent = deque(maxlen=config.n_stack)
     records, labels, command_log = [], [], []
     # window indices: radar on and off, and the loop's detection,
@@ -401,7 +392,11 @@ def _mapping(value, where: str, readers: dict) -> dict:
 
 def _each(read):
     """The reader of a YAML list whose entries ``read`` reads one by one."""
-    return lambda value, name: [read(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    def read_list(value, name: str) -> list:
+        if not isinstance(value, list):
+            raise InvalidConfigError(f"{name} must be a list, not {type(value).__name__}")
+        return [read(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return read_list
 
 
 # A radar window's keys, and the defaults of those RadarParams has none for.

@@ -2,7 +2,9 @@
 
 The reference localizer is deliberately simple and deterministic so its
 outputs can be reasoned about; it sits behind a plain function interface so
-a learned detector can be dropped in instead.  Detection runs on two paths:
+a learned detector can be dropped in instead.  It reads a spectrogram as
+``spectro`` gives it, a linear ``[freq, time]`` power array, and places its
+boxes on the STFT's fixed axes.  Detection runs on two paths:
 
 * transient path: bins exceeding a per-row noise floor (20th-percentile
   quantile estimate scaled to mean-equivalent for exponential periodogram
@@ -34,7 +36,7 @@ from scipy import ndimage
 
 from .errors import InvalidParamsError
 from .fileio import parse_field, read_csv, write_csv
-from .spectro import Spectrogram
+from .spectro import F_START_HZ, FFT_SIZE, FREQ_RESOLUTION_HZ, HOP, TIME_RESOLUTION_S
 
 RADAR = "radar"
 CELLULAR = "cellular"
@@ -121,13 +123,13 @@ def _refine_extent(lin: np.ndarray, floor_lin: np.ndarray, rows_idx: np.ndarray,
     return r0 + rlo, r0 + rhi, c0 + clo, c0 + chi
 
 
-def _bins_to_box(spec: Spectrogram, rmin: int, rmax: int, cmin: int, cmax: int,
-                 label: str, confidence: float) -> FreqTimeBox:
+def _bins_to_box(rmin: int, rmax: int, cmin: int, cmax: int, label: str,
+                 confidence: float) -> FreqTimeBox:
     return FreqTimeBox(
-        f_low_hz=spec.f_start_hz + rmin * spec.freq_resolution_hz,
-        f_high_hz=spec.f_start_hz + (rmax + 1) * spec.freq_resolution_hz,
-        t_start_s=spec.t_start_s + cmin * spec.time_resolution_s,
-        t_end_s=spec.t_start_s + (cmax + 1) * spec.time_resolution_s,
+        f_low_hz=F_START_HZ + rmin * FREQ_RESOLUTION_HZ,
+        f_high_hz=F_START_HZ + (rmax + 1) * FREQ_RESOLUTION_HZ,
+        t_start_s=cmin * TIME_RESOLUTION_S,
+        t_end_s=(cmax + 1) * TIME_RESOLUTION_S,
         label=label,
         confidence=confidence,
     )
@@ -216,11 +218,12 @@ def _component_members(active: np.ndarray, radius: int
     return [(rows[g], cols[g]) for g in groups]
 
 
-def localize(spec: Spectrogram) -> list[FreqTimeBox]:
-    """Detect and box signal occupancy; returns boxes sorted by confidence."""
+def localize(power: np.ndarray) -> list[FreqTimeBox]:
+    """Detect and box signal occupancy in a linear ``[freq, time]`` spectrogram;
+    returns boxes sorted by confidence."""
     # Every pass below runs along rows.  STFT and loaded spectrograms are
     # C-order already; the call copies only caller-built F-order arrays.
-    lin = np.ascontiguousarray(spec.power)
+    lin = np.ascontiguousarray(power)
     n_rows, n_cols = lin.shape
     pct = NOISE_FLOOR_PERCENTILE
 
@@ -234,7 +237,7 @@ def localize(spec: Spectrogram) -> list[FreqTimeBox]:
     # MIN_BOX_BINS counts distinct resolution cells: with overlapped columns
     # (hop < fft) one noise event smears across fft/hop columns, so those
     # correlated looks collapse onto the true time-frequency grid.
-    overlap = max(1, round(1.0 / (spec.freq_resolution_hz * spec.time_resolution_s)))
+    overlap = FFT_SIZE // HOP
 
     # Transient path: per-bin exceedances over the local row floor.
     active = lin > row_floor[:, None] * thr_lin
@@ -248,13 +251,13 @@ def localize(spec: Spectrogram) -> list[FreqTimeBox]:
         rmin, rmax = int(rows_idx.min()), int(rows_idx.max())
         cmin, cmax = int(cols_idx.min()), int(cols_idx.max())
         duty = len(np.unique(cols_idx)) / (cmax - cmin + 1)
-        bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
+        bw_hz = (rmax - rmin + 1) * FREQ_RESOLUTION_HZ
         label = (CELLULAR if duty >= CELLULAR_DUTY_THRESHOLD
                  and bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR)
         excess = np.mean(10.0 * np.log10(lin[rows_idx, cols_idx])
                          - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
         rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx, cols_idx)
-        boxes.append(_bins_to_box(spec, rmin, rmax, cmin, cmax, label,
+        boxes.append(_bins_to_box(rmin, rmax, cmin, cmax, label,
                                   _squash_confidence(float(excess))))
 
     # Persistent path: rows whose median power clears the quietest-row floor.
@@ -266,23 +269,22 @@ def localize(spec: Spectrogram) -> list[FreqTimeBox]:
         for run in np.split(rows, np.flatnonzero(np.diff(rows) > MERGE_GAP_BINS) + 1):
             rmin, rmax = int(run[0]), int(run[-1])
             # A full-duration run meets the duty rule, so its width sets the class.
-            bw_hz = (rmax - rmin + 1) * spec.freq_resolution_hz
+            bw_hz = (rmax - rmin + 1) * FREQ_RESOLUTION_HZ
             label = CELLULAR if bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR
             excess = np.mean(10.0 * np.log10(row_med[run] / (global_floor * thr_lin)))
-            boxes.append(_bins_to_box(spec, rmin, rmax, 0, n_cols - 1, label,
+            boxes.append(_bins_to_box(rmin, rmax, 0, n_cols - 1, label,
                                       _squash_confidence(float(excess))))
 
     return sorted(boxes, key=lambda b: -b.confidence)
 
 
-def radar_truth_boxes(clean_radar_spec: Spectrogram) -> list[FreqTimeBox]:
-    """Ground-truth boxes from a noise-free radar spectrogram.
+def radar_truth_boxes(lin: np.ndarray) -> list[FreqTimeBox]:
+    """Ground-truth boxes from a noise-free radar spectrogram's linear power.
 
     Each pulse is segmented by gaps in the column-energy profile, then its
     extent is refined with the same trim levels the localizer applies, so
     the truth describes the pulse's support at the analysis resolution.
     """
-    lin = clean_radar_spec.power
     if 10.0 * np.log10(lin.max()) - 10.0 * np.log10(lin.min()) < 1.0:
         return []  # flat spectrogram, no signal
     col_energy = lin.sum(axis=0)
@@ -299,7 +301,7 @@ def radar_truth_boxes(clean_radar_spec: Spectrogram) -> list[FreqTimeBox]:
         rows_idx, cols_rel = np.divmod(np.flatnonzero(sub > sub.max() * 1e-3), sub.shape[1])
         cols_idx = cols_rel + seg[0]
         rmin, rmax, cmin, cmax = _refine_extent(lin, zero_floor, rows_idx, cols_idx)
-        out.append(_bins_to_box(clean_radar_spec, rmin, rmax, cmin, cmax, RADAR, 1.0))
+        out.append(_bins_to_box(rmin, rmax, cmin, cmax, RADAR, 1.0))
     return out
 
 

@@ -143,17 +143,16 @@ class SinrSpec:
                 raise InvalidParamsError(f"{name} must be finite or -inf")
 
     @classmethod
-    def from_target(cls, target_sinr_db: float, combined_dbm_mhz: float = COMBINED_DBM_MHZ
-                    ) -> "SinrSpec":
-        """Build a spec for a target SINR against a fixed combined floor.
+    def from_target(cls, target_sinr_db: float) -> "SinrSpec":
+        """Build a spec for a target SINR against the fixed combined floor.
 
         The combined cellular+noise density is split equally between the two,
-        so their linear sum equals ``combined_dbm_mhz`` exactly.
+        so their linear sum equals ``COMBINED_DBM_MHZ`` exactly.
         """
-        lin_combined = dbm_to_linear(combined_dbm_mhz)
+        lin_combined = dbm_to_linear(COMBINED_DBM_MHZ)
         lin_noise = lin_combined / 2.0
         return cls(
-            p_radar_dbm_mhz=combined_dbm_mhz + target_sinr_db,
+            p_radar_dbm_mhz=COMBINED_DBM_MHZ + target_sinr_db,
             p_cellular_dbm_mhz=linear_to_db(lin_combined - lin_noise),
             p_noise_dbm_mhz=linear_to_db(lin_noise),
         )
@@ -477,9 +476,8 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     return IqBuffer(mix), 10.0 * float(np.log10(radar_meas / interference))
 
 
-def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz: float,
-                    duration_s: float, cell_seed: int, noise_seed: int,
-                    prb_mask: np.ndarray | None = None,
+def sensing_capture(radar: RadarParams | None, sinr_db: float, duration_s: float,
+                    cell_seed: int, noise_seed: int, prb_mask: np.ndarray | None = None,
                     measure_achieved: bool = True) -> tuple[IqBuffer, IqBuffer, float]:
     """What the sensing receiver records: (composite, clean radar, mix_at_sinr's SINR).
 
@@ -488,7 +486,7 @@ def sensing_capture(radar: RadarParams | None, sinr_db: float, combined_dbm_mhz:
     to ``sinr_db`` against the pinned cellular-plus-noise density.
     """
     cell = gen_cellular_baseband(prb_mask, duration_s, seed=cell_seed)
-    powers = SinrSpec.from_target(sinr_db, combined_dbm_mhz)
+    powers = SinrSpec.from_target(sinr_db)
     if radar is None:
         radar_iq = IqBuffer(np.zeros(cell.n_samples, dtype=np.complex128))
         powers = SinrSpec(float("-inf"), powers.p_cellular_dbm_mhz, powers.p_noise_dbm_mhz)

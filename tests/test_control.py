@@ -315,10 +315,10 @@ class TestXappController:
         assert cmds[0].payload == 14
 
     def test_policy_flags(self):
-        ctrl = XappController(mcs_adaptation=False, blanking=False)
+        ctrl = XappController(mcs_adaptation=False)
         cmds = ctrl.step(Detection(True, 0.9), None, bler_pct=50.0)
-        assert cmds == []
-        assert ctrl.mode_state.mode == Mode.MODE1
+        assert [c.kind for c in cmds] == [CMD_REQUEST_IQ]
+        assert ctrl.mode_state.mode == Mode.MODE2
 
     def test_full_cycle(self):
         ctrl = XappController(guard_prbs=0)

@@ -1,5 +1,4 @@
 from dataclasses import replace
-import inspect
 import math
 import re
 import shutil
@@ -54,7 +53,7 @@ from coexsim.harness.scenario import (
 from coexsim.fileio import read_csv, write_csv
 from coexsim.localize import RADAR, FreqTimeBox, evaluate_localizer, localize
 from coexsim.ranlink import KpmRecord, LinkConfig, read_kpm_csv, write_kpm_csv
-from coexsim.signals import SAMPLE_RATE_HZ, RadarParams, SinrSpec
+from coexsim.signals import SAMPLE_RATE_HZ, RadarParams
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +255,8 @@ class TestSpectrogramDataset:
     def test_items_and_truth(self, spectro_dataset):
         items = list(load_spectrogram_items(spectro_dataset))
         assert len(items) == 9  # 6 radar + 3 absent
-        for file_id, sinr, has_radar, sgram, truths in items:
-            assert sgram.power_db.shape[0] == 1024
+        for file_id, sinr, has_radar, power, truths in items:
+            assert power.shape[0] == 1024
             if has_radar:
                 assert truths, f"{file_id} lacks truth boxes"
             else:
@@ -297,10 +296,6 @@ class TestSpectrogramDataset:
         with pytest.raises(InvalidParamsError, match="^absent_fraction must be a finite number"):
             SpectrogramDatasetConfig(absent_fraction=fraction)
 
-    def test_combined_density_has_one_owner(self):
-        default = inspect.signature(SinrSpec.from_target).parameters["combined_dbm_mhz"]
-        assert default.default is datasets.COMBINED_DBM_MHZ
-
 
 class TestEvaluate:
     def test_detector_table(self, small_model, kpm_dataset):
@@ -336,10 +331,10 @@ def load_all_pooled_metrics(dataset_dir, min_sinr_db):
     """``pooled_localizer_metrics`` as it was before it read items.csv first:
     it loaded every item and kept the slice."""
     preds, truths = [], []
-    for _, sinr, has_radar, sgram, truth in load_spectrogram_items(dataset_dir):
+    for _, sinr, has_radar, power, truth in load_spectrogram_items(dataset_dir):
         if sinr < min_sinr_db or not has_radar:
             continue
-        preds.append([b for b in localize(sgram) if b.label == RADAR])
+        preds.append([b for b in localize(power) if b.label == RADAR])
         truths.append(truth)
     if not preds:
         raise MissingDataError("no items in requested SINR slice")
@@ -417,7 +412,7 @@ class TestPooledSlice:
         monkeypatch.setattr(datasets, "load_spectrogram",
                             lambda path: loaded.append(path) or load(path))
         monkeypatch.setattr(evaluate, "localize",
-                            lambda sgram: localized.append(None) or boxes_of(sgram))
+                            lambda power: localized.append(None) or boxes_of(power))
         assert cli.main(["eval-localizer", "--data", str(sweep_dataset),
                          "--min-sinr", "8"]) == 0
         assert "pooled sinr >= +8.0" in capsys.readouterr().out
@@ -554,7 +549,8 @@ class TestScenario:
         ({"sinr_schedule": [(0.0, 8.0), (0.05, -np.inf)]}, r"sinr_schedule\[1\].sinr_db"),
         ({"sinr_schedule": [(np.nan, 8.0)]}, r"sinr_schedule\[0\].t_start_s"),
         ({"coupling_db": float("nan")}, "coupling_db must be a finite number"),
-        ({"combined_dbm_mhz": np.inf}, "combined_dbm_mhz must be a finite number"),
+        ({"radar_schedule": [RadarWindow("0.05", 0.1, SCENARIO_PARAMS)]},
+         r"radar_schedule\[0\].t_on_s must be a finite number, not '0.05'"),
         ({"n_stack": 1.5}, "n_stack must be an integer, not 1.5"),
         ({"guard_prbs": True}, "guard_prbs must be an integer, not True"),
         ({"seed": 3.0}, "seed must be an integer, not 3.0"),
@@ -567,6 +563,8 @@ class TestScenario:
         ({"telemetry_period_s": np.nan}, "telemetry_period_s must be a finite number"),
         ({"link": LinkConfig(base_sinr_db="35")}, "link.base_sinr_db must be a finite"),
         ({"link": LinkConfig(sinr_jitter_db=np.inf)}, "link.sinr_jitter_db must be a finite"),
+        ({"radar_schedule": [RadarWindow(0.0, None, SCENARIO_PARAMS)]},
+         r"radar_schedule\[0\].t_off_s must be a finite number, not None"),
     ])
     def test_python_built_bad_number_rejected_by_name(self, kwargs, message):
         sc = ScenarioConfig(**{"duration_s": 0.1, "policy": POLICY_BASELINE, **kwargs})
@@ -593,7 +591,7 @@ class TestScenario:
          r"sinr_schedule\[0\].sinr_db 5000.0 with coupling_db 52.0 puts a radar power"),
         ({"sinr_schedule": [(0.0, 8.0), (0.05, 4000.0)]}, r"sinr_schedule\[1\].sinr_db 4000.0"),
         ({"coupling_db": 4000.0}, "coupling_db sets a level of 4000.0 dB"),
-        ({"combined_dbm_mhz": -4000.0}, "combined_dbm_mhz sets a level"),
+        ({"coupling_db": -4000.0}, "coupling_db sets a level of -4000.0 dB"),
         ({"coupling_db": 3000.0, "sinr_schedule": [(0.0, 100.0)]},
          r"sinr_schedule\[0\].sinr_db 100.0 with coupling_db 3000.0 puts a radar power"),
     ])
@@ -819,6 +817,30 @@ class TestCli:
         assert "non-finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: replace(m, weights=[m.weights[0], m.weights[1][:, :5], *m.weights[2:]]),
+         "W1 has shape (16, 5), not (16, 32)"),
+        (lambda m: replace(m, feat_mean=m.feat_mean[:2]), "feat_mean has shape (2,), not (4,)"),
+        (lambda m: replace(m, layer_sizes=(4, 32, 16)),
+         "layer_sizes is [4, 32, 16], which does not end in the 2 classes"),
+        (lambda m: replace(m, feat_std=np.zeros_like(m.feat_std)),
+         "feat_std holds a value not above 0"),
+    ], ids=["W1-cut", "feat-mean-cut", "layer-sizes-without-head", "zero-feat-std"])
+    @pytest.mark.parametrize("command", ["eval-detector", "run-scenario"])
+    def test_error_line_on_model_arrays_against_layer_sizes(self, small_model, kpm_dataset,
+                                                            tmp_path, capsys, edit, message,
+                                                            command):
+        model_path = tmp_path / "m.npz"
+        edit(small_model).save(model_path)
+        yaml_path = tmp_path / "ok.yaml"
+        yaml_path.write_text("duration_s: 0.05\n")
+        source = (["--data", str(kpm_dataset)] if command == "eval-detector"
+                  else ["--config", str(yaml_path)])
+        assert cli.main([command, "--model", str(model_path), *source]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: InvalidParamsError: model file {model_path}: {message}\n"
+        assert captured.out == ""
+
     def test_error_line_on_list_root_config(self, tmp_path):
         yaml_path = tmp_path / "list.yaml"
         yaml_path.write_text("- duration_s: 1.0\n")
@@ -871,6 +893,9 @@ class TestCli:
         ("output_dir: 5\n", "output_dir must be a string, not int"),
         ("link: {sinr_jitter_db: -0.5}\n", "bad scenario config: sinr_jitter_db"),
         ("link: {sinr_jitter_db: .nan}\n", "bad scenario config: sinr_jitter_db"),
+        ("radar_schedule: {t_on_s: 0.0, t_off_s: 0.05}\n",
+         "radar_schedule must be a list, not dict\n"),
+        ("sinr_schedule: 5\n", "sinr_schedule must be a list, not int\n"),
     ])
     def test_error_line_on_invalid_field(self, tmp_path, capsys, text, message):
         yaml_path = tmp_path / "bad.yaml"
@@ -1067,23 +1092,27 @@ class TestCli:
          " is not UTF-8 text: invalid start byte at byte 0"),
         ("specs/item_00000.bin.meta",
          lambda p: p.write_text(re.sub(r"t_start_s=.*", "t_start_s=nan", p.read_text())),
-         ": t_start_s is nan, not a finite number"),
+         ": t_start_s is nan, not the STFT's 0.0"),
         ("specs/item_00000.bin.meta",
          lambda p: p.write_text(re.sub(r"f_start_hz=.*", "f_start_hz=-inf", p.read_text())),
-         ": f_start_hz is -inf, not a finite number"),
+         ": f_start_hz is -inf, not the STFT's -7680000.0"),
         ("specs/item_00000.bin.meta",
          lambda p: p.write_text(re.sub(r"time_resolution_s=.*", "time_resolution_s=inf",
                                        p.read_text())),
-         ": time_resolution_s is inf, not a finite number above 0"),
+         ": time_resolution_s is inf, not the STFT's 1.6666666666666667e-05"),
         ("specs/item_00000.bin.meta",
          lambda p: p.write_text(re.sub(r"freq_resolution_hz=.*", "freq_resolution_hz=0",
                                        p.read_text())),
-         ": freq_resolution_hz is 0.0, not a finite number above 0"),
+         ": freq_resolution_hz is 0.0, not the STFT's 15000.0"),
+        ("specs/item_00000.bin.meta",
+         lambda p: p.write_text(re.sub(r"freq_resolution_hz=.*", "freq_resolution_hz=7500.0",
+                                       p.read_text())),
+         ": freq_resolution_hz is 7500.0, not the STFT's 15000.0"),
     ], ids=["truncated-matrix", "missing-sidecar-key", "bad-sidecar-integer", "bad-item-cell",
             "bad-truth-cell", "truth-f-low-above-f-high", "nan-truth-f-low", "nan-truth-t-start",
             "inf-truth-t-end", "bogus-truth-class", "truth-lacks-class",
             "truth-lacks-file-id", "sidecar-not-utf-8", "nan-axis", "inf-axis",
-            "inf-resolution", "zero-resolution"])
+            "inf-resolution", "zero-resolution", "other-resolution"])
     @pytest.mark.parametrize("min_sinr", [[], ["--min-sinr", "8"]], ids=["all", "min-sinr"])
     def test_error_line_on_corrupt_spectrogram_set(self, spectro_dataset, tmp_path, capsys,
                                                    name, corrupt, message, min_sinr):

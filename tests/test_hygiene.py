@@ -1,6 +1,6 @@
 """Source hygiene: no module under src/coexsim, tests or tools imports a name
 it never uses, no function, class or annotated field under src/coexsim goes
-unreferenced, and no public one is referenced from the tests alone."""
+unreferenced, and no public one is used by the tests' code alone."""
 
 import ast
 from collections import Counter
@@ -101,14 +101,50 @@ def test_no_unreferenced_definitions():
     assert unreferenced(defined, texts) == []
 
 
-# Public names that only tests read, on purpose: criterion 2's closed-form SINR.
-TEST_ONLY_PUBLIC = {"compute_sinr"}
+def code_references(source: str) -> Counter:
+    """How often ``source``'s code names each identifier: as a name, an attribute,
+    an imported name or its alias, a keyword argument, or inside a quoted
+    annotation.  Docstrings, comments and other strings do not count."""
+    refs = Counter(_string_annotation_names(ast.parse(source)))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs.update(n for n in (node.name, node.asname) if n)
+        elif isinstance(node, ast.keyword) and node.arg:
+            refs[node.arg] += 1
+    return refs
+
+
+def test_code_reference_scanner_ignores_words():
+    source = ('"""gen_awgn is named here only in words."""\n'
+              "from m import a, b as c\n"
+              "x = obj.attr + f(kw=1)  # lonely\n"
+              "def g() -> 'Model':\n    return 'literal'\n")
+    refs = code_references(source)
+    assert all(refs[n] for n in ("a", "b", "c", "obj", "attr", "f", "kw", "Model"))
+    assert not any(refs[n] for n in ("gen_awgn", "lonely", "literal", "g"))
+
+
+# Public names that no code outside the tests uses, on purpose, and why.
+TEST_ONLY_PUBLIC = {
+    "compute_sinr": "criterion 2's closed-form SINR",
+    "measure_band_power": "criterion 1's band-power oracle",
+    "gen_awgn": "a tracer target of perfbench/test_perfbench.py, until the benchmark "
+                "stops tracing it",
+    "error": "harness.cli._Parser.error, the hook argparse calls on a usage error",
+}
 
 
 def test_no_public_definition_only_tests_reference():
+    """Every public function, class and annotated field is used by code in src/
+    (re-exports in __init__.py aside), tools/ or perfbench/'s non-test modules."""
     defined = sum((defined_names(p.read_text()) for p in SRC.rglob("*.py")), Counter())
-    public = Counter({n: k for n, k in defined.items() if not n.startswith("_")})
-    assert TEST_ONLY_PUBLIC <= set(public)
-    texts = [p.read_text() for d in ("src", "tools", "perfbench")
-             for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"]
-    assert [n for n in unreferenced(public, texts) if n not in TEST_ONLY_PUBLIC] == []
+    public = {n for n in defined if not n.startswith("_")}
+    assert set(TEST_ONLY_PUBLIC) <= public
+    paths = [p for d in ("src", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")
+             if p.name != "__init__.py" and not p.name.startswith("test_")]
+    refs = sum((code_references(p.read_text()) for p in paths), Counter())
+    assert sorted(n for n in public if not refs[n] and n not in TEST_ONLY_PUBLIC) == []

@@ -165,7 +165,7 @@ class TestAwgn:
 
 class TestComputeSinr:
     def test_regulatory_anchor_20db(self):
-        spec = SinrSpec.from_target(20.0, combined_dbm_mhz=-109.0)
+        spec = SinrSpec.from_target(20.0)
         assert spec.p_radar_dbm_mhz == -89.0
         assert compute_sinr(spec) == pytest.approx(20.0, abs=1e-9)
 
@@ -498,19 +498,19 @@ class TestSensingCapture:
     def test_radar_matches_explicit_synthesis(self):
         mask = np.ones(50, dtype=bool)
         mask[20:30] = False
-        out, radar, achieved = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 11, 12,
+        out, radar, achieved = sensing_capture(self.RADAR, 8.0, 10e-3, 11, 12,
                                                prb_mask=mask)
         cell = gen_cellular_baseband(mask, 10e-3, seed=11)
         ref_radar = gen_radar_pulse_train(self.RADAR, 10e-3)
-        ref, ref_achieved = mix_at_sinr(ref_radar, cell, SinrSpec.from_target(8.0, -109.0),
+        ref, ref_achieved = mix_at_sinr(ref_radar, cell, SinrSpec.from_target(8.0),
                                         seed=12)
         assert np.array_equal(radar.samples, ref_radar.samples)
         assert np.array_equal(out.samples, ref.samples) and achieved == ref_achieved
 
     def test_silence_matches_explicit_synthesis(self):
-        out, radar, achieved = sensing_capture(None, 4.0, -109.0, 10e-3, 21, 22)
+        out, radar, achieved = sensing_capture(None, 4.0, 10e-3, 21, 22)
         cell = gen_cellular_baseband(None, 10e-3, seed=21)
-        floor = SinrSpec.from_target(0.0, -109.0)
+        floor = SinrSpec.from_target(0.0)
         spec = SinrSpec(float("-inf"), floor.p_cellular_dbm_mhz, floor.p_noise_dbm_mhz)
         ref, _ = mix_at_sinr(IqBuffer(np.zeros(cell.n_samples)), cell, spec, seed=22)
         assert not radar.samples.any()
@@ -518,9 +518,9 @@ class TestSensingCapture:
         assert np.array_equal(out.samples, ref.samples)
 
     def test_unmeasured_sinr_is_nan(self):
-        out, _, achieved = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 1, 2,
+        out, _, achieved = sensing_capture(self.RADAR, 8.0, 10e-3, 1, 2,
                                            measure_achieved=False)
-        measured, _, _ = sensing_capture(self.RADAR, 8.0, -109.0, 10e-3, 1, 2)
+        measured, _, _ = sensing_capture(self.RADAR, 8.0, 10e-3, 1, 2)
         assert np.isnan(achieved)
         assert np.array_equal(out.samples, measured.samples)
 
@@ -613,10 +613,10 @@ class TestOneArrayMix:
         params = RadarParams(pw, prr, int(0.005 * prr), 10e-3, center_offset_hz=offset,
                              burst_start_s=float(rng.uniform(0.0, 4e-3)))
         radar = params if radar_on else None
-        out, radar_iq, achieved = sensing_capture(radar, sinr, -109.0, 10e-3, seed, seed + 1,
+        out, radar_iq, achieved = sensing_capture(radar, sinr, 10e-3, seed, seed + 1,
                                                   prb_mask=mask, measure_achieved=measure)
         cell = gen_cellular_baseband(mask, 10e-3, seed=seed)
-        spec = SinrSpec.from_target(sinr, -109.0)
+        spec = SinrSpec.from_target(sinr)
         if not radar_on:
             spec = SinrSpec(float("-inf"), spec.p_cellular_dbm_mhz, spec.p_noise_dbm_mhz)
         mix, ref_achieved = two_array_mix_at_sinr(radar_iq, cell, spec, seed + 1, measure)
@@ -661,10 +661,10 @@ class TestOneFftMeasurement:
         mask[rng.integers(50)] = True
         params = RadarParams(pw, prr, int(0.005 * prr), 10e-3, center_offset_hz=offset,
                              burst_start_s=float(rng.uniform(0.0, 4e-3)))
-        _, radar_iq, achieved = sensing_capture(params, sinr, -109.0, 10e-3, seed, seed + 1,
+        _, radar_iq, achieved = sensing_capture(params, sinr, 10e-3, seed, seed + 1,
                                                 prb_mask=mask)
         cell = gen_cellular_baseband(mask, 10e-3, seed=seed)
-        want = three_fft_achieved_sinr(radar_iq, cell, SinrSpec.from_target(sinr, -109.0),
+        want = three_fft_achieved_sinr(radar_iq, cell, SinrSpec.from_target(sinr),
                                        seed + 1)
         assert achieved == pytest.approx(want, abs=1e-9, rel=0.0)
 

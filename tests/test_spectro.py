@@ -10,10 +10,12 @@ from coexsim.errors import TooShortInputError
 from coexsim.signals import IqBuffer, RadarParams, gen_awgn, sensing_capture
 from coexsim.spectro import (
     _BLOCK_FRAMES,
+    F_START_HZ,
     FFT_SIZE,
+    FREQ_RESOLUTION_HZ,
     HOP,
     POWER_FLOOR_DB,
-    Spectrogram,
+    TIME_RESOLUTION_S,
     load_spectrogram,
     save_spectrogram,
     stft_spectrogram,
@@ -31,38 +33,37 @@ def hann():
     return np.hanning(FFT_SIZE)
 
 
+def db(power):
+    """The dB form that ``save_spectrogram`` writes, before its float32 cast."""
+    return 10.0 * np.log10(power)
+
+
 class TestStft:
     def test_tone_bin_position(self):
         iq = tone(1.92e6, 4096)
-        spec = stft_spectrogram(iq)
-        col = spec.power_db[:, 0]
+        col = db(stft_spectrogram(iq))[:, 0]
         assert int(np.argmax(col)) == 512 + 128 == 640
 
     def test_all_zero_input_floors(self):
         iq = IqBuffer(np.zeros(2048))
-        spec = stft_spectrogram(iq)
-        assert np.all(spec.power_db == -120.0)
+        assert np.all(db(stft_spectrogram(iq)) == -120.0)
 
     def test_column_count_10ms(self):
         iq = gen_awgn(1.0, 10e-3, seed=0)
-        spec = stft_spectrogram(iq)
-        assert spec.n_time_bins == 1 + (153600 - 1024) // 256 == 597
-        assert spec.n_freq_bins == 1024
+        assert stft_spectrogram(iq).shape == (1024, 1 + (153600 - 1024) // 256) == (1024, 597)
 
     def test_axis_metadata(self):
-        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, seed=1))
-        assert spec.freq_resolution_hz == pytest.approx(FS / 1024)
-        assert spec.time_resolution_s == pytest.approx(256 / FS)
-        assert spec.f_start_hz == -FS / 2
-        freqs = spec.f_start_hz + np.arange(spec.n_freq_bins) * spec.freq_resolution_hz
+        assert FREQ_RESOLUTION_HZ == pytest.approx(FS / 1024)
+        assert TIME_RESOLUTION_S == pytest.approx(256 / FS)
+        assert F_START_HZ == -FS / 2
+        freqs = F_START_HZ + np.arange(FFT_SIZE) * FREQ_RESOLUTION_HZ
         assert freqs[512] == pytest.approx(0.0)
         assert np.all(np.diff(freqs) > 0)
 
     def test_parseval_with_window_compensation(self):
         iq = gen_awgn(2.0, 1e-3, seed=2)
-        spec = stft_spectrogram(iq)
-        lin = 10.0 ** (spec.power_db / 10.0)
-        for col in range(spec.n_time_bins):
+        lin = stft_spectrogram(iq)
+        for col in range(lin.shape[1]):
             frame = iq.samples[col * HOP:col * HOP + FFT_SIZE] * hann()
             time_energy = np.sum(np.abs(frame) ** 2)
             assert np.sum(lin[:, col]) == pytest.approx(time_energy, rel=0.01)
@@ -74,7 +75,7 @@ class TestStft:
         b = stft_spectrogram(IqBuffer(np.roll(x, 2048)))
         # 2048 samples are 8 hops: columns 8.. of the shifted signal equal
         # columns 0.. of the original
-        assert np.allclose(b.power_db[:, 8:], a.power_db[:, :-8])
+        assert np.allclose(db(b)[:, 8:], db(a)[:, :-8])
 
     def test_freq_shift_permutes_rows(self):
         # A shift by one bin width moves every windowed frame's spectrum by
@@ -86,7 +87,7 @@ class TestStft:
         shifted = x * np.exp(2j * np.pi * bin_width * t)
         a = stft_spectrogram(IqBuffer(x))
         b = stft_spectrogram(IqBuffer(shifted))
-        assert np.allclose(b.power_db[1:, :], a.power_db[:-1, :], rtol=1e-6, atol=1e-6)
+        assert np.allclose(db(b)[1:, :], db(a)[:-1, :], rtol=1e-6, atol=1e-6)
 
     def test_too_short_input(self):
         with pytest.raises(TooShortInputError):
@@ -110,10 +111,10 @@ class TestStridedFraming:
         rng = np.random.default_rng(seed)
         n = FFT_SIZE + extra
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-        spec = stft_spectrogram(IqBuffer(samples))
+        got = db(stft_spectrogram(IqBuffer(samples)))
         expected = gathered_stft_db(samples)
-        assert spec.power_db.shape == expected.shape
-        assert spec.power_db.tobytes() == expected.tobytes()
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def shifted_power(samples):
@@ -138,18 +139,18 @@ class TestBlockedLayout:
         n = FFT_SIZE + (n_frames - 1) * HOP + int(tail * (HOP - 1))
         rng = np.random.default_rng(seed)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-        power = stft_spectrogram(IqBuffer(samples)).power
+        power = stft_spectrogram(IqBuffer(samples))
         assert power.shape == (FFT_SIZE, n_frames)
         assert power.flags.c_contiguous
         assert np.array_equal(power, shifted_power(samples))
 
     def test_stft_and_loaded_power_need_no_copy(self, tmp_path):
-        spec = stft_spectrogram(gen_awgn(1.0, 10e-3, seed=7))
+        power = stft_spectrogram(gen_awgn(1.0, 10e-3, seed=7))
         path = tmp_path / "spec.bin"
-        save_spectrogram(path, spec)
+        save_spectrogram(path, power)
         loaded, _ = load_spectrogram(path)
-        for power in (spec.power, loaded.power):
-            assert np.ascontiguousarray(power) is power
+        for matrix in (power, loaded):
+            assert np.ascontiguousarray(matrix) is matrix
 
 
 def dense_stft_power(iq):
@@ -207,7 +208,7 @@ class TestLiveFrames:
     @given(samples=signals_with_zero_runs())
     def test_equals_dense_stft(self, samples):
         iq = IqBuffer(samples)
-        power = stft_spectrogram(iq).power
+        power = stft_spectrogram(iq)
         assert power.flags.c_contiguous
         assert power.tobytes() == dense_stft_power(iq).tobytes()
 
@@ -216,7 +217,7 @@ class TestLiveFrames:
         t = np.arange(400) / FS
         for start in (0, 20000, 76000, 153200):
             radar.samples[start:start + 400] = np.exp(2j * np.pi * 2.5e6 * t)
-        power = stft_spectrogram(radar).power
+        power = stft_spectrogram(radar)
         assert power.tobytes() == dense_stft_power(radar).tobytes()
         assert (power == 10.0 ** (POWER_FLOOR_DB / 10.0)).all(axis=0).sum() > 500
 
@@ -227,10 +228,10 @@ class TestLiveFrames:
         mask = np.ones(50, dtype=bool)
         mask[20 + seed:30 + seed] = False
         radar = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6 - 1e6 * seed)
-        composite, clean, _ = sensing_capture(radar, 4.0 * seed, -109.0, 10e-3, seed, seed + 1,
+        composite, clean, _ = sensing_capture(radar, 4.0 * seed, 10e-3, seed, seed + 1,
                                               prb_mask=mask)
         for iq in (composite, clean):
-            assert stft_spectrogram(iq).power.tobytes() == dense_stft_power(iq).tobytes()
+            assert stft_spectrogram(iq).tobytes() == dense_stft_power(iq).tobytes()
 
 
 class TestExport:
@@ -246,19 +247,19 @@ class TestExport:
         power = 10.0 ** (db.astype("<f4").astype(np.float64).reshape(rows, cols) / 10.0)
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "spec.bin"
-            save_spectrogram(path, Spectrogram(power, 1.0, 1.0, 0.0))
+            save_spectrogram(path, power)
             written = np.fromfile(path, dtype="<f4")
             loaded, _ = load_spectrogram(path)
         assert written.tobytes() == (10.0 * np.log10(power)).astype("<f4").tobytes()
         want = 10.0 ** (written.astype(np.float64).reshape(rows, cols) / 10.0)
-        assert loaded.power.tobytes() == want.tobytes()
+        assert loaded.tobytes() == want.tobytes()
 
     def test_round_trip(self, tmp_path):
-        spec = stft_spectrogram(gen_awgn(1.0, 1e-3, seed=5))
+        power = stft_spectrogram(gen_awgn(1.0, 1e-3, seed=5))
         path = tmp_path / "spec.bin"
-        save_spectrogram(path, spec, {"seed": 5})
+        save_spectrogram(path, power, {"seed": 5})
         back, meta = load_spectrogram(path)
-        assert back.power_db.shape == spec.power_db.shape
-        assert np.allclose(back.power_db, spec.power_db, atol=1e-3)
+        assert back.shape == power.shape
+        assert np.allclose(db(back), db(power), atol=1e-3)
         assert meta["seed"] == "5"
 
