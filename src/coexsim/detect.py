@@ -134,22 +134,31 @@ class ClassifierModel:
             raise InvalidParamsError(f"{path} is not an npz model file") from exc
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise InvalidParamsError(f"{path} is not an npz model file")
-        with data:
+
+        def array(name: str) -> np.ndarray:
             try:
-                version = int(data["format_version"])
-                if version != MODEL_FORMAT_VERSION:
-                    raise InvalidParamsError(f"unsupported model format version {version}")
-                layer_sizes = tuple(int(v) for v in data["layer_sizes"])
-                n_layers = len(layer_sizes) - 1
-                model = cls(
-                    layer_sizes=layer_sizes,
-                    weights=[data[f"W{i}"] for i in range(n_layers)],
-                    biases=[data[f"b{i}"] for i in range(n_layers)],
-                    feat_mean=data["feat_mean"],
-                    feat_std=data["feat_std"],
-                )
+                value = data[name]
             except KeyError as exc:
                 raise InvalidParamsError(f"model file {path} lacks an array: {exc}") from exc
+            except ValueError:  # an object array, which loads only through pickle
+                value = None
+            if value is None or value.dtype.kind not in "biuf":
+                raise InvalidParamsError(f"model file {path}: {name} is not an array of numbers")
+            return value
+
+        with data:
+            version = int(array("format_version"))
+            if version != MODEL_FORMAT_VERSION:
+                raise InvalidParamsError(f"unsupported model format version {version}")
+            sizes = array("layer_sizes")
+            if sizes.ndim != 1:
+                raise InvalidParamsError(f"model file {path}: layer_sizes has shape "
+                                         f"{sizes.shape}, not one dimension")
+            n_layers = len(sizes) - 1
+            model = cls(layer_sizes=tuple(int(v) for v in sizes),
+                        weights=[array(f"W{i}") for i in range(n_layers)],
+                        biases=[array(f"b{i}") for i in range(n_layers)],
+                        feat_mean=array("feat_mean"), feat_std=array("feat_std"))
         _check_model_shapes(model, path)
         arrays = [*model.weights, *model.biases, model.feat_mean, model.feat_std]
         if not all(np.isfinite(a).all() for a in arrays):

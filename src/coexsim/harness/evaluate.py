@@ -16,7 +16,7 @@ import numpy as np
 from ..detect import ClassifierModel, radar_present
 from ..errors import InvalidParamsError, MissingDataError
 from ..fileio import write_csv
-from ..localize import RADAR, LocalizerMetrics, evaluate_localizer, localize
+from ..localize import LocalizerMetrics, evaluate_localizer, localize
 from .datasets import load_kpm_windows, load_spectrogram_items
 
 
@@ -61,8 +61,8 @@ def localize_items(dataset_dir, keep=lambda sinr_db, has_radar: True) -> list[tu
 
 
 def _radar_metrics(items) -> LocalizerMetrics:
-    """``evaluate_localizer`` of the items' radar-class boxes against their truths."""
-    return evaluate_localizer([[b for b in boxes if b.label == RADAR] for *_, boxes, _ in items],
+    """``evaluate_localizer`` of the items' radar boxes against their truths."""
+    return evaluate_localizer([boxes for *_, boxes, _ in items],
                               [truths for *_, truths in items])
 
 

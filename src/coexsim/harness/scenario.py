@@ -91,19 +91,27 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         # The YAML loader reads these numbers too; a config built in Python
-        # meets the same finite and integer checks here, and a string or a
+        # meets the same list, finite and integer checks here, and a string or a
         # bool is not a number.
         try:
             for name in ("duration_s", "telemetry_period_s", "coupling_db"):
                 _number(getattr(self, name), name)
+            if not isinstance(self.link, LinkConfig):
+                raise ValueError(f"link must be a LinkConfig, not {type(self.link).__name__}")
             for name in ("base_sinr_db", "sinr_jitter_db"):
                 _number(getattr(self.link, name), f"link.{name}")
+            for name in ("sinr_schedule", "radar_schedule", "offered_load_range_mbps"):
+                if not isinstance(value := getattr(self, name), (list, tuple)):
+                    raise ValueError(f"{name} must be a list, not {type(value).__name__}")
             for name in ("n_stack", "guard_prbs", "seed"):
                 _int(getattr(self, name), name)
             for i, (t_start, sinr) in enumerate(self.sinr_schedule):
                 _number(t_start, f"sinr_schedule[{i}].t_start_s")
                 _number(sinr, f"sinr_schedule[{i}].sinr_db")
             for i, w in enumerate(self.radar_schedule):
+                if not isinstance(w, RadarWindow):
+                    raise ValueError(f"radar_schedule[{i}] must be a RadarWindow, "
+                                     f"not {type(w).__name__}")
                 _number(w.t_on_s, f"radar_schedule[{i}].t_on_s")
                 _number(w.t_off_s, f"radar_schedule[{i}].t_off_s")
             for i, bound in enumerate(self.offered_load_range_mbps):

@@ -1,29 +1,26 @@
-"""Energy-threshold localization of signals in spectrograms.
+"""Energy-threshold localization of radar pulses in spectrograms.
 
 The reference localizer is deliberately simple and deterministic so its
 outputs can be reasoned about; it sits behind a plain function interface so
 a learned detector can be dropped in instead.  It reads a spectrogram as
 ``spectro`` gives it, a linear ``[freq, time]`` power array, and places its
-boxes on the STFT's fixed axes.  Detection runs on two paths:
-
-* transient path: bins exceeding a per-row noise floor (20th-percentile
-  quantile estimate scaled to mean-equivalent for exponential periodogram
-  statistics) by ``THRESHOLD_DB_ABOVE_FLOOR``; 8-connected components are
-  merged across small gaps and kept if large enough.  This finds pulsed
-  emitters even inside an occupied band, since the row floor tracks the
-  local background.
-* persistent path: rows whose mean power exceeds the quietest-row floor by
-  the same threshold; contiguous runs become full-duration boxes.  This
-  finds always-on wideband occupants that the per-row floor would otherwise
-  absorb.
+boxes on the STFT's fixed axes.  Detection runs on one transient path: bins
+exceeding a per-row noise floor (20th-percentile quantile estimate scaled
+to mean-equivalent for exponential periodogram statistics) by
+``THRESHOLD_DB_ABOVE_FLOOR``; 8-connected components are merged across
+small gaps and kept if large enough.  This finds pulsed emitters even inside
+an occupied band, since the row floor tracks the local background, and an
+always-on occupant is absorbed by its own rows' floors.
 
 Box extents are then refined with floor-subtracted energy profiles trimmed
 contiguously from the peak (TIME_TRIM_DB for columns, FREQ_TRIM_DB for
 rows), which makes the reported extent depend on the signal's shape rather
 than on how far above the detection threshold it happens to sit.
 
-Classification is heuristic: a box is ``cellular`` when its time duty is
-high and it is wide (persistent wideband occupancy), otherwise ``radar``.
+Every box ``localize`` emits is ``radar``.  ``FreqTimeBox`` keeps its
+``label`` field, and box files their ``class`` column, so that a learned
+localizer may label boxes again and a box file from elsewhere may hold
+``cellular`` boxes.
 """
 
 from __future__ import annotations
@@ -46,12 +43,10 @@ _PAD_COLS = 3
 _ROW_BLOCK = 64  # rows per copy in the row statistics: 300 KB at 597 columns
 
 NOISE_FLOOR_PERCENTILE = 20.0
-THRESHOLD_DB_ABOVE_FLOOR = 10.0  # a bin, or a row's median, is occupied this far above its floor
-MERGE_GAP_BINS = 3  # sets the merging dilation, and the row gap a persistent run bridges
+THRESHOLD_DB_ABOVE_FLOOR = 10.0  # a bin is occupied this far above its row's floor
+MERGE_GAP_BINS = 3  # gap in bins that the merging dilation bridges
 MIN_BOX_BINS = 4
 MIN_BOX_ROWS = 2  # rejects single-bin noise spikes smeared across overlapped columns
-CELLULAR_DUTY_THRESHOLD = 0.8
-CELLULAR_MIN_BANDWIDTH_HZ = 1.8e6  # 10 PRB equivalents
 TIME_TRIM_DB = 6.0   # extent trims below the peak of the column and row energy
 FREQ_TRIM_DB = 10.0
 PULSE_GAP_COLS = 8   # truth boxes: active columns further apart start a new pulse
@@ -123,14 +118,13 @@ def _refine_extent(lin: np.ndarray, floor_lin: np.ndarray, rows_idx: np.ndarray,
     return r0 + rlo, r0 + rhi, c0 + clo, c0 + chi
 
 
-def _bins_to_box(rmin: int, rmax: int, cmin: int, cmax: int, label: str,
+def _bins_to_box(rmin: int, rmax: int, cmin: int, cmax: int,
                  confidence: float) -> FreqTimeBox:
     return FreqTimeBox(
         f_low_hz=F_START_HZ + rmin * FREQ_RESOLUTION_HZ,
         f_high_hz=F_START_HZ + (rmax + 1) * FREQ_RESOLUTION_HZ,
         t_start_s=cmin * TIME_RESOLUTION_S,
         t_end_s=(cmax + 1) * TIME_RESOLUTION_S,
-        label=label,
         confidence=confidence,
     )
 
@@ -139,26 +133,22 @@ def _squash_confidence(mean_excess_db: float) -> float:
     return float(np.clip(1.0 - math.exp(-max(mean_excess_db, 0.0) / 10.0), 0.0, 1.0))
 
 
-def _row_quantile_and_median(lin: np.ndarray, pct: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``pct``-th percentile and median of ``lin``, sorted a block of rows at a time.
+def _row_quantile(lin: np.ndarray, pct: float) -> np.ndarray:
+    """Per-row ``pct``-th percentile of ``lin``, sorted a block of rows at a time.
 
-    For finite input both equal ``np.percentile(lin, pct, axis=1)`` and
-    ``np.median(lin, axis=1)`` bit for bit: they take the same order
-    statistics and combine them with numpy's own arithmetic (its linear
-    interpolation, and the mean of the two middle elements at even width).
-    Each block of ``_ROW_BLOCK`` rows is copied into one small buffer and
-    sorted there, so no copy of the whole matrix is mapped afresh on every
-    call.  numpy vectorizes row sorts but not a multi-kth partition, and at
-    spectrogram widths a sort also beats two single-kth partitions (median,
-    then quantile): each pays the same per-row cost.
+    For finite input it equals ``np.percentile(lin, pct, axis=1)`` bit for
+    bit: it takes the same order statistics and combines them with numpy's
+    own linear interpolation.  Each block of ``_ROW_BLOCK`` rows is copied
+    into one small buffer and sorted there, so no copy of the whole matrix
+    is mapped afresh on every call.  numpy vectorizes row sorts, but not a
+    partition at the two order statistics.
     """
     n_rows, n = lin.shape
     virtual = (n - 1) * (pct / 100.0)
     lo = math.floor(virtual) if virtual < n - 1 else n - 1
     hi = min(lo + 1, n - 1)
     gamma = virtual - lo
-    mid = n // 2
-    below, above, median = (np.empty(n_rows, dtype=lin.dtype) for _ in range(3))
+    below, above = (np.empty(n_rows, dtype=lin.dtype) for _ in range(2))
     buf = np.empty((min(_ROW_BLOCK, n_rows), n), dtype=lin.dtype)
     for r0 in range(0, n_rows, _ROW_BLOCK):
         block = buf[:min(_ROW_BLOCK, n_rows - r0)]
@@ -166,10 +156,8 @@ def _row_quantile_and_median(lin: np.ndarray, pct: float) -> tuple[np.ndarray, n
         block[...] = lin[rows]
         block.sort(axis=1)
         below[rows], above[rows] = block[:, lo], block[:, hi]
-        median[rows] = block[:, mid] if n % 2 else (block[:, mid - 1] + block[:, mid]) / 2.0
     diff = above - below
-    quantile = below + diff * gamma if gamma < 0.5 else above - diff * (1.0 - gamma)
-    return quantile, median
+    return below + diff * gamma if gamma < 0.5 else above - diff * (1.0 - gamma)
 
 
 def _dilate_square(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -219,17 +207,15 @@ def _component_members(active: np.ndarray, radius: int
 
 
 def localize(power: np.ndarray) -> list[FreqTimeBox]:
-    """Detect and box signal occupancy in a linear ``[freq, time]`` spectrogram;
-    returns boxes sorted by confidence."""
+    """Detect and box radar pulses in a linear ``[freq, time]`` spectrogram;
+    returns ``radar`` boxes sorted by confidence."""
     # Every pass below runs along rows.  STFT and loaded spectrograms are
     # C-order already; the call copies only caller-built F-order arrays.
     lin = np.ascontiguousarray(power)
-    n_rows, n_cols = lin.shape
     pct = NOISE_FLOOR_PERCENTILE
 
     # Per-row floor: quantile scaled to mean-equivalent for exponential bins.
-    row_q, row_med = _row_quantile_and_median(lin, pct)
-    row_floor = row_q / (-np.log(1.0 - pct / 100.0))
+    row_floor = _row_quantile(lin, pct) / (-np.log(1.0 - pct / 100.0))
     thr_lin = 10.0 ** (THRESHOLD_DB_ABOVE_FLOOR / 10.0)
 
     boxes: list[FreqTimeBox] = []
@@ -239,7 +225,6 @@ def localize(power: np.ndarray) -> list[FreqTimeBox]:
     # correlated looks collapse onto the true time-frequency grid.
     overlap = FFT_SIZE // HOP
 
-    # Transient path: per-bin exceedances over the local row floor.
     active = lin > row_floor[:, None] * thr_lin
     radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
     for rows_idx, cols_idx in _component_members(active, radius):
@@ -248,32 +233,10 @@ def localize(power: np.ndarray) -> list[FreqTimeBox]:
             continue
         if len(np.unique(rows_idx)) < MIN_BOX_ROWS:
             continue
-        rmin, rmax = int(rows_idx.min()), int(rows_idx.max())
-        cmin, cmax = int(cols_idx.min()), int(cols_idx.max())
-        duty = len(np.unique(cols_idx)) / (cmax - cmin + 1)
-        bw_hz = (rmax - rmin + 1) * FREQ_RESOLUTION_HZ
-        label = (CELLULAR if duty >= CELLULAR_DUTY_THRESHOLD
-                 and bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR)
         excess = np.mean(10.0 * np.log10(lin[rows_idx, cols_idx])
                          - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
         rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx, cols_idx)
-        boxes.append(_bins_to_box(rmin, rmax, cmin, cmax, label,
-                                  _squash_confidence(float(excess))))
-
-    # Persistent path: rows whose median power clears the quietest-row floor.
-    # Medians ignore pulsed outliers, so pulsed emitters never register here.
-    global_floor = np.percentile(row_med, pct)
-    persistent = row_med > global_floor * thr_lin
-    if persistent.any():
-        rows = np.flatnonzero(persistent)
-        for run in np.split(rows, np.flatnonzero(np.diff(rows) > MERGE_GAP_BINS) + 1):
-            rmin, rmax = int(run[0]), int(run[-1])
-            # A full-duration run meets the duty rule, so its width sets the class.
-            bw_hz = (rmax - rmin + 1) * FREQ_RESOLUTION_HZ
-            label = CELLULAR if bw_hz >= CELLULAR_MIN_BANDWIDTH_HZ else RADAR
-            excess = np.mean(10.0 * np.log10(row_med[run] / (global_floor * thr_lin)))
-            boxes.append(_bins_to_box(rmin, rmax, 0, n_cols - 1, label,
-                                      _squash_confidence(float(excess))))
+        boxes.append(_bins_to_box(rmin, rmax, cmin, cmax, _squash_confidence(float(excess))))
 
     return sorted(boxes, key=lambda b: -b.confidence)
 
@@ -301,7 +264,7 @@ def radar_truth_boxes(lin: np.ndarray) -> list[FreqTimeBox]:
         rows_idx, cols_rel = np.divmod(np.flatnonzero(sub > sub.max() * 1e-3), sub.shape[1])
         cols_idx = cols_rel + seg[0]
         rmin, rmax, cmin, cmax = _refine_extent(lin, zero_floor, rows_idx, cols_idx)
-        out.append(_bins_to_box(rmin, rmax, cmin, cmax, RADAR, 1.0))
+        out.append(_bins_to_box(rmin, rmax, cmin, cmax, 1.0))
     return out
 
 

@@ -565,6 +565,13 @@ class TestScenario:
         ({"link": LinkConfig(sinr_jitter_db=np.inf)}, "link.sinr_jitter_db must be a finite"),
         ({"radar_schedule": [RadarWindow(0.0, None, SCENARIO_PARAMS)]},
          r"radar_schedule\[0\].t_off_s must be a finite number, not None"),
+        ({"sinr_schedule": 5}, "sinr_schedule must be a list, not int"),
+        ({"offered_load_range_mbps": 3.0}, "offered_load_range_mbps must be a list, not float"),
+        ({"radar_schedule": [(0.0, 0.05, SCENARIO_PARAMS)]},
+         r"radar_schedule\[0\] must be a RadarWindow, not tuple"),
+        ({"radar_schedule": RadarWindow(0.0, 0.05, SCENARIO_PARAMS)},
+         "radar_schedule must be a list, not RadarWindow"),
+        ({"link": None}, "link must be a LinkConfig, not NoneType"),
     ])
     def test_python_built_bad_number_rejected_by_name(self, kwargs, message):
         sc = ScenarioConfig(**{"duration_s": 0.1, "policy": POLICY_BASELINE, **kwargs})
@@ -825,7 +832,14 @@ class TestCli:
          "layer_sizes is [4, 32, 16], which does not end in the 2 classes"),
         (lambda m: replace(m, feat_std=np.zeros_like(m.feat_std)),
          "feat_std holds a value not above 0"),
-    ], ids=["W1-cut", "feat-mean-cut", "layer-sizes-without-head", "zero-feat-std"])
+        (lambda m: replace(m, layer_sizes=((4, 32), (16, 2))),
+         "layer_sizes has shape (2, 2), not one dimension"),
+        (lambda m: replace(m, weights=[m.weights[0].astype(object), *m.weights[1:]]),
+         "W0 is not an array of numbers"),
+        (lambda m: replace(m, feat_mean=m.feat_mean.astype(str)),
+         "feat_mean is not an array of numbers"),
+    ], ids=["W1-cut", "feat-mean-cut", "layer-sizes-without-head", "zero-feat-std",
+            "2d-layer-sizes", "object-w0", "string-feat-mean"])
     @pytest.mark.parametrize("command", ["eval-detector", "run-scenario"])
     def test_error_line_on_model_arrays_against_layer_sizes(self, small_model, kpm_dataset,
                                                             tmp_path, capsys, edit, message,

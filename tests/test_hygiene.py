@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/coexsim, tests or tools imports a name
 it never uses, no function, class or annotated field under src/coexsim goes
-unreferenced, and no public one is used by the tests' code alone."""
+unreferenced, no public one is used by the tests' code alone, and no
+module-level constant under src/coexsim is left unread outside the tests."""
 
 import ast
 from collections import Counter
@@ -138,13 +139,50 @@ TEST_ONLY_PUBLIC = {
 }
 
 
+def program_references() -> Counter:
+    """``code_references`` summed over src/ (re-exports in __init__.py aside),
+    tools/ and perfbench/'s non-test modules."""
+    paths = [p for d in ("src", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")
+             if p.name != "__init__.py" and not p.name.startswith("test_")]
+    return sum((code_references(p.read_text()) for p in paths), Counter())
+
+
 def test_no_public_definition_only_tests_reference():
     """Every public function, class and annotated field is used by code in src/
     (re-exports in __init__.py aside), tools/ or perfbench/'s non-test modules."""
     defined = sum((defined_names(p.read_text()) for p in SRC.rglob("*.py")), Counter())
     public = {n for n in defined if not n.startswith("_")}
     assert set(TEST_ONLY_PUBLIC) <= public
-    paths = [p for d in ("src", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")
-             if p.name != "__init__.py" and not p.name.startswith("test_")]
-    refs = sum((code_references(p.read_text()) for p in paths), Counter())
+    refs = program_references()
     assert sorted(n for n in public if not refs[n] and n not in TEST_ONLY_PUBLIC) == []
+
+
+def module_constants(source: str) -> Counter:
+    """Module-level UPPER_CASE names that ``source`` assigns, private ones too,
+    with how often each is assigned."""
+    names = Counter()
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id))
+    return names
+
+
+def unread(constants: Counter, refs: Counter) -> list[str]:
+    """Constants that ``refs`` names no more often than they are assigned."""
+    return sorted(n for n, k in constants.items() if refs[n] <= k)
+
+
+def test_module_constant_scanner_flags_only_unread():
+    source = ("import m\nA = 1\n_B: int = 2\nC, D = 3, 4\nlower = 5\n"
+              "def f():\n    E = 6\n    return A + m.D + E\n")
+    constants = module_constants(source)
+    assert constants == Counter({"A": 1, "_B": 1, "C": 1, "D": 1})
+    assert unread(constants, code_references(source)) == ["C", "_B"]
+
+
+def test_every_module_constant_is_read():
+    """A constant that only tests read, or none, is a leftover of deleted code."""
+    constants = sum((module_constants(p.read_text()) for p in SRC.rglob("*.py")), Counter())
+    assert unread(constants, program_references()) == []
