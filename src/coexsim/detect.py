@@ -147,9 +147,14 @@ class ClassifierModel:
             return value
 
         with data:
-            version = int(array("format_version"))
+            version = array("format_version")
+            if version.size != 1:
+                raise InvalidParamsError(f"model file {path}: format_version holds "
+                                         f"{version.size} values, not one")
+            version = version.item()
             if version != MODEL_FORMAT_VERSION:
-                raise InvalidParamsError(f"unsupported model format version {version}")
+                raise InvalidParamsError(f"model file {path}: unsupported model format "
+                                         f"version {version}")
             sizes = array("layer_sizes")
             if sizes.ndim != 1:
                 raise InvalidParamsError(f"model file {path}: layer_sizes has shape "

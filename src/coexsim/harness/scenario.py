@@ -105,13 +105,19 @@ class ScenarioConfig:
                     raise ValueError(f"{name} must be a list, not {type(value).__name__}")
             for name in ("n_stack", "guard_prbs", "seed"):
                 _int(getattr(self, name), name)
-            for i, (t_start, sinr) in enumerate(self.sinr_schedule):
-                _number(t_start, f"sinr_schedule[{i}].t_start_s")
-                _number(sinr, f"sinr_schedule[{i}].sinr_db")
+            for i, step in enumerate(self.sinr_schedule):
+                if not (isinstance(step, (list, tuple)) and len(step) == 2):
+                    raise ValueError(f"sinr_schedule[{i}] must be a (t_start_s, sinr_db) "
+                                     f"pair, not {step!r}")
+                _number(step[0], f"sinr_schedule[{i}].t_start_s")
+                _number(step[1], f"sinr_schedule[{i}].sinr_db")
             for i, w in enumerate(self.radar_schedule):
                 if not isinstance(w, RadarWindow):
                     raise ValueError(f"radar_schedule[{i}] must be a RadarWindow, "
                                      f"not {type(w).__name__}")
+                if not isinstance(w.params, RadarParams):
+                    raise ValueError(f"radar_schedule[{i}].params must be a RadarParams, "
+                                     f"not {type(w.params).__name__}")
                 _number(w.t_on_s, f"radar_schedule[{i}].t_on_s")
                 _number(w.t_off_s, f"radar_schedule[{i}].t_off_s")
             for i, bound in enumerate(self.offered_load_range_mbps):

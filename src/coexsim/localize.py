@@ -12,6 +12,13 @@ small gaps and kept if large enough.  This finds pulsed emitters even inside
 an occupied band, since the row floor tracks the local background, and an
 always-on occupant is absorbed by its own rows' floors.
 
+The row floor sorts blocks of rows; the caller sorts the first half of the
+blocks and ``signals._in_two``'s helper thread the second, each in its own
+buffer, which the caller allocates, and each writes only its own rows'
+order statistics.  A row's floor comes from the same sort of the same values
+either way, so the bytes do not depend on the split.  A forked child splits
+on a fresh helper thread (see ``signals``).
+
 Box extents are then refined with floor-subtracted energy profiles trimmed
 contiguously from the peak (TIME_TRIM_DB for columns, FREQ_TRIM_DB for
 rows), which makes the reported extent depend on the signal's shape rather
@@ -33,6 +40,7 @@ from scipy import ndimage
 
 from .errors import InvalidParamsError
 from .fileio import parse_field, read_csv, write_csv
+from .signals import _in_two
 from .spectro import F_START_HZ, FFT_SIZE, FREQ_RESOLUTION_HZ, HOP, TIME_RESOLUTION_S
 
 RADAR = "radar"
@@ -139,9 +147,10 @@ def _row_quantile(lin: np.ndarray, pct: float) -> np.ndarray:
     For finite input it equals ``np.percentile(lin, pct, axis=1)`` bit for
     bit: it takes the same order statistics and combines them with numpy's
     own linear interpolation.  Each block of ``_ROW_BLOCK`` rows is copied
-    into one small buffer and sorted there, so no copy of the whole matrix
-    is mapped afresh on every call.  numpy vectorizes row sorts, but not a
-    partition at the two order statistics.
+    into a small buffer and sorted there, so no copy of the whole matrix is
+    mapped afresh on every call; the caller sorts the first half of the
+    blocks and the helper thread the rest, in a buffer each.  numpy
+    vectorizes row sorts, but not a partition at the two order statistics.
     """
     n_rows, n = lin.shape
     virtual = (n - 1) * (pct / 100.0)
@@ -149,13 +158,20 @@ def _row_quantile(lin: np.ndarray, pct: float) -> np.ndarray:
     hi = min(lo + 1, n - 1)
     gamma = virtual - lo
     below, above = (np.empty(n_rows, dtype=lin.dtype) for _ in range(2))
-    buf = np.empty((min(_ROW_BLOCK, n_rows), n), dtype=lin.dtype)
-    for r0 in range(0, n_rows, _ROW_BLOCK):
-        block = buf[:min(_ROW_BLOCK, n_rows - r0)]
-        rows = slice(r0, r0 + len(block))
-        block[...] = lin[rows]
-        block.sort(axis=1)
-        below[rows], above[rows] = block[:, lo], block[:, hi]
+    bufs = np.empty((2, min(_ROW_BLOCK, n_rows), n), dtype=lin.dtype)
+    # the caller's half: the first half of the blocks, rounded up
+    mid = min(n_rows, (n_rows + 2 * _ROW_BLOCK - 1) // (2 * _ROW_BLOCK) * _ROW_BLOCK)
+
+    def order_statistics(r_start: int, r_stop: int, buf: np.ndarray) -> None:
+        for r0 in range(r_start, r_stop, _ROW_BLOCK):
+            block = buf[:min(_ROW_BLOCK, r_stop - r0)]
+            rows = slice(r0, r0 + len(block))
+            block[...] = lin[rows]
+            block.sort(axis=1)
+            below[rows], above[rows] = block[:, lo], block[:, hi]
+
+    _in_two(lambda: order_statistics(0, mid, bufs[0]),
+            lambda: order_statistics(mid, n_rows, bufs[1]))
     diff = above - below
     return below + diff * gamma if gamma < 0.5 else above - diff * (1.0 - gamma)
 

@@ -14,13 +14,30 @@ of spectral densities in dBm/MHz:
 The SINR of a mix treats the radar as the desired signal and cellular+noise
 as the interference, i.e. ``10*log10(P_radar / (P_cellular + P_noise))``
 with all three terms in linear mW/MHz.
+
+The second core.  ``_in_two`` runs one half of a job on a private helper
+thread while the caller runs the other half, then waits for both; numpy's
+FFT, sort and normal draws release the interpreter lock, so the halves
+overlap.  ``sensing_capture`` draws its noise on the helper while the caller
+synthesizes the cellular waveform, and ``spectro`` and ``localize`` split the
+STFT's frames and the row sort's blocks in two.  The bytes do not depend on
+the split: every element is computed by the same operations, in the same
+order, as by one thread, and each half writes only its own elements.  The
+caller allocates every work buffer before the split: buffers allocated on
+the helper come from glibc's arena for that thread, which lifted
+loop-radar's peak RSS by about 5 %.  The helper's thread starts on the first
+split, not at import.  A forked child inherits the executor but not its
+thread, so a job submitted there would wait forever; the child gets a fresh
+executor at the fork.  No function that perfbench traces runs on the helper.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import os
 
 import numpy as np
 
@@ -38,6 +55,32 @@ OCCUPIED_REL_FLOOR_DB = -20.0  # occupied bins lie within this of the peak bin
 # the uplink model (ranlink) and PRB blanking (control) count in.
 N_PRBS = 50
 PRB_BANDWIDTH_HZ = 180e3
+
+
+def _new_helper() -> None:
+    """Give this process its own executor for ``_in_two``."""
+    global _helper
+    _helper = ThreadPoolExecutor(max_workers=1)
+
+
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)
+
+
+def _in_two(here, there):
+    """Run ``there()`` on the helper thread and ``here()`` on the caller; return
+    ``here()``'s value once both have finished.
+
+    An exception from either re-raises in the caller, ``here()``'s first.
+    ``there`` must not split again: the helper would wait on itself.
+    """
+    future = _helper.submit(there)
+    try:
+        result = here()
+    finally:
+        wait([future])  # the helper may still be writing the caller's buffers
+    future.result()
+    return result
 
 
 def dbm_to_linear(dbm: float) -> float:
@@ -289,28 +332,46 @@ def gen_awgn(power_linear: float, duration_s: float, seed=None) -> IqBuffer:
     return IqBuffer(x)
 
 
-def _add_awgn(x: np.ndarray, power_linear: float, seed, measure: bool = False) -> float:
-    """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place.
-
-    The real and then the imaginary normal draws pass through one reused
-    float buffer, scaled there; ``power_linear == 0`` adds nothing.  With
-    ``measure`` it returns the energy of the noise it added, the sum of the
-    squared scaled draws of both parts, which by Parseval is the noise's
-    full-band periodogram sum divided by ``x.size``; without it, 0.0.
-    """
-    energy = 0.0
-    if power_linear == 0.0:
-        return energy
+def _draw_awgn(noise: np.ndarray, power_linear: float, seed) -> None:
+    """Fill the float ``(2, n)`` array ``noise`` with ``gen_awgn``'s draws for
+    ``seed``: the real parts' normal draws in row 0, then the imaginary
+    parts' in row 1, each scaled there to ``power_linear / 2``."""
     rng = np.random.default_rng(seed)
     scale = np.sqrt(power_linear / 2.0)
-    half = np.empty(x.size)
-    for part in (x.real, x.imag):
-        rng.standard_normal(out=half)
-        half *= scale
-        part += half
+    for part in noise:
+        rng.standard_normal(out=part)
+        part *= scale
+
+
+def _add_drawn(x: np.ndarray, noise: np.ndarray, measure: bool) -> float:
+    """Add ``_draw_awgn``'s ``noise`` to the complex array ``x`` in place, the
+    real parts first.  With ``measure`` it returns the energy of the noise,
+    the sum of the squared draws of both parts (squared in place), which by
+    Parseval is the noise's full-band periodogram sum divided by ``x.size``;
+    without it, 0.0."""
+    energy = 0.0
+    for part, draws in zip((x.real, x.imag), noise):
+        part += draws
         if measure:
-            energy += float(np.square(half, out=half).sum())
+            energy += float(np.square(draws, out=draws).sum())
     return energy
+
+
+def _add_awgn(x: np.ndarray, power_linear: float, seed, measure: bool = False) -> float:
+    """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place
+    and return ``_add_drawn``'s energy; ``power_linear == 0`` adds nothing."""
+    if power_linear == 0.0:
+        return 0.0
+    noise = np.empty((2, x.size))
+    _draw_awgn(noise, power_linear, seed)
+    return _add_drawn(x, noise, measure)
+
+
+@dataclass(frozen=True)
+class _DrawnAwgn:
+    """``_draw_awgn``'s noise, drawn before ``mix_at_sinr`` for its seed and spec."""
+
+    noise: np.ndarray
 
 
 def measure_band_power(iq: IqBuffer, f_low_hz: float, f_high_hz: float) -> float:
@@ -401,6 +462,11 @@ def _radar_peak_density(iq: IqBuffer) -> tuple[float, np.ndarray]:
     return on_power / (RADAR_REF_BANDWIDTH_HZ / 1e6), on
 
 
+def _noise_power(spec: SinrSpec) -> float:
+    """The linear noise power that ``spec``'s density gives over the full sample band."""
+    return dbm_to_linear(spec.p_noise_dbm_mhz) * (SAMPLE_RATE_HZ / 1e6)
+
+
 def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
                 seed=None, measure_achieved: bool = True) -> tuple[IqBuffer, float]:
     """Scale components to the requested densities, add noise; return (mix, measured SINR).
@@ -424,7 +490,9 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
 
     It is +inf when the cellular and noise terms are both 0 and -inf for an
     absent radar.  ``measure_achieved=False`` skips the measurement, for hot
-    loops that only need the waveform, and returns NaN instead.
+    loops that only need the waveform, and returns NaN instead.  ``seed``
+    seeds the noise; ``sensing_capture`` passes the noise it already drew
+    for its seed at ``spec``'s noise power instead.
     """
     if radar.n_samples != cellular.n_samples:
         raise InvalidParamsError("component durations differ")
@@ -453,8 +521,10 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
         mix[on] += radar_on
 
     measure = measure_achieved and radar_target > 0.0
-    noise_power = dbm_to_linear(spec.p_noise_dbm_mhz) * (SAMPLE_RATE_HZ / 1e6)
-    noise_energy = _add_awgn(mix, noise_power, seed, measure)
+    if isinstance(seed, _DrawnAwgn):
+        noise_energy = _add_drawn(mix, seed.noise, measure)
+    else:
+        noise_energy = _add_awgn(mix, _noise_power(spec), seed, measure)
     if not measure:
         return IqBuffer(mix), float("-inf") if measure_achieved else float("nan")
 
@@ -483,16 +553,21 @@ def sensing_capture(radar: RadarParams | None, sinr_db: float, duration_s: float
 
     The cellular waveform occupies the PRBs in ``prb_mask`` (all when None).
     The radar, or silence when ``radar`` is None, and fresh AWGN are scaled
-    to ``sinr_db`` against the pinned cellular-plus-noise density.
+    to ``sinr_db`` against the pinned cellular-plus-noise density.  The
+    helper thread draws the noise while the caller synthesizes the cellular
+    waveform; ``mix_at_sinr`` then adds it as it would have drawn it.
     """
-    cell = gen_cellular_baseband(prb_mask, duration_s, seed=cell_seed)
     powers = SinrSpec.from_target(sinr_db)
+    noise = np.empty((2, int(round(duration_s * SAMPLE_RATE_HZ))))
+    noise_power = _noise_power(powers)
+    cell = _in_two(lambda: gen_cellular_baseband(prb_mask, duration_s, seed=cell_seed),
+                   lambda: _draw_awgn(noise, noise_power, noise_seed))
     if radar is None:
         radar_iq = IqBuffer(np.zeros(cell.n_samples, dtype=np.complex128))
         powers = SinrSpec(float("-inf"), powers.p_cellular_dbm_mhz, powers.p_noise_dbm_mhz)
     else:
         radar_iq = gen_radar_pulse_train(radar, duration_s)
-    composite, achieved = mix_at_sinr(radar_iq, cell, powers, seed=noise_seed,
+    composite, achieved = mix_at_sinr(radar_iq, cell, powers, seed=_DrawnAwgn(noise),
                                       measure_achieved=measure_achieved)
     return composite, radar_iq, achieved
 

@@ -9,6 +9,13 @@ Power is clamped at POWER_FLOOR_DB; the dB form is derived where a
 spectrogram is written or read.  Linear column energy is normalized so
 that ``sum_k |X_k|^2 / FFT_SIZE`` equals the windowed time-domain energy of
 the frame (Parseval), which the tests rely on.
+
+``stft_spectrogram`` splits the frames that hold signal in two equal counts:
+the caller transforms the first half and ``signals._in_two``'s helper thread
+the second, each into its own columns of the power matrix and through its
+own block buffers, which the caller allocates.  Each frame goes through the
+same operations either way, so the bytes do not depend on the split.  A
+forked child splits on a fresh helper thread (see ``signals``).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParamsError, TooShortInputError
 from .fileio import parse_field, write_sidecar, read_sidecar
-from .signals import SAMPLE_RATE_HZ, IqBuffer
+from .signals import SAMPLE_RATE_HZ, IqBuffer, _in_two
 
 # Mode-2 analysis geometry: 1024-point Hann frames at 75% overlap, so a
 # 13..52 us pulse always lands well inside some frame, avoiding taper loss at
@@ -35,10 +42,13 @@ F_START_HZ = -SAMPLE_RATE_HZ / 2
 _AXES = {"freq_resolution_hz": FREQ_RESOLUTION_HZ, "time_resolution_s": TIME_RESOLUTION_S,
          "f_start_hz": F_START_HZ, "t_start_s": 0.0}
 
-# Frames per block of the STFT's transform and transposed write.  128 frames
-# of 1024 bins are 1 MB of power, half a 2 MB L2 cache; of 48, 64, 128 and
-# 256 it was the fastest for the write.
-_BLOCK_FRAMES = 128
+# Frames per block of the STFT's transform and transposed write, in each of
+# the two halves: the two blocks in flight hold 1 MB of power, half a 2 MB L2
+# cache.  Re-measured against 128 per half on 2 CPUs: the STFT alone read
+# 4.2 against 4.1 ms p50, and loop-radar 1.646 against 1.630 s/s (median of
+# 4 pairs, 128 ahead in 3) at the same peak RSS, inside the run-to-run
+# spread; 64 keeps the block buffers at 3 MB, not 6.
+_BLOCK_FRAMES = 64
 
 
 def stft_spectrogram(iq: IqBuffer) -> np.ndarray:
@@ -62,28 +72,38 @@ def stft_spectrogram(iq: IqBuffer) -> np.ndarray:
 
     # Window, transform, square, scale and clamp one cache-sized block of
     # frames at a time in reused buffers, and write it transposed, with
-    # fftshift's half swap, into C-order [freq, time].
+    # fftshift's half swap, into C-order [freq, time].  Columns [0, mid) hold
+    # the first half of the live frames and go to the caller, the rest to
+    # the helper thread, each with its own buffers.
     floor_lin = 10.0 ** (POWER_FLOOR_DB / 10.0)
     half = FFT_SIZE // 2
     power = np.empty((FFT_SIZE, n_frames))
-    spectra = np.empty((min(_BLOCK_FRAMES, n_frames), FFT_SIZE), dtype=np.complex128)
+    spectra = np.empty((2, min(_BLOCK_FRAMES, n_frames), FFT_SIZE), dtype=np.complex128)
     magnitude = np.empty(spectra.shape)
-    dead_from = 0
-    runs = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2)
-    for start, stop in runs.tolist():
-        power[:, dead_from:start] = floor_lin
-        dead_from = stop
-        for t0 in range(start, stop, _BLOCK_FRAMES):
-            t1 = min(t0 + _BLOCK_FRAMES, stop)
-            block = np.multiply(frames[t0:t1], w, out=spectra[:t1 - t0])
-            np.fft.fft(block, axis=1, out=block)
-            mag = np.abs(block, out=magnitude[:t1 - t0])
-            np.square(mag, out=mag)
-            mag *= 1.0 / FFT_SIZE  # exact: FFT_SIZE is a power of two
-            np.maximum(mag, floor_lin, out=mag)
-            power[:half, t0:t1] = mag[:, half:].T  # row 0 = -fs/2
-            power[half:, t0:t1] = mag[:, :half].T
-    power[:, dead_from:] = floor_lin
+    runs = np.flatnonzero(np.diff(live, prepend=False, append=False)).reshape(-1, 2).tolist()
+    mid = int(np.searchsorted(np.cumsum(live), (int(live.sum()) + 1) // 2)) + 1
+
+    def columns(c0: int, c1: int, k: int) -> None:
+        dead_from = c0
+        for start, stop in runs:
+            start, stop = max(start, c0), min(stop, c1)
+            if start >= stop:
+                continue
+            power[:, dead_from:start] = floor_lin
+            dead_from = stop
+            for t0 in range(start, stop, _BLOCK_FRAMES):
+                t1 = min(t0 + _BLOCK_FRAMES, stop)
+                block = np.multiply(frames[t0:t1], w, out=spectra[k, :t1 - t0])
+                np.fft.fft(block, axis=1, out=block)
+                mag = np.abs(block, out=magnitude[k, :t1 - t0])
+                np.square(mag, out=mag)
+                mag *= 1.0 / FFT_SIZE  # exact: FFT_SIZE is a power of two
+                np.maximum(mag, floor_lin, out=mag)
+                power[:half, t0:t1] = mag[:, half:].T  # row 0 = -fs/2
+                power[half:, t0:t1] = mag[:, :half].T
+        power[:, dead_from:c1] = floor_lin
+
+    _in_two(lambda: columns(0, mid, 0), lambda: columns(mid, n_frames, 1))
     return power
 
 

@@ -4,12 +4,14 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coexsim.control import STAGE_SPECTROGRAM_BUILD
 from coexsim.detect import (
     KPM_FEATURES,
     KpmWindow,
@@ -444,6 +446,21 @@ class TestScenario:
         assert (tmp_path / "run" / "latency_report.txt").exists()
         assert (tmp_path / "run" / "summary.txt").exists()
 
+    def test_mode2_windows_start_at_most_one_thread(self, small_model, monkeypatch):
+        """The STFT, the row sort and the capture's noise share one helper
+        thread: no thread and no pool per call."""
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread))[1])
+        before = threading.active_count()
+        sc = ScenarioConfig(duration_s=0.5, policy=POLICY_FULL,
+                            radar_schedule=[RadarWindow(0.1, 0.4, SCENARIO_PARAMS)], seed=4)
+        out = run_scenario(sc, small_model)
+        assert out.ledger.counts[STAGE_SPECTROGRAM_BUILD] >= 20
+        assert threading.active_count() <= before + 1
+        assert len(started) <= 1
+
     def test_determinism_byte_for_byte(self, small_model, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -572,6 +589,12 @@ class TestScenario:
         ({"radar_schedule": RadarWindow(0.0, 0.05, SCENARIO_PARAMS)},
          "radar_schedule must be a list, not RadarWindow"),
         ({"link": None}, "link must be a LinkConfig, not NoneType"),
+        ({"sinr_schedule": [5]}, r"sinr_schedule\[0\] must be a \(t_start_s, sinr_db\) pair, "
+                                 r"not 5"),
+        ({"sinr_schedule": [(0.0, 8.0, 1.0)]},
+         r"sinr_schedule\[0\] must be a \(t_start_s, sinr_db\) pair, not \(0.0, 8.0, 1.0\)"),
+        ({"radar_schedule": [RadarWindow(0.0, 0.05, None)]},
+         r"radar_schedule\[0\].params must be a RadarParams, not NoneType"),
     ])
     def test_python_built_bad_number_rejected_by_name(self, kwargs, message):
         sc = ScenarioConfig(**{"duration_s": 0.1, "policy": POLICY_BASELINE, **kwargs})
@@ -851,6 +874,24 @@ class TestCli:
         source = (["--data", str(kpm_dataset)] if command == "eval-detector"
                   else ["--config", str(yaml_path)])
         assert cli.main([command, "--model", str(model_path), *source]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: InvalidParamsError: model file {model_path}: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("version, message", [
+        (np.array([1, 1]), "format_version holds 2 values, not one"),
+        (np.array(2), "unsupported model format version 2"),
+        (np.array(np.nan), "unsupported model format version nan"),
+    ], ids=["two-versions", "version-2", "nan-version"])
+    def test_error_line_on_model_format_version(self, small_model, kpm_dataset, tmp_path,
+                                                capsys, version, message):
+        model_path = tmp_path / "m.npz"
+        small_model.save(model_path)
+        with np.load(model_path) as data:
+            arrays = dict(data)
+        np.savez(model_path, **{**arrays, "format_version": version})
+        assert cli.main(["eval-detector", "--model", str(model_path),
+                         "--data", str(kpm_dataset)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: InvalidParamsError: model file {model_path}: {message}\n"
         assert captured.out == ""

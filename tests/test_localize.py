@@ -1,4 +1,8 @@
+from concurrent.futures import ThreadPoolExecutor
+import hashlib
 import importlib
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from coexsim.signals import (
     gen_cellular_baseband,
     gen_radar_pulse_train,
     mix_at_sinr,
+    sensing_capture,
 )
 from coexsim.spectro import stft_spectrogram
 
@@ -230,14 +235,21 @@ class TestExactRewrites:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           rows=st.sampled_from([1, 7, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 1024]),
+           rows=st.sampled_from([1, 2, 7, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                 2 * _ROW_BLOCK + 1, 1024]),
            width=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 597]),
            pct=st.sampled_from([20.0, 50.0, 25, 12.5, 0.5, 99.5])
            | st.floats(0.001, 99.999),
            ties=st.booleans())
     @example(seed=0, rows=1024, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    @example(seed=1, rows=1, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    @example(seed=2, rows=2, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    @example(seed=3, rows=_ROW_BLOCK - 1, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    @example(seed=4, rows=_ROW_BLOCK + 1, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    @example(seed=5, rows=2 * _ROW_BLOCK + 1, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
     def test_one_partition_equals_percentile(self, seed, rows, width, pct, ties):
-        # row counts around the block size: a short last block, none, one row
+        # row counts around the block size and the two-way split of the
+        # blocks: a short last block, none, one row, one block each side
         rng = np.random.default_rng(seed)
         lin = 10.0 ** (rng.normal(-9.0, 1.5, (rows, width)))
         if ties:
@@ -407,3 +419,62 @@ class TestBoxRecords:
         assert back[0][0] == "item_0001"
         assert back[0][1] == records[0][1]
         assert back[1][1].label == CELLULAR
+
+
+def _stft_and_boxes(iq):
+    """The STFT's SHA-256 and ``localize``'s boxes for ``iq``."""
+    power = stft_spectrogram(iq)
+    return hashlib.sha256(power.tobytes()).hexdigest(), localize(power)
+
+
+def _send_stft_and_boxes(iq, conn):
+    conn.send(_stft_and_boxes(iq))
+    conn.close()
+
+
+class TestForkedChild:
+    def test_child_forked_after_a_split_gives_the_parents_bytes(self):
+        """The parent's helper thread does not survive a fork; the child splits
+        on a fresh one, where the parent's executor would leave its jobs
+        waiting forever."""
+        iq, _, _ = make_composite(8.0, seed=5)
+        want = _stft_and_boxes(iq)  # the parent has split before it forks
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_stft_and_boxes, args=(iq, sender))
+        child.start()
+        sender.close()
+        try:
+            answered = receiver.poll(60)
+            got = receiver.recv() if answered else None
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert answered, "the forked child gave no answer within 60 s"
+        assert child.exitcode == 0
+        assert got == want
+
+
+def _capture_stft_and_boxes(seed):
+    """A capture's SHA-256, then ``_stft_and_boxes`` of it."""
+    radar = RadarParams(26e-6, 1000.0, 10, 10e-3, center_offset_hz=2.5e6 - 1e6 * seed)
+    iq, _, _ = sensing_capture(radar, 8.0, 10e-3, seed, seed + 100, measure_achieved=False)
+    return hashlib.sha256(iq.samples.tobytes()).hexdigest(), *_stft_and_boxes(iq)
+
+
+class TestConcurrentCallers:
+    def test_threads_sharing_the_helper_give_one_threads_bytes(self):
+        """Callers on more threads than cores queue their halves on the one
+        helper thread; each still gets the bytes of a lone call."""
+        seeds = list(range(4))
+        want = [_capture_stft_and_boxes(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(_capture_stft_and_boxes, seeds * 2, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 2

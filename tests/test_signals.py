@@ -1,3 +1,6 @@
+import importlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,6 +28,7 @@ from coexsim.signals import (
 )
 
 FS = 15.36e6
+SIGNALS_MODULE = importlib.import_module("coexsim.signals")
 
 FIG_PARAMS = RadarParams(pulse_width_s=13e-6, prr_hz=500.0, pulses_per_burst=5,
                          burst_length_s=10e-3)
@@ -523,6 +527,34 @@ class TestSensingCapture:
         measured, _, _ = sensing_capture(self.RADAR, 8.0, 10e-3, 1, 2)
         assert np.isnan(achieved)
         assert np.array_equal(out.samples, measured.samples)
+
+    @pytest.mark.parametrize("seed, pinned", [
+        (0, -0.06864459402771923), (1, 3.9644039649324023), (2, 7.98115651807378)])
+    def test_noise_drawn_beside_the_cellular_keeps_bytes(self, seed, pinned):
+        """The helper thread draws the noise while the caller synthesizes the
+        cellular waveform.  Measured or not, the composite has the same bytes,
+        and the measured SINR equals the one-thread capture's, pinned."""
+        mask = np.ones(50, dtype=bool)
+        mask[10 + seed:14 + seed] = False
+        radar = RadarParams(13e-6 * (seed + 1), 700.0 + 150 * seed, 5, 10e-3,
+                            center_offset_hz=-2e6 + 2e6 * seed)
+        args = (radar, 4.0 * seed, 10e-3, 11 + seed, 21 + seed)
+        measured, _, achieved = sensing_capture(*args, prb_mask=mask)
+        unmeasured, _, _ = sensing_capture(*args, prb_mask=mask, measure_achieved=False)
+        assert measured.samples.tobytes() == unmeasured.samples.tobytes()
+        assert achieved == pinned
+
+    def test_traced_stages_run_on_the_calling_thread(self, monkeypatch):
+        """perfbench's tracer assumes one thread, so the public stages a capture
+        calls run on the caller; only the private noise draw runs on the helper."""
+        callers = []
+        for name in ("gen_cellular_baseband", "gen_radar_pulse_train", "mix_at_sinr"):
+            def spy(*args, _original=getattr(SIGNALS_MODULE, name), **kwargs):
+                callers.append(threading.current_thread())
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(SIGNALS_MODULE, name, spy)
+        sensing_capture(self.RADAR, 8.0, 10e-3, 1, 2)
+        assert callers == [threading.current_thread()] * 3
 
 
 def three_array_components(radar, cellular, spec, seed):

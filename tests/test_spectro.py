@@ -177,7 +177,8 @@ def dense_stft_power(iq):
 def signals_with_zero_runs(draw):
     """Dense, all-zero, zero-run or pulsed samples, with frame counts on and
     around the block boundaries."""
-    n_frames = draw(st.sampled_from([1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1])
+    n_frames = draw(st.sampled_from([1, 2, _BLOCK_FRAMES, _BLOCK_FRAMES + 1,
+                                     2 * _BLOCK_FRAMES - 1, 2 * _BLOCK_FRAMES + 1])
                     | st.integers(1, 2 * _BLOCK_FRAMES + 3))
     n = FFT_SIZE + (n_frames - 1) * HOP + draw(st.integers(0, HOP - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -210,6 +211,27 @@ class TestLiveFrames:
         iq = IqBuffer(samples)
         power = stft_spectrogram(iq)
         assert power.flags.c_contiguous
+        assert power.tobytes() == dense_stft_power(iq).tobytes()
+
+    @pytest.mark.parametrize("n_frames, live", [
+        (1, "all"), (2, "all"), (2 * _BLOCK_FRAMES - 1, "all"), (2 * _BLOCK_FRAMES, "all"),
+        (2 * _BLOCK_FRAMES + 1, "all"), (2, "first"), (2, "last"),
+        (2 * _BLOCK_FRAMES + 1, "first"), (2 * _BLOCK_FRAMES + 1, "last"),
+    ])
+    def test_split_boundaries_equal_dense_stft(self, n_frames, live):
+        """The caller transforms the first half of the live frames and the
+        helper thread the rest; with live frames only in the first or the
+        last quarter of the samples, one side's columns are mostly floor."""
+        n = FFT_SIZE + (n_frames - 1) * HOP
+        rng = np.random.default_rng(n_frames)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if live == "first":
+            samples[n // 4:] = 0.0
+        elif live == "last":
+            samples[:n - n // 4] = 0.0
+        iq = IqBuffer(samples)
+        power = stft_spectrogram(iq)
+        assert power.shape == (FFT_SIZE, n_frames)
         assert power.tobytes() == dense_stft_power(iq).tobytes()
 
     def test_clean_radar_equals_dense_stft(self):
