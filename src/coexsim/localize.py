@@ -12,12 +12,19 @@ small gaps and kept if large enough.  This finds pulsed emitters even inside
 an occupied band, since the row floor tracks the local background, and an
 always-on occupant is absorbed by its own rows' floors.
 
-The row floor sorts blocks of rows; the caller sorts the first half of the
-blocks and ``signals._in_two``'s helper thread the second, each in its own
-buffer, which the caller allocates, and each writes only its own rows'
-order statistics.  A row's floor comes from the same sort of the same values
-either way, so the bytes do not depend on the split.  A forked child splits
-on a fresh helper thread (see ``signals``).
+``localize`` runs five steps: the row floor (``_row_floor``), the active
+mask (``_active_bins``), the lone-bin filter (``_drop_lone_bins``), the
+grouping (``_component_members``) and the box loop (``_radar_boxes``).
+The row floor partitions blocks of rows at the lower order statistic; the
+caller takes the first half of the blocks and ``signals._in_two``'s helper
+thread the second, each in its own buffer, which the caller allocates, and
+each writes only its own rows' order statistics.  The active mask compares
+two row halves the same way.  A row's values go through the same
+operations either way, so the bytes do not depend on the split.  A forked
+child splits on a fresh helper thread (see ``signals``).  The filter
+clears the active bins that are too far from every other to join a box,
+most of the scattered noise exceedances, so the grouping dilates and
+labels only the rows and columns near bins that can.
 
 Box extents are then refined with floor-subtracted energy profiles trimmed
 contiguously from the peak (TIME_TRIM_DB for columns, FREQ_TRIM_DB for
@@ -40,7 +47,7 @@ from scipy import ndimage
 
 from .errors import InvalidParamsError
 from .fileio import parse_field, read_csv, write_csv
-from .signals import _in_two
+from .signals import _in_halves, _in_two
 from .spectro import F_START_HZ, FFT_SIZE, FREQ_RESOLUTION_HZ, HOP, TIME_RESOLUTION_S
 
 RADAR = "radar"
@@ -142,15 +149,16 @@ def _squash_confidence(mean_excess_db: float) -> float:
 
 
 def _row_quantile(lin: np.ndarray, pct: float) -> np.ndarray:
-    """Per-row ``pct``-th percentile of ``lin``, sorted a block of rows at a time.
+    """Per-row ``pct``-th percentile of ``lin``, a block of rows at a time.
 
     For finite input it equals ``np.percentile(lin, pct, axis=1)`` bit for
-    bit: it takes the same order statistics and combines them with numpy's
-    own linear interpolation.  Each block of ``_ROW_BLOCK`` rows is copied
-    into a small buffer and sorted there, so no copy of the whole matrix is
-    mapped afresh on every call; the caller sorts the first half of the
-    blocks and the helper thread the rest, in a buffer each.  numpy
-    vectorizes row sorts, but not a partition at the two order statistics.
+    bit: it takes the same two order statistics and combines them with
+    numpy's own linear interpolation.  Each block of ``_ROW_BLOCK`` rows is
+    copied into a small buffer and partitioned there at the lower order
+    statistic; the upper one is the least value to its right.  So no copy
+    of the whole matrix is mapped afresh on every call, and no row is fully
+    sorted.  The caller takes the first half of the blocks and the helper
+    thread the rest, in a buffer each.
     """
     n_rows, n = lin.shape
     virtual = (n - 1) * (pct / 100.0)
@@ -167,13 +175,59 @@ def _row_quantile(lin: np.ndarray, pct: float) -> np.ndarray:
             block = buf[:min(_ROW_BLOCK, r_stop - r0)]
             rows = slice(r0, r0 + len(block))
             block[...] = lin[rows]
-            block.sort(axis=1)
-            below[rows], above[rows] = block[:, lo], block[:, hi]
+            block.partition(lo, axis=1)
+            below[rows] = block[:, lo]
+            above[rows] = block[:, hi:].min(axis=1)  # hi is lo or lo + 1
 
     _in_two(lambda: order_statistics(0, mid, bufs[0]),
             lambda: order_statistics(mid, n_rows, bufs[1]))
     diff = above - below
     return below + diff * gamma if gamma < 0.5 else above - diff * (1.0 - gamma)
+
+
+def _row_floor(lin: np.ndarray) -> np.ndarray:
+    """Each row's noise floor: its NOISE_FLOOR_PERCENTILE quantile scaled to
+    the mean of exponentially distributed periodogram bins."""
+    pct = NOISE_FLOOR_PERCENTILE
+    return _row_quantile(lin, pct) / (-np.log(1.0 - pct / 100.0))
+
+
+def _active_bins(lin: np.ndarray, row_floor: np.ndarray) -> np.ndarray:
+    """Bins above THRESHOLD_DB_ABOVE_FLOOR over their row's floor, compared in
+    two row halves, the second on the helper thread."""
+    threshold = row_floor[:, None] * 10.0 ** (THRESHOLD_DB_ABOVE_FLOOR / 10.0)
+    active = np.empty(lin.shape, dtype=bool)
+    _in_halves(len(lin), lambda r0, r1: np.greater(lin[r0:r1], threshold[r0:r1],
+                                                   out=active[r0:r1]))
+    return active
+
+
+def _drop_lone_bins(active: np.ndarray, radius: int) -> None:
+    """Clear, in place, every active bin with no other active bin within
+    Chebyshev distance ``reach = 2 radius + 1``.
+
+    Such a bin's dilated square touches no other, so it is a component of
+    one bin, which MIN_BOX_BINS rejects; dropping whole components keeps the
+    raster label order of the others.  The bins are counted in tiles of side
+    ``reach + 1``: two bins in one tile lie within ``reach`` of each other,
+    and a bin's reach lies inside its tile and the 8 around it.  So a bin
+    that shares its tile stays, one alone in its 3 x 3 tiles goes, and only
+    one alone in its tile beside an occupied tile is looked at bin by bin.
+    """
+    rows, cols = np.divmod(np.flatnonzero(active), active.shape[1])
+    reach = 2 * radius + 1
+    side = reach + 1
+    # tile counts with an empty tile all round, so the 3 x 3 sums need no edge case
+    shape = (-(-active.shape[0] // side) + 2, -(-active.shape[1] // side) + 2)
+    tile_r, tile_c = rows // side + 1, cols // side + 1
+    counts = np.bincount(tile_r * shape[1] + tile_c,
+                         minlength=shape[0] * shape[1]).reshape(shape)
+    lone = sum(counts[tile_r + dr, tile_c + dc] for dr in (-1, 0, 1) for dc in (-1, 0, 1)) == 1
+    for i in np.flatnonzero((counts[tile_r, tile_c] == 1) & ~lone).tolist():
+        r, c = int(rows[i]), int(cols[i])
+        window = active[max(r - reach, 0):r + reach + 1, max(c - reach, 0):c + reach + 1]
+        lone[i] = np.count_nonzero(window) == 1
+    active[rows[lone], cols[lone]] = False
 
 
 def _dilate_square(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -222,28 +276,17 @@ def _component_members(active: np.ndarray, radius: int
     return [(rows[g], cols[g]) for g in groups]
 
 
-def localize(power: np.ndarray) -> list[FreqTimeBox]:
-    """Detect and box radar pulses in a linear ``[freq, time]`` spectrogram;
-    returns ``radar`` boxes sorted by confidence."""
-    # Every pass below runs along rows.  STFT and loaded spectrograms are
-    # C-order already; the call copies only caller-built F-order arrays.
-    lin = np.ascontiguousarray(power)
-    pct = NOISE_FLOOR_PERCENTILE
-
-    # Per-row floor: quantile scaled to mean-equivalent for exponential bins.
-    row_floor = _row_quantile(lin, pct) / (-np.log(1.0 - pct / 100.0))
+def _radar_boxes(lin: np.ndarray, row_floor: np.ndarray,
+                 members: list[tuple[np.ndarray, np.ndarray]]) -> list[FreqTimeBox]:
+    """One ``radar`` box per group of ``_component_members`` that is large
+    enough, its extent refined; sorted by confidence."""
     thr_lin = 10.0 ** (THRESHOLD_DB_ABOVE_FLOOR / 10.0)
-
-    boxes: list[FreqTimeBox] = []
-
     # MIN_BOX_BINS counts distinct resolution cells: with overlapped columns
     # (hop < fft) one noise event smears across fft/hop columns, so those
     # correlated looks collapse onto the true time-frequency grid.
     overlap = FFT_SIZE // HOP
-
-    active = lin > row_floor[:, None] * thr_lin
-    radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
-    for rows_idx, cols_idx in _component_members(active, radius):
+    boxes: list[FreqTimeBox] = []
+    for rows_idx, cols_idx in members:
         cells = set(zip(rows_idx.tolist(), (cols_idx // overlap).tolist()))
         if len(cells) < MIN_BOX_BINS:
             continue
@@ -253,8 +296,24 @@ def localize(power: np.ndarray) -> list[FreqTimeBox]:
                          - 10.0 * np.log10(row_floor[rows_idx] * thr_lin))
         rmin, rmax, cmin, cmax = _refine_extent(lin, row_floor, rows_idx, cols_idx)
         boxes.append(_bins_to_box(rmin, rmax, cmin, cmax, _squash_confidence(float(excess))))
-
     return sorted(boxes, key=lambda b: -b.confidence)
+
+
+def localize(power: np.ndarray) -> list[FreqTimeBox]:
+    """Detect and box radar pulses in a linear ``[freq, time]`` spectrogram;
+    returns ``radar`` boxes sorted by confidence.  An array that is not 2-D,
+    or has no column, raises InvalidParamsError naming its shape."""
+    # Every pass below runs along rows.  STFT and loaded spectrograms are
+    # C-order already; the call copies only caller-built F-order arrays.
+    lin = np.ascontiguousarray(power)
+    if lin.ndim != 2 or lin.shape[1] == 0:
+        raise InvalidParamsError(f"power must be a [freq, time] matrix with at least one "
+                                 f"column, not shape {lin.shape}")
+    row_floor = _row_floor(lin)
+    active = _active_bins(lin, row_floor)
+    radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
+    _drop_lone_bins(active, radius)
+    return _radar_boxes(lin, row_floor, _component_members(active, radius))
 
 
 def radar_truth_boxes(lin: np.ndarray) -> list[FreqTimeBox]:

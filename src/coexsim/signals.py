@@ -18,17 +18,24 @@ with all three terms in linear mW/MHz.
 The second core.  ``_in_two`` runs one half of a job on a private helper
 thread while the caller runs the other half, then waits for both; numpy's
 FFT, sort and normal draws release the interpreter lock, so the halves
-overlap.  ``sensing_capture`` draws its noise on the helper while the caller
-synthesizes the cellular waveform, and ``spectro`` and ``localize`` split the
-STFT's frames and the row sort's blocks in two.  The bytes do not depend on
-the split: every element is computed by the same operations, in the same
-order, as by one thread, and each half writes only its own elements.  The
-caller allocates every work buffer before the split: buffers allocated on
-the helper come from glibc's arena for that thread, which lifted
-loop-radar's peak RSS by about 5 %.  The helper's thread starts on the first
-split, not at import.  A forked child inherits the executor but not its
-thread, so a job submitted there would wait forever; the child gets a fresh
-executor at the fork.  No function that perfbench traces runs on the helper.
+overlap.  ``_in_halves`` splits a range of rows or samples that way.
+``sensing_capture`` draws its noise on the helper while the caller
+synthesizes the cellular waveform, and ``mix_at_sinr`` then builds the
+composite in two sample halves; ``spectro`` and ``localize`` split the
+STFT's frames, the row statistics' blocks and their row-wise passes in two.
+The bytes do not depend on the split: every element is computed by the
+same operations, in the same order, as by one thread, and each half writes
+only its own elements.  The caller allocates every work buffer before the
+split: buffers allocated on the helper come from glibc's arena for that
+thread, which lifted loop-radar's peak RSS by about 5 %.  The helper's
+thread starts on the first split, not at import.  A forked child inherits
+the executor but not its thread, so a job submitted there would wait
+forever; the child gets a fresh executor at the fork.  No function that
+perfbench traces runs on the helper.
+
+``gen_radar_pulse_train`` carries the indices of its pulse-on samples on
+the buffer it returns, as ``gen_cellular_baseband`` carries its occupied
+density, so ``mix_at_sinr`` need not scan the capture for them.
 """
 
 from __future__ import annotations
@@ -83,6 +90,21 @@ def _in_two(here, there):
     return result
 
 
+def _in_halves(n: int, part) -> None:
+    """Run ``part(0, mid)`` on the caller and ``part(mid, n)`` on the helper
+    thread, where ``mid`` is ``n / 2`` rounded up."""
+    mid = (n + 1) // 2
+    _in_two(lambda: part(0, mid), lambda: part(mid, n))
+
+
+def _n_samples(duration_s: float) -> int:
+    """Samples in ``duration_s`` seconds; a duration that is not a finite
+    number >= 0 raises InvalidParamsError naming it."""
+    if not (duration_s >= 0.0 and math.isfinite(duration_s)):
+        raise InvalidParamsError(f"duration_s must be a finite number >= 0, not {duration_s!r}")
+    return int(round(duration_s * SAMPLE_RATE_HZ))
+
+
 def dbm_to_linear(dbm: float) -> float:
     """dBm/MHz -> mW/MHz (or any dB quantity to its linear ratio)."""
     return 10.0 ** (dbm / 10.0)
@@ -98,11 +120,14 @@ class IqBuffer:
 
     Treated as immutable after creation; do not write into ``samples``.
     ``occupied_density`` is the density ``_occupied_density`` would measure,
-    when the generator knows it exactly; None means measure it.
+    when the generator knows it exactly; None means measure it.  ``support``
+    holds the ascending indices of the non-zero samples, when the generator
+    knows them; None means scan for them.
     """
 
     samples: np.ndarray
     occupied_density: float | None = None
+    support: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
@@ -221,18 +246,20 @@ def gen_radar_pulse_train(params: RadarParams, duration_s: float) -> IqBuffer:
 
     Pulses within a burst are spaced exactly 1/prr_hz apart and the burst
     pattern repeats every burst_length_s.  The carrier phase is continuous
-    across pulses (gated CW).
+    across pulses (gated CW).  The buffer carries its support, the pulses'
+    sample indices in ascending order.
     """
     params.validate()
+    n = _n_samples(duration_s)
     if duration_s < params.burst_length_s:
         raise InvalidParamsError("duration_s must cover at least one burst period")
-    n = int(round(duration_s * SAMPLE_RATE_HZ))
     x = np.zeros(n, dtype=np.complex128)
     if params.pulses_per_burst == 0:
-        return IqBuffer(x)
+        return IqBuffer(x, support=np.empty(0, dtype=np.intp))
 
     pulse_n = int(round(params.pulse_width_s * SAMPLE_RATE_HZ))
     f = params.carrier_hz
+    support = []  # pulses start in ascending order, at least 1/prr_hz - pulse_width_s apart
     burst = 0
     while burst * params.burst_length_s < duration_s:
         for j in range(params.pulses_per_burst):
@@ -242,10 +269,11 @@ def gen_radar_pulse_train(params: RadarParams, duration_s: float) -> IqBuffer:
             if s0 >= n:
                 break
             s1 = min(s0 + pulse_n, n)
-            t = np.arange(s0, s1) / SAMPLE_RATE_HZ
-            x[s0:s1] = np.exp(2j * np.pi * f * t)
+            idx = np.arange(s0, s1)
+            x[s0:s1] = np.exp(2j * np.pi * f * (idx / SAMPLE_RATE_HZ))
+            support.append(idx)
         burst += 1
-    return IqBuffer(x)
+    return IqBuffer(x, support=np.concatenate(support))
 
 
 @lru_cache(maxsize=8)
@@ -296,13 +324,13 @@ def gen_cellular_baseband(prb_mask: np.ndarray | None, duration_s: float, seed=N
     mask = np.ones(N_PRBS, dtype=bool) if prb_mask is None else np.asarray(prb_mask, dtype=bool)
     if mask.shape != (N_PRBS,):
         raise InvalidParamsError(f"prb_mask must hold {N_PRBS} PRBs, not shape {mask.shape}")
-    n = int(round(duration_s * SAMPLE_RATE_HZ))
+    n = _n_samples(duration_s)
     if not mask.any():
         return IqBuffer(np.zeros(n, dtype=np.complex128), occupied_density=0.0)
 
     rng = np.random.default_rng(seed)
-    starts, counts = _prb_bin_layout(n)
-    if np.any(counts[mask] == 0):
+    starts, counts = _prb_bin_layout(max(n, 1))  # fftfreq has no grid for 0 samples
+    if n == 0 or np.any(counts[mask] == 0):
         raise InvalidParamsError(
             "duration too short to place FFT bins inside each active PRB")
 
@@ -327,7 +355,7 @@ def gen_awgn(power_linear: float, duration_s: float, seed=None) -> IqBuffer:
     """Circularly symmetric complex Gaussian noise of the given mean power."""
     if power_linear < 0:
         raise InvalidParamsError("power_linear must be >= 0")
-    x = np.zeros(int(round(duration_s * SAMPLE_RATE_HZ)), dtype=np.complex128)
+    x = np.zeros(_n_samples(duration_s), dtype=np.complex128)
     _add_awgn(x, power_linear, seed)
     return IqBuffer(x)
 
@@ -343,28 +371,34 @@ def _draw_awgn(noise: np.ndarray, power_linear: float, seed) -> None:
         part *= scale
 
 
-def _add_drawn(x: np.ndarray, noise: np.ndarray, measure: bool) -> float:
-    """Add ``_draw_awgn``'s ``noise`` to the complex array ``x`` in place, the
-    real parts first.  With ``measure`` it returns the energy of the noise,
-    the sum of the squared draws of both parts (squared in place), which by
-    Parseval is the noise's full-band periodogram sum divided by ``x.size``;
-    without it, 0.0."""
-    energy = 0.0
+def _add_drawn(x: np.ndarray, noise: np.ndarray, measure: bool) -> None:
+    """Add ``_draw_awgn``'s ``noise``, or columns of it, to the complex array
+    ``x`` in place, the real parts first; with ``measure`` square the draws in
+    place after adding them, for ``_noise_energy``."""
     for part, draws in zip((x.real, x.imag), noise):
         part += draws
         if measure:
-            energy += float(np.square(draws, out=draws).sum())
-    return energy
+            np.square(draws, out=draws)
+
+
+def _noise_energy(squared: np.ndarray) -> float:
+    """The energy of ``_add_drawn``'s measured noise from its squared draws:
+    the sum over the real parts plus the sum over the imaginary parts, each
+    over its whole row.  By Parseval it is the noise's full-band periodogram
+    sum divided by the sample count."""
+    return float(squared[0].sum()) + float(squared[1].sum())
 
 
 def _add_awgn(x: np.ndarray, power_linear: float, seed, measure: bool = False) -> float:
-    """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place
-    and return ``_add_drawn``'s energy; ``power_linear == 0`` adds nothing."""
+    """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place;
+    with ``measure`` return the noise's ``_noise_energy``, else 0.0.
+    ``power_linear == 0`` adds nothing."""
     if power_linear == 0.0:
         return 0.0
     noise = np.empty((2, x.size))
     _draw_awgn(noise, power_linear, seed)
-    return _add_drawn(x, noise, measure)
+    _add_drawn(x, noise, measure)
+    return _noise_energy(noise) if measure else 0.0
 
 
 @dataclass(frozen=True)
@@ -454,8 +488,9 @@ def _occupied_density(iq: IqBuffer) -> float:
 
 
 def _radar_peak_density(iq: IqBuffer) -> tuple[float, np.ndarray]:
-    """Pulse-on power density in the 1 MHz reference bandwidth, plus the on-sample indices."""
-    on = np.flatnonzero(iq.samples != 0)
+    """Pulse-on power density in the 1 MHz reference bandwidth, plus the on-sample
+    indices: the carried support, or a scan for non-zero samples."""
+    on = np.flatnonzero(iq.samples != 0) if iq.support is None else iq.support
     if not on.size:
         return 0.0, on
     on_power = float(np.mean(np.abs(iq.samples[on]) ** 2))
@@ -474,8 +509,11 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     Radar is scaled so its pulse-on density in a 1 MHz reference bandwidth
     equals p_radar; cellular so its occupied-band density equals p_cellular;
     fresh AWGN is generated at p_noise over the full sample bandwidth.  The
-    mix is built in one array: the scaled cellular, then the scaled radar on
-    its support, then the noise.
+    mix is built in one array, in two sample halves, the first on the caller
+    and the second on the helper thread; each sample gets the scaled
+    cellular, then the scaled radar if it lies on the radar's support, then
+    the noise.  The noise is drawn before the split, on the caller, unless
+    ``sensing_capture`` drew it already.
 
     The returned SINR is measured from the scaled components, not taken from
     the nominal target, with one full-length FFT, the radar's:
@@ -500,6 +538,7 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
 
     cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
     cell_meas = 0.0
+    gain = None
     if cell_target > 0.0:
         d_now = cellular.occupied_density
         if d_now is None:
@@ -507,27 +546,42 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
         if d_now == 0.0:
             raise SilentComponentError("cellular component has zero power but p_cellular is finite")
         gain = np.sqrt(cell_target / d_now)
-        mix = cellular.samples * gain
         cell_meas = float(d_now * gain ** 2)
-    else:
-        mix = np.zeros(n, dtype=np.complex128)
 
     radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
+    on = radar_on = None
     if radar_target > 0.0:
         d_now, on = _radar_peak_density(radar)
         if d_now == 0.0:
             raise SilentComponentError("radar component has zero power but p_radar is finite")
         radar_on = radar.samples[on] * np.sqrt(radar_target / d_now)
-        mix[on] += radar_on
 
     measure = measure_achieved and radar_target > 0.0
     if isinstance(seed, _DrawnAwgn):
-        noise_energy = _add_drawn(mix, seed.noise, measure)
+        noise = seed.noise
+    elif (noise_power := _noise_power(spec)) > 0.0:
+        noise = np.empty((2, n))
+        _draw_awgn(noise, noise_power, seed)
     else:
-        noise_energy = _add_awgn(mix, _noise_power(spec), seed, measure)
+        noise = None
+    mix = np.empty(n, dtype=np.complex128)
+
+    def build(a: int, b: int) -> None:
+        if gain is None:
+            mix[a:b] = 0.0
+        else:
+            np.multiply(cellular.samples[a:b], gain, out=mix[a:b])
+        if radar_on is not None:
+            k = slice(*np.searchsorted(on, (a, b)).tolist())
+            np.add.at(mix, on[k], radar_on[k])
+        if noise is not None:
+            _add_drawn(mix[a:b], noise[:, a:b], measure)
+
+    _in_halves(n, build)
     if not measure:
         return IqBuffer(mix), float("-inf") if measure_achieved else float("nan")
 
+    noise_energy = _noise_energy(noise) if noise is not None else 0.0
     noise_meas = noise_energy / n / (SAMPLE_RATE_HZ / 1e6)
     # Average density over the whole buffer relates to the peak density
     # through the on-time fraction, so no gated FFT is needed.  One spectrum
@@ -558,7 +612,7 @@ def sensing_capture(radar: RadarParams | None, sinr_db: float, duration_s: float
     waveform; ``mix_at_sinr`` then adds it as it would have drawn it.
     """
     powers = SinrSpec.from_target(sinr_db)
-    noise = np.empty((2, int(round(duration_s * SAMPLE_RATE_HZ))))
+    noise = np.empty((2, _n_samples(duration_s)))
     noise_power = _noise_power(powers)
     cell = _in_two(lambda: gen_cellular_baseband(prb_mask, duration_s, seed=cell_seed),
                    lambda: _draw_awgn(noise, noise_power, noise_seed))

@@ -15,7 +15,9 @@ the caller transforms the first half and ``signals._in_two``'s helper thread
 the second, each into its own columns of the power matrix and through its
 own block buffers, which the caller allocates.  Each frame goes through the
 same operations either way, so the bytes do not depend on the split.  A
-forked child splits on a fresh helper thread (see ``signals``).
+forked child splits on a fresh helper thread (see ``signals``).  The dB
+conversions of ``save_spectrogram`` and ``load_spectrogram`` run in two row
+halves the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParamsError, TooShortInputError
 from .fileio import parse_field, write_sidecar, read_sidecar
-from .signals import SAMPLE_RATE_HZ, IqBuffer, _in_two
+from .signals import SAMPLE_RATE_HZ, IqBuffer, _in_halves, _in_two
 
 # Mode-2 analysis geometry: 1024-point Hann frames at 75% overlap, so a
 # 13..52 us pulse always lands well inside some frame, avoiding taper loss at
@@ -107,11 +109,39 @@ def stft_spectrogram(iq: IqBuffer) -> np.ndarray:
     return power
 
 
+def _power_to_db(power: np.ndarray) -> np.ndarray:
+    """``(10 * log10(power)).astype("<f4")`` in two row halves, the second on
+    the helper thread, through buffers the caller allocates."""
+    db = np.empty(power.shape)
+    out = np.empty(power.shape, dtype="<f4")
+
+    def rows(r0: int, r1: int) -> None:
+        part = np.log10(power[r0:r1], out=db[r0:r1])
+        part *= 10.0
+        out[r0:r1] = part
+
+    _in_halves(len(power), rows)
+    return out
+
+
+def _db_to_power(db: np.ndarray) -> np.ndarray:
+    """``10 ** (db.astype(float64) / 10)`` in two row halves, the second on
+    the helper thread, into one array the caller allocates."""
+    power = np.empty(db.shape)
+
+    def rows(r0: int, r1: int) -> None:
+        part = power[r0:r1]
+        part[...] = db[r0:r1]
+        part /= 10.0
+        np.power(10.0, part, out=part)
+
+    _in_halves(len(db), rows)
+    return power
+
+
 def save_spectrogram(path, power: np.ndarray, extra_meta: dict | None = None) -> None:
     """Row-major float32 dB matrix of ``power`` plus a key=value sidecar."""
-    db = np.log10(power)
-    db *= 10.0
-    db.astype("<f4", order="C").tofile(str(path))
+    _power_to_db(power).tofile(str(path))
     meta = {
         "format": "spectrogram_float32_rowmajor",
         "n_freq_bins": power.shape[0],
@@ -135,11 +165,8 @@ def load_spectrogram(path) -> tuple[np.ndarray, dict]:
         value = parse_field(float, meta, key, meta_path)
         if value != want:
             raise InvalidParamsError(f"{meta_path}: {key} is {value!r}, not the STFT's {want!r}")
-    power = np.fromfile(str(path), dtype="<f4")
-    if rows < 1 or cols < 1 or power.size != rows * cols:
-        raise InvalidParamsError(f"{path} holds {power.size} values, not the {rows} x {cols} "
+    db = np.fromfile(str(path), dtype="<f4")
+    if rows < 1 or cols < 1 or db.size != rows * cols:
+        raise InvalidParamsError(f"{path} holds {db.size} values, not the {rows} x {cols} "
                                  f"its sidecar names")
-    power = power.reshape(rows, cols).astype(np.float64)
-    power /= 10.0
-    np.power(10.0, power, out=power)
-    return power, meta
+    return _db_to_power(db.reshape(rows, cols)), meta

@@ -19,6 +19,7 @@ from coexsim.localize import (
     _ROW_BLOCK,
     _component_members,
     _dilate_square,
+    _drop_lone_bins,
     _row_quantile,
     evaluate_localizer,
     iou,
@@ -209,6 +210,13 @@ class TestLocalize:
         for b in localize(stft_spectrogram(out)):
             assert 0.0 <= b.confidence <= 1.0
 
+    @pytest.mark.parametrize("shape", [(597,), (1024, 0), (2, 3, 4)])
+    def test_array_that_is_no_matrix_with_columns_is_named(self, shape):
+        with pytest.raises(InvalidParamsError) as info:
+            localize(np.ones(shape))
+        assert str(info.value) == ("power must be a [freq, time] matrix with at least one "
+                                   f"column, not shape {shape}")
+
 
 class TestExactRewrites:
     """The fast row statistics, dilation and component grouping equal the
@@ -247,6 +255,10 @@ class TestExactRewrites:
     @example(seed=3, rows=_ROW_BLOCK - 1, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
     @example(seed=4, rows=_ROW_BLOCK + 1, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
     @example(seed=5, rows=2 * _ROW_BLOCK + 1, width=597, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    # one column, and two at the 100th percentile: the two order statistics are one
+    @example(seed=6, rows=_ROW_BLOCK + 1, width=1, pct=NOISE_FLOOR_PERCENTILE, ties=False)
+    @example(seed=7, rows=_ROW_BLOCK + 1, width=2, pct=100.0, ties=True)
+    @example(seed=8, rows=_ROW_BLOCK + 1, width=2, pct=NOISE_FLOOR_PERCENTILE, ties=True)
     def test_one_partition_equals_percentile(self, seed, rows, width, pct, ties):
         # row counts around the block size and the two-way split of the
         # blocks: a short last block, none, one row, one block each side
@@ -258,6 +270,23 @@ class TestExactRewrites:
             quantile = _row_quantile(layout, pct)
             assert quantile.tobytes() == np.percentile(lin, pct, axis=1).tobytes()
 
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 597])
+    @pytest.mark.parametrize("pct", [0.5, NOISE_FLOOR_PERCENTILE, 50.0, 99.5, 100.0])
+    def test_ties_straddling_the_order_statistics_equal_percentile(self, width, pct):
+        # Each row holds two values, the lower k times, with k just below, at,
+        # between and just above the two order statistics: the tie between
+        # them, or the step from one value to the other, falls on every side.
+        lo = min(int((width - 1) * (pct / 100.0)), width - 1)
+        ks = [k for k in range(lo - 1, lo + 3) if 0 <= k <= width]
+        rng = np.random.default_rng(width)
+        lin = np.empty((2 * _ROW_BLOCK + 3, width))
+        for r, row in enumerate(lin):
+            k = ks[r % len(ks)]
+            row[:k], row[k:] = 1e-9, 3e-9
+            rng.shuffle(row)
+        quantile = _row_quantile(lin, pct)
+        assert quantile.tobytes() == np.percentile(lin, pct, axis=1).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), merge_gap_bins=st.integers(1, 6),
@@ -333,6 +362,71 @@ class TestExactRewrites:
             assert got_rows.dtype == exp_rows.dtype and got_cols.dtype == exp_cols.dtype
             assert got_rows.tobytes() == exp_rows.tobytes()
             assert got_cols.tobytes() == exp_cols.tobytes()
+
+
+def lone_bin_mask(seed, radius, n_scattered, n_pairs, n_blobs):
+    """A 1024 x 597 mask: scattered bins, blobs, and pairs of bins at Chebyshev
+    distance exactly 2 radius + 1 or 2 radius + 2, one of each pair on a tile
+    edge (tiles of side 2 radius + 2) or on the grid's border."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((1024, 597), dtype=bool)
+    mask.flat[rng.integers(mask.size, size=n_scattered)] = True
+    for _ in range(n_blobs):
+        r0, c0 = rng.integers(1024), rng.integers(597)
+        mask[r0:r0 + rng.integers(2, 30), c0:c0 + rng.integers(4, 16)] = True
+    side = 2 * radius + 2
+
+    def on_edge(n):
+        k = int(rng.integers(1, n // side))
+        return int(rng.choice([0, n - 1, k * side, k * side - 1]))
+
+    for _ in range(n_pairs):
+        r, c = on_edge(1024), on_edge(597)
+        gap = 2 * radius + 1 + int(rng.integers(2))
+        dr, dc = gap * int(rng.choice([-1, 1])), int(rng.integers(-gap, gap + 1))
+        if rng.random() < 0.5:
+            dr, dc = dc, dr
+        if 0 <= r + dr < 1024 and 0 <= c + dc < 597:
+            mask[r, c] = mask[r + dr, c + dc] = True
+    return mask
+
+
+def lone_bins_oracle(mask, radius):
+    """The bins of ``mask`` with no other bin within Chebyshev distance
+    2 radius + 1, from a full-grid count of each bin's neighbourhood."""
+    reach = 2 * radius + 1
+    near = ndimage.correlate(mask.astype(np.int32), np.ones((2 * reach + 1,) * 2, np.int32),
+                             mode="constant")
+    return mask & (near == 1)
+
+
+class TestLoneBins:
+    """``localize`` clears bins that cannot join a box before it groups them."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), radius=st.integers(1, 4),
+           n_scattered=st.integers(0, 400), n_pairs=st.integers(0, 40),
+           n_blobs=st.integers(0, 4))
+    @example(seed=0, radius=2, n_scattered=0, n_pairs=40, n_blobs=0)
+    def test_clears_exactly_the_lone_bins(self, seed, radius, n_scattered, n_pairs, n_blobs):
+        mask = lone_bin_mask(seed, radius, n_scattered, n_pairs, n_blobs)
+        expected = mask & ~lone_bins_oracle(mask, radius)
+        _drop_lone_bins(mask, radius)
+        assert np.array_equal(mask, expected)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_scattered=st.integers(0, 400),
+           n_pairs=st.integers(0, 40), n_blobs=st.integers(0, 6))
+    @example(seed=1, n_scattered=200, n_pairs=40, n_blobs=3)
+    def test_boxes_equal_the_unfiltered_path(self, seed, n_scattered, n_pairs, n_blobs):
+        radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
+        mask = lone_bin_mask(seed, radius, n_scattered, n_pairs, n_blobs)
+        power = np.random.default_rng(seed).exponential(1.0, mask.shape)
+        power[mask] = 1e3
+        boxes = localize(power)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LOCALIZE_MODULE, "_drop_lone_bins", lambda active, radius: None)
+            assert localize(power) == boxes
 
 
 class TestRecallSweep:

@@ -16,6 +16,8 @@ from coexsim.spectro import (
     HOP,
     POWER_FLOOR_DB,
     TIME_RESOLUTION_S,
+    _db_to_power,
+    _power_to_db,
     load_spectrogram,
     save_spectrogram,
     stft_spectrogram,
@@ -275,6 +277,22 @@ class TestExport:
         assert written.tobytes() == (10.0 * np.log10(power)).astype("<f4").tobytes()
         want = 10.0 ** (written.astype(np.float64).reshape(rows, cols) / 10.0)
         assert loaded.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.sampled_from([1, 2, 3, 63, 64, 65, 1024]),
+           cols=st.integers(1, 600))
+    def test_split_conversions_equal_whole_array_calls(self, seed, rows, cols):
+        """The dB conversions run in two row halves, one on the helper thread;
+        they equal the whole-array expressions bit for bit."""
+        rng = np.random.default_rng(seed)
+        power = 10.0 ** rng.uniform(-30.0, 30.0, (rows, cols))
+        db = rng.uniform(-300.0, 300.0, (rows, cols)).astype("<f4")
+        got = _power_to_db(power)
+        assert got.dtype == np.dtype("<f4") and got.flags.c_contiguous
+        assert got.tobytes() == (10.0 * np.log10(power)).astype("<f4").tobytes()
+        got = _db_to_power(db)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == (10.0 ** (db.astype(np.float64) / 10.0)).tobytes()
 
     def test_round_trip(self, tmp_path):
         power = stft_spectrogram(gen_awgn(1.0, 1e-3, seed=5))
