@@ -14,7 +14,8 @@ always-on occupant is absorbed by its own rows' floors.
 
 ``localize`` runs five steps: the row floor (``_row_floor``), the active
 mask (``_active_bins``), the lone-bin filter (``_drop_lone_bins``), the
-grouping (``_component_members``) and the box loop (``_radar_boxes``).
+grouping of the bins it keeps (``_group_bins``) and the box loop
+(``_radar_boxes``).
 The row floor partitions blocks of rows at the lower order statistic; the
 caller takes the first half of the blocks and ``signals._in_two``'s helper
 thread the second, each in its own buffer, which the caller allocates, and
@@ -22,9 +23,10 @@ each writes only its own rows' order statistics.  The active mask compares
 two row halves the same way.  A row's values go through the same
 operations either way, so the bytes do not depend on the split.  A forked
 child splits on a fresh helper thread (see ``signals``).  The filter
-clears the active bins that are too far from every other to join a box,
+drops the active bins that are too far from every other to join a box,
 most of the scattered noise exceedances, so the grouping dilates and
-labels only the rows and columns near bins that can.
+labels only the rows and columns near bins that can.  It hands on the kept
+bins' indices, so the mask is scanned once.
 
 Box extents are then refined with floor-subtracted energy profiles trimmed
 contiguously from the peak (TIME_TRIM_DB for columns, FREQ_TRIM_DB for
@@ -202,9 +204,14 @@ def _active_bins(lin: np.ndarray, row_floor: np.ndarray) -> np.ndarray:
     return active
 
 
-def _drop_lone_bins(active: np.ndarray, radius: int) -> None:
-    """Clear, in place, every active bin with no other active bin within
-    Chebyshev distance ``reach = 2 radius + 1``.
+def _bins(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the set bins of a 2-D mask, in raster order."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _drop_lone_bins(active: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the active bins in raster order, less every one with
+    no other active bin within Chebyshev distance ``reach = 2 radius + 1``.
 
     Such a bin's dilated square touches no other, so it is a component of
     one bin, which MIN_BOX_BINS rejects; dropping whole components keeps the
@@ -214,7 +221,7 @@ def _drop_lone_bins(active: np.ndarray, radius: int) -> None:
     that shares its tile stays, one alone in its 3 x 3 tiles goes, and only
     one alone in its tile beside an occupied tile is looked at bin by bin.
     """
-    rows, cols = np.divmod(np.flatnonzero(active), active.shape[1])
+    rows, cols = _bins(active)
     reach = 2 * radius + 1
     side = reach + 1
     # tile counts with an empty tile all round, so the 3 x 3 sums need no edge case
@@ -227,7 +234,8 @@ def _drop_lone_bins(active: np.ndarray, radius: int) -> None:
         r, c = int(rows[i]), int(cols[i])
         window = active[max(r - reach, 0):r + reach + 1, max(c - reach, 0):c + reach + 1]
         lone[i] = np.count_nonzero(window) == 1
-    active[rows[lone], cols[lone]] = False
+    keep = ~lone
+    return rows[keep], cols[keep]
 
 
 def _dilate_square(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -256,21 +264,31 @@ def _component_members(active: np.ndarray, radius: int
                        ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Active bins grouped by 8-connected component of the dilated mask, in
     label order, each group's (rows, cols) in raster order.  No group is
-    empty: the dilated mask is a union of squares around active bins.
+    empty: the dilated mask is a union of squares around active bins."""
+    return _group_bins(*_bins(active), active.shape, radius)
 
-    Only rows and columns within 2 radius of an active bin are dilated and
+
+def _group_bins(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], radius: int
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_component_members`` of the ``shape`` mask whose set bins are
+    (rows, cols), given in raster order.
+
+    Only rows and columns within 2 radius of a set bin are dilated and
     labelled.  Each kept run of lines then ends at least ``radius`` empty
     lines beyond its dilated bins, so no component spans two runs, and
     dropping whole lines keeps the raster order, so the labels are those of
     the full grid."""
-    rows, cols = np.divmod(np.flatnonzero(active), active.shape[1])
     if rows.size == 0:
         return []
-    keep_r = _near_lines(rows, active.shape[0], 2 * radius)
-    keep_c = _near_lines(cols, active.shape[1], 2 * radius)
-    labels, _ = ndimage.label(_dilate_square(active[keep_r][:, keep_c], radius),
+    # the count of kept lines up to and including each line
+    kept_r = np.cumsum(_near_lines(rows, shape[0], 2 * radius))
+    kept_c = np.cumsum(_near_lines(cols, shape[1], 2 * radius))
+    sub_r, sub_c = kept_r[rows] - 1, kept_c[cols] - 1
+    grid = np.zeros((kept_r[-1], kept_c[-1]), dtype=bool)
+    grid[sub_r, sub_c] = True
+    labels, _ = ndimage.label(_dilate_square(grid, radius),
                               structure=np.ones((3, 3), dtype=bool))
-    comp = labels[np.cumsum(keep_r)[rows] - 1, np.cumsum(keep_c)[cols] - 1]
+    comp = labels[sub_r, sub_c]
     order = np.argsort(comp, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
     return [(rows[g], cols[g]) for g in groups]
@@ -312,8 +330,8 @@ def localize(power: np.ndarray) -> list[FreqTimeBox]:
     row_floor = _row_floor(lin)
     active = _active_bins(lin, row_floor)
     radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
-    _drop_lone_bins(active, radius)
-    return _radar_boxes(lin, row_floor, _component_members(active, radius))
+    rows, cols = _drop_lone_bins(active, radius)
+    return _radar_boxes(lin, row_floor, _group_bins(rows, cols, active.shape, radius))
 
 
 def radar_truth_boxes(lin: np.ndarray) -> list[FreqTimeBox]:

@@ -18,10 +18,9 @@ with all three terms in linear mW/MHz.
 The second core.  ``_in_two`` runs one half of a job on a private helper
 thread while the caller runs the other half, then waits for both; numpy's
 FFT, sort and normal draws release the interpreter lock, so the halves
-overlap.  ``_in_halves`` splits a range of rows or samples that way.
+overlap.  ``_in_halves`` splits a range of rows that way.
 ``sensing_capture`` draws its noise on the helper while the caller
-synthesizes the cellular waveform, and ``mix_at_sinr`` then builds the
-composite in two sample halves; ``spectro`` and ``localize`` split the
+synthesizes the cellular waveform; ``spectro`` and ``localize`` split the
 STFT's frames, the row statistics' blocks and their row-wise passes in two.
 The bytes do not depend on the split: every element is computed by the
 same operations, in the same order, as by one thread, and each half writes
@@ -371,34 +370,28 @@ def _draw_awgn(noise: np.ndarray, power_linear: float, seed) -> None:
         part *= scale
 
 
-def _add_drawn(x: np.ndarray, noise: np.ndarray, measure: bool) -> None:
-    """Add ``_draw_awgn``'s ``noise``, or columns of it, to the complex array
-    ``x`` in place, the real parts first; with ``measure`` square the draws in
-    place after adding them, for ``_noise_energy``."""
+def _add_drawn(x: np.ndarray, noise: np.ndarray, measure: bool) -> float:
+    """Add ``_draw_awgn``'s ``noise`` to the complex array ``x`` in place, the
+    real parts first.  With ``measure`` it returns the energy of the noise,
+    the sum of the squared draws of both parts (squared in place), which by
+    Parseval is the noise's full-band periodogram sum divided by ``x.size``;
+    without it, 0.0."""
+    energy = 0.0
     for part, draws in zip((x.real, x.imag), noise):
         part += draws
         if measure:
-            np.square(draws, out=draws)
-
-
-def _noise_energy(squared: np.ndarray) -> float:
-    """The energy of ``_add_drawn``'s measured noise from its squared draws:
-    the sum over the real parts plus the sum over the imaginary parts, each
-    over its whole row.  By Parseval it is the noise's full-band periodogram
-    sum divided by the sample count."""
-    return float(squared[0].sum()) + float(squared[1].sum())
+            energy += float(np.square(draws, out=draws).sum())
+    return energy
 
 
 def _add_awgn(x: np.ndarray, power_linear: float, seed, measure: bool = False) -> float:
-    """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place;
-    with ``measure`` return the noise's ``_noise_energy``, else 0.0.
-    ``power_linear == 0`` adds nothing."""
+    """Add ``gen_awgn``'s noise for ``seed`` to the complex array ``x`` in place
+    and return ``_add_drawn``'s energy; ``power_linear == 0`` adds nothing."""
     if power_linear == 0.0:
         return 0.0
     noise = np.empty((2, x.size))
     _draw_awgn(noise, power_linear, seed)
-    _add_drawn(x, noise, measure)
-    return _noise_energy(noise) if measure else 0.0
+    return _add_drawn(x, noise, measure)
 
 
 @dataclass(frozen=True)
@@ -509,11 +502,9 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
     Radar is scaled so its pulse-on density in a 1 MHz reference bandwidth
     equals p_radar; cellular so its occupied-band density equals p_cellular;
     fresh AWGN is generated at p_noise over the full sample bandwidth.  The
-    mix is built in one array, in two sample halves, the first on the caller
-    and the second on the helper thread; each sample gets the scaled
-    cellular, then the scaled radar if it lies on the radar's support, then
-    the noise.  The noise is drawn before the split, on the caller, unless
-    ``sensing_capture`` drew it already.
+    mix is built in one array: the scaled cellular, then the scaled radar on
+    its support (carried by the radar buffer, or found by a scan), then the
+    noise.
 
     The returned SINR is measured from the scaled components, not taken from
     the nominal target, with one full-length FFT, the radar's:
@@ -538,7 +529,6 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
 
     cell_target = dbm_to_linear(spec.p_cellular_dbm_mhz)
     cell_meas = 0.0
-    gain = None
     if cell_target > 0.0:
         d_now = cellular.occupied_density
         if d_now is None:
@@ -546,42 +536,27 @@ def mix_at_sinr(radar: IqBuffer, cellular: IqBuffer, spec: SinrSpec,
         if d_now == 0.0:
             raise SilentComponentError("cellular component has zero power but p_cellular is finite")
         gain = np.sqrt(cell_target / d_now)
+        mix = cellular.samples * gain
         cell_meas = float(d_now * gain ** 2)
+    else:
+        mix = np.zeros(n, dtype=np.complex128)
 
     radar_target = dbm_to_linear(spec.p_radar_dbm_mhz)
-    on = radar_on = None
     if radar_target > 0.0:
         d_now, on = _radar_peak_density(radar)
         if d_now == 0.0:
             raise SilentComponentError("radar component has zero power but p_radar is finite")
         radar_on = radar.samples[on] * np.sqrt(radar_target / d_now)
+        mix[on] += radar_on
 
     measure = measure_achieved and radar_target > 0.0
     if isinstance(seed, _DrawnAwgn):
-        noise = seed.noise
-    elif (noise_power := _noise_power(spec)) > 0.0:
-        noise = np.empty((2, n))
-        _draw_awgn(noise, noise_power, seed)
+        noise_energy = _add_drawn(mix, seed.noise, measure)
     else:
-        noise = None
-    mix = np.empty(n, dtype=np.complex128)
-
-    def build(a: int, b: int) -> None:
-        if gain is None:
-            mix[a:b] = 0.0
-        else:
-            np.multiply(cellular.samples[a:b], gain, out=mix[a:b])
-        if radar_on is not None:
-            k = slice(*np.searchsorted(on, (a, b)).tolist())
-            np.add.at(mix, on[k], radar_on[k])
-        if noise is not None:
-            _add_drawn(mix[a:b], noise[:, a:b], measure)
-
-    _in_halves(n, build)
+        noise_energy = _add_awgn(mix, _noise_power(spec), seed, measure)
     if not measure:
         return IqBuffer(mix), float("-inf") if measure_achieved else float("nan")
 
-    noise_energy = _noise_energy(noise) if noise is not None else 0.0
     noise_meas = noise_energy / n / (SAMPLE_RATE_HZ / 1e6)
     # Average density over the whole buffer relates to the peak density
     # through the on-time fraction, so no gated FFT is needed.  One spectrum

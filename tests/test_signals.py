@@ -782,62 +782,3 @@ class TestCarriedSupport:
         b, sb = mix_at_sinr(bare, cell, SinrSpec.from_target(8.0), seed=4)
         assert a.samples.tobytes() == b.samples.tobytes() and sa == sb
 
-
-class TestHalvedComposite:
-    """``mix_at_sinr`` builds the composite in two sample halves; the bytes and
-    the measured SINR equal those of one build over the whole array."""
-
-    @staticmethod
-    def one_build(call):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SIGNALS_MODULE, "_in_halves", lambda n, part: part(0, n))
-            return call()
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6001),
-           present=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-           carried=st.booleans(), measure=st.booleans(), run=st.integers(1, 300))
-    @example(seed=0, n=1, present=(True, True, True), carried=True, measure=True, run=1)
-    @example(seed=1, n=6001, present=(True, True, True), carried=False, measure=True, run=300)
-    @example(seed=2, n=4097, present=(False, True, True), carried=False, measure=True, run=1)
-    @example(seed=3, n=4097, present=(True, False, False), carried=True, measure=True, run=50)
-    def test_mix_equals_one_build(self, seed, n, present, carried, measure, run):
-        # a radar run straddles the midpoint, where the halves meet
-        rng = np.random.default_rng(seed)
-        radar = np.zeros(n, dtype=np.complex128)
-        start = max(0, (n + 1) // 2 - int(rng.integers(1, run + 1)))
-        radar[start:start + run] = rng.normal(size=2) @ [1.0, 1j]
-        radar[rng.random(n) < 0.01] = 1.0
-        radar_iq = IqBuffer(radar, support=np.flatnonzero(radar) if carried else None)
-        cell = IqBuffer(rng.normal(size=n) + 1j * rng.normal(size=n),
-                        occupied_density=float(rng.uniform(0.5, 2.0)))
-        spec = SinrSpec(*(float(rng.uniform(-120.0, -90.0)) if on else float("-inf")
-                          for on in present))
-
-        def call():
-            return mix_at_sinr(radar_iq, cell, spec, seed=seed, measure_achieved=measure)
-
-        got, achieved = call()
-        want, want_achieved = self.one_build(call)
-        assert got.samples.tobytes() == want.samples.tobytes()
-        assert repr(achieved) == repr(want_achieved)
-
-    # a pulse at 4.99-5.016 ms, over the midpoint of the 10 ms capture
-    STRADDLING = RadarParams(26e-6, 1000.0, 9, 10e-3, burst_start_s=0.99e-3)
-
-    @pytest.mark.parametrize("radar_on, measure", [(True, True), (True, False), (False, True)])
-    @pytest.mark.parametrize("n", [153600, 15001])
-    def test_capture_equals_one_build(self, radar_on, measure, n):
-        # 15001 samples: an odd count, with one pulse over its midpoint
-        params = self.STRADDLING if n == 153600 else RadarParams(
-            26e-6, 1100.0, 1, n / FS, burst_start_s=0.48e-3)
-
-        def call():
-            return sensing_capture(params if radar_on else None, 8.0, n / FS, 5, 6,
-                                   measure_achieved=measure)
-
-        got, radar, achieved = call()
-        assert not radar_on or np.isin([(n - 1) // 2, (n + 1) // 2], radar.support).all()
-        want, _, want_achieved = self.one_build(call)
-        assert got.samples.tobytes() == want.samples.tobytes()
-        assert repr(achieved) == repr(want_achieved)

@@ -9,11 +9,11 @@ The steps are the ones a Mode-2 window runs, in order:
 - ``stft``: ``stft_spectrogram`` of the composite;
 - ``localize`` and its steps, each called on its own in ``localize``'s
   order: ``row_floor``, ``active_mask``, ``lone_bins``, ``grouping``
-  (``_component_members``) and ``box_loop``.  The steps' boxes must equal
+  (``_group_bins``) and ``box_loop``.  The steps' boxes must equal
   ``localize``'s, or the script exits with code 1.
 
-Capture i runs at 4, 8 or 12 dB (i mod 3) with radar i of a seeded draw
-(pulse width 13-52 us, PRR 500-1100 Hz, centre offset within 3 MHz); every
+Capture i runs at 4, 8 or 12 dB (i mod 3) with radar i of a draw seeded
+by ``SEED`` (pulse width 13-52 us, PRR 500-1100 Hz, centre offset within 3 MHz); every
 other capture blanks the radar's PRBs, as the loop does after it evacuates
 them.  One untimed capture comes first.  Each step prints its count, p50,
 p95 and max in ms; the last line is one JSON object with the same figures:
@@ -34,8 +34,8 @@ from coexsim import signals
 from coexsim.localize import (
     MERGE_GAP_BINS,
     _active_bins,
-    _component_members,
     _drop_lone_bins,
+    _group_bins,
     _radar_boxes,
     _row_floor,
     localize,
@@ -43,6 +43,7 @@ from coexsim.localize import (
 from coexsim.signals import N_PRBS, PRB_BANDWIDTH_HZ, RadarParams, sensing_capture
 from coexsim.spectro import stft_spectrogram
 
+SEED = 0
 SINRS_DB = (4.0, 8.0, 12.0)
 WINDOW_S = 10e-3
 SYNTHESIS = ("gen_cellular_baseband", "gen_radar_pulse_train", "mix_at_sinr")
@@ -50,9 +51,9 @@ STEPS = ("cellular", "radar", "mix", "stft", "localize",
          "row_floor", "active_mask", "lone_bins", "grouping", "box_loop")
 
 
-def capture_inputs(i: int, seed: int):
+def capture_inputs(i: int):
     """(radar, sinr_db, prb_mask, cell_seed, noise_seed) of capture i."""
-    rng = np.random.default_rng([seed, i])
+    rng = np.random.default_rng([SEED, i])
     offset = float(rng.uniform(-3e6, 3e6))
     radar = RadarParams(float(rng.uniform(13e-6, 52e-6)), float(rng.uniform(500.0, 1100.0)),
                         3, WINDOW_S, center_offset_hz=offset,
@@ -79,9 +80,9 @@ def timed(costs: dict, step: str, fn, *args):
     return timing(costs, step, fn)(*args)
 
 
-def one_window(costs: dict, i: int, seed: int) -> int:
+def one_window(costs: dict, i: int) -> int:
     """Time capture i's steps into ``costs``; return its box count."""
-    radar, sinr_db, mask, cell_seed, noise_seed = capture_inputs(i, seed)
+    radar, sinr_db, mask, cell_seed, noise_seed = capture_inputs(i)
     originals = {name: getattr(signals, name) for name in SYNTHESIS}
     for name, step in zip(SYNTHESIS, ("cellular", "radar", "mix")):
         setattr(signals, name, timing(costs, step, originals[name]))
@@ -97,8 +98,8 @@ def one_window(costs: dict, i: int, seed: int) -> int:
     radius = max(1, int(np.ceil(MERGE_GAP_BINS / 2)))
     row_floor = timed(costs, "row_floor", _row_floor, power)
     active = timed(costs, "active_mask", _active_bins, power, row_floor)
-    timed(costs, "lone_bins", _drop_lone_bins, active, radius)
-    members = timed(costs, "grouping", _component_members, active, radius)
+    rows, cols = timed(costs, "lone_bins", _drop_lone_bins, active, radius)
+    members = timed(costs, "grouping", _group_bins, rows, cols, active.shape, radius)
     if timed(costs, "box_loop", _radar_boxes, power, row_floor, members) != boxes:
         raise SystemExit(f"capture {i}: the steps' boxes differ from localize's")
     return len(boxes)
@@ -113,19 +114,18 @@ def summary(values: list[float]) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--captures", type=int, default=30, help="timed captures (>= 1)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the capture draw")
     args = parser.parse_args(argv)
     if args.captures < 1:
         parser.error("--captures must be at least 1")
-    one_window({step: [] for step in STEPS}, args.captures, args.seed)  # warm-up
+    one_window({step: [] for step in STEPS}, args.captures)  # warm-up
     costs = {step: [] for step in STEPS}
-    n_boxes = sum(one_window(costs, i, args.seed) for i in range(args.captures))
+    n_boxes = sum(one_window(costs, i) for i in range(args.captures))
     table = {step: summary(costs[step]) for step in STEPS}
     print(f"{'step':<12} {'count':>5} {'p50_ms':>8} {'p95_ms':>8} {'max_ms':>8}")
     for step, row in table.items():
         print(f"{step:<12} {row['count']:>5} {row['p50_ms']:>8.3f} {row['p95_ms']:>8.3f} "
               f"{row['max_ms']:>8.3f}")
-    print(json.dumps({"captures": args.captures, "seed": args.seed, "boxes": n_boxes,
+    print(json.dumps({"captures": args.captures, "seed": SEED, "boxes": n_boxes,
                       "steps": table}))
     return 0
 
